@@ -8,7 +8,8 @@ where kind is "ex" or "ramsey", key is the canonical encoding of H, param is
 n (ex) or t (ramsey), status is "exact" or "lower_bound", and witness encodes
 a hypergraph as n:k:v1,v2,v3/v4,v5,v6 with 1-based vertices.  Unparseable
 lines are evicted on load; semantic revalidation happens at lookup time in
-the extremal module.  Writes replace the whole file atomically.
+the extremal module, which serves only exact records.  A lower_bound record
+never replaces an exact one.  Writes replace the whole file atomically.
 """
 
 import os
@@ -75,6 +76,11 @@ class ResultCache:
         return self.records.get((kind, key, param))
 
     def put(self, rec):
+        """Store rec, unless it is a lower bound and an exact record exists."""
+        old = self.records.get((rec.kind, rec.key, rec.param))
+        if (rec.status == "lower_bound" and old is not None
+                and old.status == "exact"):
+            return
         self.records[(rec.kind, rec.key, rec.param)] = rec
         self._write()
 

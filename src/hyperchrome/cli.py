@@ -5,12 +5,23 @@ subcommand reads one from stdin (or --in) and emits a JSON run report.  Exit
 codes: 0 success, 1 negative or failed result (computed, answer is "no"),
 2 usage or input errors.
 
-Seeds come from --seed or HYPERCHROME_SEED (flag wins); the extremal cache
-path from --cache or HYPERCHROME_CACHE.  Cache records are one tab-separated
-line each: kind, canonical key of H, parameter, value, status, witness graph
-as n:k:v1,v2,v3/... with 1-based vertices (see hyperchrome.cache).  Reports
-are byte-identical for identical command and seed, except for the wall_ms
-field.
+Each report subcommand is declared once in COMMANDS, as its arguments plus a
+solve function that returns only the command-specific part of the report.
+One runner reads the inputs, resolves seed, budget and cache, solves, checks
+the certificate and prints the report.  Certificates are checked by explicit
+code in the form they are printed, chosen by type: a coloring must be proper,
+an independent set must contain no edge, an embedding must map H onto edges
+of G, a chain must be an ordered chain of G.  Extremal, Ramsey and balance
+witnesses are not rechecked.  A failed check prints "error: certificate check
+failed (<command>)" on stderr, no report, and exits 1.
+
+Seeds come from --seed or HYPERCHROME_SEED (flag wins; a value that is not
+an integer is a usage error, exit 2); the extremal cache path from --cache or
+HYPERCHROME_CACHE.  Cache records are one tab-separated line each: kind,
+canonical key of H, parameter, value, status, witness graph as
+n:k:v1,v2,v3/... with 1-based vertices (see hyperchrome.cache).  Only exact
+records are served from the cache.  Reports are byte-identical for identical
+command and seed, except for the wall_ms field.
 """
 
 import argparse
@@ -18,20 +29,56 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
+from dataclasses import dataclass, field
 from time import monotonic
 
 from . import coloring as col
 from . import constructions as cons
 from . import exact, extremal
 from .cache import ResultCache, encode_graph
-from .containment import contains, embedding_ok
-from .core import (VertexOrder, balance, is_hyperforest, is_ordered_chain,
-                   is_proper)
+from .containment import Embedding, contains, embedding_ok
+from .core import (Coloring, VertexOrder, balance, is_hyperforest,
+                   is_independent, is_ordered_chain, is_proper)
 from .fileio import parse_hypergraph, serialize_hypergraph
+
+ORDERS = ["identity", "reverse", "degree", "random"]
 
 
 class UsageError(Exception):
     pass
+
+
+# What a solve function gets: the parsed arguments, the graphs read from --in
+# and --h (None when the command takes no such input), and the resolved seed
+# (None for unseeded commands), budget and cache (None when not cached).
+Job = namedtuple("Job", "args G H seed budget cache")
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """The command-specific part of a run report."""
+
+    status: str
+    result: object
+    quiet: str          # the --quiet summary line
+    code: int = 0       # exit code
+    certificate: dict = None
+    params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One report subcommand: what it reads, its extra arguments, its solver."""
+
+    help: str
+    solve: object       # Job -> Outcome
+    infile: bool = True
+    pattern: bool = False
+    seeded: bool = False
+    budgeted: bool = False
+    cached: bool = False
+    options: tuple = ()  # (flag, add_argument keywords), after the common ones
 
 
 def _read_graph(path):
@@ -55,7 +102,16 @@ def _seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("HYPERCHROME_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(
+            f"HYPERCHROME_SEED must be an integer, got {env!r}") from None
+
+
+def _cache(args):
+    path = args.cache or os.environ.get("HYPERCHROME_CACHE")
+    return ResultCache(path) if path else None
 
 
 def _order(G, name, seed):
@@ -66,34 +122,65 @@ def _order(G, name, seed):
     if name == "degree":
         degs = G.degrees()
         return VertexOrder(tuple(sorted(range(G.n), key=lambda v: (-degs[v], v))))
-    if name == "random":
-        import random
-        perm = list(range(G.n))
-        random.Random(seed).shuffle(perm)
-        return VertexOrder(tuple(perm))
-    raise UsageError(f"unknown order {name!r}")
+    import random
+    perm = list(range(G.n))  # "random", the last of ORDERS
+    random.Random(seed).shuffle(perm)
+    return VertexOrder(tuple(perm))
 
 
-def _emit(args, report, quiet_line):
-    if getattr(args, "quiet", False):
-        print(quiet_line)
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+def _certified(cert, G, H):
+    """Recheck a certificate as printed; ex, ramsey and balance witnesses
+    pass unchecked."""
+    kind = cert["type"]
+    if kind == "coloring":
+        return is_proper(G, Coloring(tuple(cert["colors"]), cert["palette"]))[0]
+    if kind == "independent-set":
+        return is_independent(G, [v - 1 for v in cert["vertices"]])
+    if kind == "embedding":
+        vmap = {int(h) - 1: g - 1 for h, g in cert["vertex_map"].items()}
+        if set(vmap) != set(range(H.n)):
+            return False
+        edge_map = tuple((e, tuple(sorted(vmap[v] for v in e))) for e in H.edges)
+        return embedding_ok(G, H, Embedding(tuple(sorted(vmap.items())), edge_map))
+    if kind == "chain":
+        chain = [[v - 1 for v in e] for e in cert["edges"]]
+        order = VertexOrder(tuple(v - 1 for v in cert["order"]))
+        return not chain or is_ordered_chain(G, chain, order)
+    return True
 
 
-def _report(command, digest, G, params, seed, status, result, certificate,
-            started):
-    return {
-        "command": command,
-        "input": None if G is None else
-                 {"sha256": digest, "n": G.n, "k": G.k, "m": len(G.edges)},
+def _run(name, cmd, args):
+    """Read, solve, certify and emit one report; returns the exit code."""
+    started = monotonic()
+    G, digest = _read_graph(args.infile) if cmd.infile else (None, None)
+    H, h_digest = _read_graph(args.pattern) if cmd.pattern else (None, None)
+    seed = _seed(args) if cmd.seeded else None
+    budget = _budget(args)
+    cache = _cache(args) if cmd.cached else None
+    out = cmd.solve(Job(args, G, H, seed, budget, cache))
+    if out.certificate is not None and not _certified(out.certificate, G, H):
+        print(f"error: certificate check failed ({name})", file=sys.stderr)
+        return 1
+    params = out.params
+    if G is None:
+        G, digest = H, h_digest  # the pattern is the input
+    elif H is not None:
+        params = {**params, "h_sha256": h_digest}
+    report = {
+        "command": name,
+        "input": {"sha256": digest, "n": G.n, "k": G.k, "m": len(G.edges)},
         "params": params,
         "seed": seed,
-        "status": status,
-        "result": result,
-        "certificate": certificate,
+        "status": out.status,
+        "result": out.result,
+        "certificate": out.certificate,
         "wall_ms": round((monotonic() - started) * 1000.0, 3),
     }
+    if args.quiet:
+        print(out.quiet)
+    else:
+        print(json.dumps(report, sort_keys=True, indent=2))
+    return out.code
 
 
 def _gen(args):
@@ -121,255 +208,200 @@ def _gen(args):
     return 0
 
 
-def _cmd_chi(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    chi = exact.chromatic_number(G, _budget(args))
-    if chi is exact.EXHAUSTED:
-        rep = _report("chi", digest, G, {}, None, "exhausted", None, None, started)
-        _emit(args, rep, "chi exhausted")
-        return 1
-    witness = exact.k_colorable(G, chi, _budget(args))
-    cert = {"type": "coloring", "colors": list(witness.colors), "palette": chi}
-    assert is_proper(G, witness)[0]
-    rep = _report("chi", digest, G, {}, None, "exact", {"chi": chi}, cert, started)
-    _emit(args, rep, f"chi = {chi}")
-    return 0
+def _coloring_cert(coloring):
+    return {"type": "coloring", "colors": list(coloring.colors),
+            "palette": coloring.palette}
 
 
-def _cmd_alpha(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    res = exact.max_independent_set(G, _budget(args))
+def _embedding_cert(emb):
+    return {"type": "embedding",
+            "vertex_map": {str(h + 1): g + 1 for h, g in emb.vertex_map}}
+
+
+def _chi(job):
+    witness = exact.chromatic_coloring(job.G, job.budget)
+    if witness is exact.EXHAUSTED:
+        return Outcome("exhausted", None, "chi exhausted", 1)
+    chi = witness.palette
+    return Outcome("exact", {"chi": chi}, f"chi = {chi}",
+                   certificate=_coloring_cert(witness))
+
+
+def _alpha(job):
+    best = exact.max_independent_set(job.G, job.budget)
+    if best is exact.EXHAUSTED:
+        return Outcome("exhausted", None, "alpha exhausted", 1)
+    cert = {"type": "independent-set", "vertices": sorted(v + 1 for v in best)}
+    return Outcome("exact", {"alpha": len(best)}, f"alpha = {len(best)}",
+                   certificate=cert)
+
+
+def _kcolor(job):
+    k = job.args.k
+    params = {"k": k}
+    res = exact.k_colorable(job.G, k, job.budget)
     if res is exact.EXHAUSTED:
-        rep = _report("alpha", digest, G, {}, None, "exhausted", None, None, started)
-        _emit(args, rep, "alpha exhausted")
-        return 1
-    cert = {"type": "independent-set", "vertices": sorted(v + 1 for v in res)}
-    rep = _report("alpha", digest, G, {}, None, "exact",
-                  {"alpha": len(res)}, cert, started)
-    _emit(args, rep, f"alpha = {len(res)}")
-    return 0
-
-
-def _cmd_kcolor(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    res = exact.k_colorable(G, args.k, _budget(args))
-    if res is exact.EXHAUSTED:
-        rep = _report("kcolor", digest, G, {"k": args.k}, None, "exhausted",
-                      None, None, started)
-        _emit(args, rep, "kcolor exhausted")
-        return 1
+        return Outcome("exhausted", None, "kcolor exhausted", 1, params=params)
     if res is None:
-        rep = _report("kcolor", digest, G, {"k": args.k}, None, "exact",
-                      {"colorable": False}, None, started)
-        _emit(args, rep, f"not {args.k}-colorable")
-        return 1
-    cert = {"type": "coloring", "colors": list(res.colors), "palette": args.k}
-    rep = _report("kcolor", digest, G, {"k": args.k}, None, "exact",
-                  {"colorable": True}, cert, started)
-    _emit(args, rep, f"{args.k}-colorable")
-    return 0
+        return Outcome("exact", {"colorable": False}, f"not {k}-colorable", 1,
+                       params=params)
+    return Outcome("exact", {"colorable": True}, f"{k}-colorable",
+                   certificate=_coloring_cert(res), params=params)
 
 
-def _coloring_payload(G, result):
-    if isinstance(result, col.ColoringFailure):
-        detail = {k: v for k, v in result.detail.items()
-                  if isinstance(v, (int, str, bool))}
-        return None, {"failure": result.stage, "detail": detail}
-    ok, _ = is_proper(G, result)
-    assert ok
-    cert = {"type": "coloring", "colors": list(result.colors),
-            "palette": result.palette}
-    return cert, {"colors_used": result.used()}
-
-
-def _cmd_color(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    seed = _seed(args)
+def _color(job):
+    args, G, seed = job.args, job.G, job.seed
     params = {"algo": args.algo}
     if args.algo == "greedy":
-        ordv = _order(G, args.order, seed)
-        trace = col.greedy_pluhar(G, ordv)
-        result = trace.coloring
         params["order"] = args.order
+        result = col.greedy_pluhar(G, _order(G, args.order, seed)).coloring
     elif args.algo == "lll":
         if args.r is None:
             raise UsageError("--algo lll needs --r")
         params["r"] = args.r
         if not col.lll_check(G, args.r).ok:
-            rep = _report("color", digest, G, params, seed, "failure",
-                          {"failure": "lll-check"}, None, started)
-            _emit(args, rep, "lll-check failed")
-            return 1
+            return Outcome("failure", {"failure": "lll-check"},
+                           "lll-check failed", 1, params=params)
         result = col.lll_color(G, args.r, seed)
     elif args.algo == "layered":
         if args.theta is None or args.per_layer is None:
             raise UsageError("--algo layered needs --theta and --per-layer")
         params.update(theta=args.theta, per_layer=args.per_layer)
         result = col.layered_color(G, args.theta, args.per_layer, seed)
-    elif args.algo == "dyadic":
+    else:  # dyadic
         if args.r is None:
             raise UsageError("--algo dyadic needs --r")
         params["r"] = args.r
-        result = col.independent_removal_color(G, args.r, seed, _budget(args))
-    else:
-        raise UsageError(f"unknown algorithm {args.algo!r}")
-    cert, payload = _coloring_payload(G, result)
-    status = "exact" if cert else "failure"
-    rep = _report("color", digest, G, params, seed, status, payload, cert, started)
-    if cert:
-        _emit(args, rep, f"proper coloring, {payload['colors_used']} colors")
-        return 0
-    _emit(args, rep, f"failure: {payload['failure']}")
-    return 1
+        result = col.independent_removal_color(G, args.r, seed, job.budget)
+    if isinstance(result, col.ColoringFailure):
+        detail = {k: v for k, v in result.detail.items()
+                  if isinstance(v, (int, str, bool))}
+        return Outcome("failure", {"failure": result.stage, "detail": detail},
+                       f"failure: {result.stage}", 1, params=params)
+    used = result.used()
+    return Outcome("exact", {"colors_used": used},
+                   f"proper coloring, {used} colors",
+                   certificate=_coloring_cert(result), params=params)
 
 
-def _cmd_contains(args, want_free):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    H, hdigest = _read_graph(args.pattern)
-    emb = contains(G, H)
-    name = "free" if want_free else "contains"
-    params = {"h_sha256": hdigest, "h_n": H.n, "h_m": len(H.edges)}
-    if emb is not None:
-        assert embedding_ok(G, H, emb)
-        cert = {"type": "embedding",
-                "vertex_map": {str(h + 1): g + 1 for h, g in emb.vertex_map}}
-    else:
-        cert = None
-    if want_free:
-        result = {"free": emb is None}
-        rep = _report(name, digest, G, params, None, "exact", result, cert, started)
-        _emit(args, rep, f"free = {emb is None}")
-        return 0 if emb is None else 1
-    result = {"contains": emb is not None}
-    rep = _report(name, digest, G, params, None, "exact", result, cert, started)
-    _emit(args, rep, f"contains = {emb is not None}")
-    return 0 if emb is not None else 1
+def _containment(name):
+    """Solver of `contains` or `free`: the same search, answers opposite."""
+    def solve(job):
+        emb = contains(job.G, job.H)
+        answer = emb is None if name == "free" else emb is not None
+        cert = None if emb is None else _embedding_cert(emb)
+        return Outcome("exact", {name: answer}, f"{name} = {answer}",
+                       0 if answer else 1, certificate=cert,
+                       params={"h_n": job.H.n, "h_m": len(job.H.edges)})
+    return solve
 
 
-def _cmd_chain(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    seed = _seed(args)
-    ordv = _order(G, args.order, seed)
-    trace = col.greedy_pluhar(G, ordv)
+def _chain(job):
+    G, order = job.G, _order(job.G, job.args.order, job.seed)
+    trace = col.greedy_pluhar(G, order)
     used = trace.coloring.used()
-    if used >= 2:
-        chain = col.extract_chain(G, ordv, trace)
-        assert is_ordered_chain(G, chain, ordv)
-        edges = [[v + 1 for v in e] for e in chain.chain]
-    else:
-        edges = []
-    cert = {"type": "chain", "edges": edges,
-            "order": [v + 1 for v in ordv.order]}
-    rep = _report("chain", digest, G, {"order": args.order}, seed, "exact",
-                  {"greedy_colors": used, "chain_length": len(edges)},
-                  cert, started)
-    _emit(args, rep, f"greedy colors {used}, chain length {len(edges)}")
-    return 0
+    chain = col.extract_chain(G, order, trace).chain if used >= 2 else ()
+    cert = {"type": "chain", "edges": [[v + 1 for v in e] for e in chain],
+            "order": [v + 1 for v in order.order]}
+    return Outcome("exact", {"greedy_colors": used, "chain_length": len(chain)},
+                   f"greedy colors {used}, chain length {len(chain)}",
+                   certificate=cert, params={"order": job.args.order})
 
 
-def _cache(args):
-    path = args.cache or os.environ.get("HYPERCHROME_CACHE")
-    return ResultCache(path) if path else None
-
-
-def _cmd_ex(args):
-    started = monotonic()
-    H, hdigest = _read_graph(args.pattern)
-    rec = extremal.turan_ex(args.n, H, _budget(args), _cache(args))
+def _ex(job):
+    n = job.args.n
+    rec = extremal.turan_ex(n, job.H, job.budget, job.cache)
     cert = {"type": "extremal-witness", "witness": encode_graph(rec.witness)}
-    rep = _report("ex", hdigest, H, {"n": args.n}, None, rec.status,
-                  {"ex": rec.value}, cert, started)
-    _emit(args, rep, f"ex({args.n}, H) = {rec.value} [{rec.status}]")
-    return 0
+    return Outcome(rec.status, {"ex": rec.value},
+                   f"ex({n}, H) = {rec.value} [{rec.status}]",
+                   certificate=cert, params={"n": n})
 
 
-def _cmd_ramsey(args):
-    started = monotonic()
-    H, hdigest = _read_graph(args.pattern)
-    rec = extremal.ramsey(H, args.t, args.n_max, _budget(args), _cache(args))
+def _ramsey(job):
+    t, n_max = job.args.t, job.args.n_max
+    rec = extremal.ramsey(job.H, t, n_max, job.budget, job.cache)
     cert = {"type": "ramsey-witness", "witness": encode_graph(rec.witness)}
-    rep = _report("ramsey", hdigest, H, {"t": args.t, "n_max": args.n_max},
-                  None, rec.status, {"ramsey": rec.value}, cert, started)
-    _emit(args, rep, f"R(H, K_{args.t}) = {rec.value} [{rec.status}]")
-    return 0
+    return Outcome(rec.status, {"ramsey": rec.value},
+                   f"R(H, K_{t}) = {rec.value} [{rec.status}]",
+                   certificate=cert, params={"t": t, "n_max": n_max})
 
 
-def _cmd_balance(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
+def _balance(job):
     try:
-        bal = balance(G)
+        bal = balance(job.G)
     except ValueError as exc:
-        rep = _report("balance", digest, G, {}, None, "failure",
-                      {"failure": str(exc)}, None, started)
-        _emit(args, rep, f"failure: {exc}")
-        return 1
+        return Outcome("failure", {"failure": str(exc)}, f"failure: {exc}", 1)
+    value = f"{bal.value.numerator}/{bal.value.denominator}"
     cert = {"type": "balance-witness",
             "edges": [[v + 1 for v in e] for e in bal.witness]}
-    rep = _report("balance", digest, G, {}, None, "exact",
-                  {"balance": f"{bal.value.numerator}/{bal.value.denominator}",
-                   "is_balanced": bal.is_balanced}, cert, started)
-    _emit(args, rep, f"{bal.value.numerator}/{bal.value.denominator}")
-    return 0
+    return Outcome("exact", {"balance": value, "is_balanced": bal.is_balanced},
+                   value, certificate=cert)
 
 
-def _cmd_hyperforest(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    flag = is_hyperforest(G)
-    rep = _report("hyperforest", digest, G, {}, None, "exact",
-                  {"hyperforest": flag}, None, started)
-    _emit(args, rep, f"hyperforest = {flag}")
-    return 0 if flag else 1
+def _hyperforest(job):
+    flag = is_hyperforest(job.G)
+    return Outcome("exact", {"hyperforest": flag}, f"hyperforest = {flag}",
+                   0 if flag else 1)
 
 
-def _cmd_witness(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    H, hdigest = _read_graph(args.pattern)
-    wr = extremal.verify_witness(G, H, args.r, _budget(args))
+def _witness(job):
+    r = job.args.r
+    wr = extremal.verify_witness(job.G, job.H, r, job.budget)
     result = {"h_free": wr.h_free, "chi": wr.chi,
               "chi_exceeds_r": wr.chi_exceeds_r, "edge_count": wr.edge_count,
               "implied_bound": wr.implied_bound}
-    rep = _report("witness", digest, G,
-                  {"r": args.r, "h_sha256": hdigest}, None, wr.status,
-                  result, None, started)
     ok = wr.h_free and wr.chi_exceeds_r
-    _emit(args, rep, f"m_H({args.r}) <= {wr.implied_bound}" if ok
-          else "not a witness")
-    return 0 if ok else 1
+    return Outcome(wr.status, result,
+                   f"m_H({r}) <= {wr.implied_bound}" if ok else "not a witness",
+                   0 if ok else 1, params={"r": r})
 
 
-def _cmd_embed_order(args):
-    started = monotonic()
-    G, digest = _read_graph(args.infile)
-    H, hdigest = _read_graph(args.pattern)
-    ordering = extremal.find_edge_ordering(H)
+def _embed_order(job):
+    ordering = extremal.find_edge_ordering(job.H)
     if ordering is None:
-        rep = _report("embed-order", digest, G, {"h_sha256": hdigest}, None,
-                      "exact", {"ordering": None}, None, started)
-        _emit(args, rep, "no edge ordering")
-        return 1
-    emb = extremal.embed_by_edge_order(G, H, ordering)
+        return Outcome("exact", {"ordering": None}, "no edge ordering", 1)
+    emb = extremal.embed_by_edge_order(job.G, job.H, ordering)
     if emb is None:
-        rep = _report("embed-order", digest, G, {"h_sha256": hdigest}, None,
-                      "exact", {"ordering": True, "embedding": False},
-                      None, started)
-        _emit(args, rep, "ordering found, no embedding")
-        return 1
-    assert embedding_ok(G, H, emb)
-    cert = {"type": "embedding",
-            "vertex_map": {str(h + 1): g + 1 for h, g in emb.vertex_map}}
-    rep = _report("embed-order", digest, G, {"h_sha256": hdigest}, None,
-                  "exact", {"ordering": True, "embedding": True}, cert, started)
-    _emit(args, rep, "embedding found")
-    return 0
+        return Outcome("exact", {"ordering": True, "embedding": False},
+                       "ordering found, no embedding", 1)
+    return Outcome("exact", {"ordering": True, "embedding": True},
+                   "embedding found", certificate=_embedding_cert(emb))
+
+
+COMMANDS = {
+    "chi": Command("exact chromatic number", _chi, budgeted=True),
+    "alpha": Command("exact independence number", _alpha, budgeted=True),
+    "kcolor": Command("exact k-colorability", _kcolor, budgeted=True, options=(
+        ("--k", dict(type=int, required=True)),)),
+    "color": Command("run a coloring algorithm", _color, seeded=True,
+                     budgeted=True, options=(
+        ("--algo", dict(choices=["greedy", "lll", "layered", "dyadic"],
+                        required=True)),
+        ("--order", dict(default="identity", choices=ORDERS)),
+        ("--r", dict(type=int, default=None)),
+        ("--theta", dict(type=int, default=None)),
+        ("--per-layer", dict(dest="per_layer", type=int, default=None)))),
+    "contains": Command("subgraph containment", _containment("contains"),
+                        pattern=True),
+    "free": Command("H-freeness", _containment("free"), pattern=True),
+    "chain": Command("greedy coloring plus chain certificate", _chain,
+                     seeded=True, options=(
+        ("--order", dict(default="identity", choices=ORDERS)),)),
+    "ex": Command("Turan number ex(n, H)", _ex, infile=False, pattern=True,
+                  budgeted=True, cached=True, options=(
+        ("--n", dict(type=int, required=True)),)),
+    "ramsey": Command("Ramsey number R(H, K_t)", _ramsey, infile=False,
+                      pattern=True, budgeted=True, cached=True, options=(
+        ("--t", dict(type=int, required=True)),
+        ("--n-max", dict(dest="n_max", type=int, default=8)))),
+    "balance": Command("exact balance of a 3-graph", _balance),
+    "hyperforest": Command("incidence-acyclicity test", _hyperforest),
+    "witness": Command("verify an m_H(r) upper-bound witness", _witness,
+                       pattern=True, budgeted=True, options=(
+        ("--r", dict(type=int, required=True)),)),
+    "embed-order": Command("edge ordering + incremental embedding",
+                           _embed_order, pattern=True),
+}
 
 
 def build_parser():
@@ -377,26 +409,6 @@ def build_parser():
         prog="hyperchrome",
         description="3-uniform hypergraph coloring laboratory")
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def common(p, infile=True, pattern=False, seeded=False, budgeted=False,
-               cached=False):
-        if infile:
-            p.add_argument("--in", dest="infile", default=None,
-                           help="input HypergraphFile (default: stdin)")
-        if pattern:
-            p.add_argument("--h", dest="pattern", required=True,
-                           help="pattern hypergraph H (HypergraphFile)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None)
-        if budgeted:
-            p.add_argument("--budget-nodes", type=int, default=0)
-            p.add_argument("--budget-ms", type=int, default=0)
-        if cached:
-            p.add_argument("--cache", default=None)
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON report (default)")
-        p.add_argument("--quiet", action="store_true",
-                       help="one-line summary instead of JSON")
 
     g = sub.add_parser("gen", help="write a generated hypergraph to stdout")
     g.add_argument("family", choices=[
@@ -412,74 +424,28 @@ def build_parser():
     g.add_argument("--tau", type=int, default=1)
     g.add_argument("--e", type=int, default=1)
     g.add_argument("--seed", type=int, default=None)
-    g.set_defaults(func=_gen)
 
-    p = sub.add_parser("chi", help="exact chromatic number")
-    common(p, budgeted=True)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("alpha", help="exact independence number")
-    common(p, budgeted=True)
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("kcolor", help="exact k-colorability")
-    common(p, budgeted=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_kcolor)
-
-    p = sub.add_parser("color", help="run a coloring algorithm")
-    common(p, seeded=True, budgeted=True)
-    p.add_argument("--algo", choices=["greedy", "lll", "layered", "dyadic"],
-                   required=True)
-    p.add_argument("--order", default="identity",
-                   choices=["identity", "reverse", "degree", "random"])
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--theta", type=int, default=None)
-    p.add_argument("--per-layer", dest="per_layer", type=int, default=None)
-    p.set_defaults(func=_cmd_color)
-
-    p = sub.add_parser("contains", help="subgraph containment")
-    common(p, pattern=True)
-    p.set_defaults(func=lambda a: _cmd_contains(a, want_free=False))
-
-    p = sub.add_parser("free", help="H-freeness")
-    common(p, pattern=True)
-    p.set_defaults(func=lambda a: _cmd_contains(a, want_free=True))
-
-    p = sub.add_parser("chain", help="greedy coloring plus chain certificate")
-    common(p, seeded=True)
-    p.add_argument("--order", default="identity",
-                   choices=["identity", "reverse", "degree", "random"])
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("ex", help="Turan number ex(n, H)")
-    common(p, infile=False, pattern=True, budgeted=True, cached=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_ex)
-
-    p = sub.add_parser("ramsey", help="Ramsey number R(H, K_t)")
-    common(p, infile=False, pattern=True, budgeted=True, cached=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.set_defaults(func=_cmd_ramsey)
-
-    p = sub.add_parser("balance", help="exact balance of a 3-graph")
-    common(p)
-    p.set_defaults(func=_cmd_balance)
-
-    p = sub.add_parser("hyperforest", help="incidence-acyclicity test")
-    common(p)
-    p.set_defaults(func=_cmd_hyperforest)
-
-    p = sub.add_parser("witness", help="verify an m_H(r) upper-bound witness")
-    common(p, pattern=True, budgeted=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("embed-order", help="edge ordering + incremental embedding")
-    common(p, pattern=True)
-    p.set_defaults(func=_cmd_embed_order)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.infile:
+            p.add_argument("--in", dest="infile", default=None,
+                           help="input HypergraphFile (default: stdin)")
+        if cmd.pattern:
+            p.add_argument("--h", dest="pattern", required=True,
+                           help="pattern hypergraph H (HypergraphFile)")
+        if cmd.seeded:
+            p.add_argument("--seed", type=int, default=None)
+        if cmd.budgeted:
+            p.add_argument("--budget-nodes", type=int, default=0)
+            p.add_argument("--budget-ms", type=int, default=0)
+        if cmd.cached:
+            p.add_argument("--cache", default=None)
+        p.add_argument("--json", action="store_true", default=True,
+                       help="JSON report (default)")
+        p.add_argument("--quiet", action="store_true",
+                       help="one-line summary instead of JSON")
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -490,11 +456,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.cmd == "gen":
+            return _gen(args)
+        return _run(args.cmd, COMMANDS[args.cmd], args)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -136,6 +136,12 @@ def is_proper(G, coloring):
     return True, None
 
 
+def is_independent(G, vertices):
+    """True iff no edge of G lies inside `vertices`."""
+    chosen = set(vertices)
+    return not any(chosen.issuperset(e) for e in G.edges)
+
+
 @dataclass(frozen=True)
 class VertexOrder:
     """A linear order on 0..n-1: order[i] = vertex at position i, position = inverse."""

@@ -73,8 +73,9 @@ def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     return EXHAUSTED
 
 
-def chromatic_number(G, budget=UNLIMITED):
-    """Least k admitting a proper k-coloring, trying k = 1, 2, ...
+def chromatic_coloring(G, budget=UNLIMITED):
+    """A proper coloring with the least palette, trying k = 1, 2, ..., or
+    EXHAUSTED.
 
     The node cap applies per colorability call; the wall-clock cap spans the
     whole computation.  Any 3-graph is n-colorable, so this terminates.
@@ -83,11 +84,15 @@ def chromatic_number(G, budget=UNLIMITED):
     k = 1
     while True:
         res = k_colorable(G, k, budget, _deadline=deadline)
-        if res is EXHAUSTED:
-            return EXHAUSTED
         if res is not None:
-            return k
+            return res
         k += 1
+
+
+def chromatic_number(G, budget=UNLIMITED):
+    """Least k admitting a proper k-coloring, or EXHAUSTED."""
+    res = chromatic_coloring(G, budget)
+    return res if res is EXHAUSTED else res.palette
 
 
 def max_independent_set(G, budget=UNLIMITED):

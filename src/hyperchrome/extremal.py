@@ -183,14 +183,15 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
 
     Enumerates H-free graphs level by level with canonical-form dedup; the
     returned record carries an extremal witness.  On budget exhaustion the
-    status is lower_bound and the value is the best level reached.
+    status is lower_bound and the value is the best level reached.  Only an
+    exact cache record whose witness revalidates is served.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
     key = canonical_form(H).decode()
     if cache is not None:
         rec = cache.get("ex", key, n)
-        if rec is not None:
+        if rec is not None and rec.status == "exact":
             if (rec.witness.n == n and rec.witness.k == 3
                     and len(rec.witness.edges) == rec.value
                     and is_free(rec.witness, H)):
@@ -221,7 +222,8 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     For each n, searches the H-free isomorphism classes for one with
     independence number below t; when none exists, n is the answer and the
     critical witness for n-1 is returned.  Hitting n_max or the budget gives
-    a lower_bound record (value = first n not yet decided).
+    a lower_bound record (value = first n not yet decided).  Only an exact
+    cache record whose witness revalidates within budget is served.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -232,12 +234,14 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     key = canonical_form(H).decode()
     if cache is not None:
         rec = cache.get("ramsey", key, t)
-        if rec is not None:
+        if rec is not None and rec.status == "exact":
             alpha = exact.independence_number(rec.witness, budget)
-            if (rec.witness.n == rec.value - 1 and is_free(rec.witness, H)
-                    and alpha is not exact.EXHAUSTED and alpha <= t - 1):
-                return rec
-            cache.evict("ramsey", key, t)
+            # a witness not checked within budget is kept, but not served
+            if alpha is not exact.EXHAUSTED:
+                if (rec.witness.n == rec.value - 1 and is_free(rec.witness, H)
+                        and alpha <= t - 1):
+                    return rec
+                cache.evict("ramsey", key, t)
     deadline = budget.deadline()
     nodes = 0
     witness = Hypergraph(max(t - 1, 1), 3, ())  # empty graph: H-free, alpha = t-1

@@ -227,3 +227,24 @@ class TestCache:
     def test_graph_encoding_roundtrip(self):
         G = cons.loose_cycle(3)
         assert decode_graph(encode_graph(G)).edges == G.edges
+
+    def test_lower_bound_record_not_served(self, tmp_path):
+        path = str(tmp_path / "cache.txt")
+        budgeted = ext.turan_ex(6, LP, SearchBudget(max_nodes=2),
+                                cache=ResultCache(path))
+        assert (budgeted.value, budgeted.status) == (2, "lower_bound")
+        rec = ext.turan_ex(6, LP, cache=ResultCache(path))
+        assert (rec.value, rec.status) == (4, "exact")
+        assert ResultCache(path).get("ex", rec.key, 6).status == "exact"
+
+    def test_lower_bound_never_replaces_exact(self, tmp_path):
+        # revalidating the cached witness runs out of budget: the exact
+        # record is neither served nor overwritten by the budgeted answer
+        path = str(tmp_path / "cache.txt")
+        first = ext.ramsey(LP, 3, 8, cache=ResultCache(path))
+        assert (first.value, first.status) == (4, "exact")
+        budgeted = ext.ramsey(LP, 3, 8, SearchBudget(max_nodes=1),
+                              cache=ResultCache(path))
+        assert budgeted.status == "lower_bound"
+        kept = ResultCache(path).get("ramsey", first.key, 3)
+        assert (kept.value, kept.status) == (4, "exact")

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hyperchrome import cli
 from hyperchrome import constructions as cons
+from hyperchrome import exact
 from hyperchrome.fileio import parse_hypergraph, serialize_hypergraph
 
 
@@ -245,3 +250,63 @@ class TestCli:
     def test_gen_bad_params_exit(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert cli.main(["gen", "complete", "--n", "1"]) == 1
+
+    def test_chi_solves_each_k_once(self, monkeypatch, capsys):
+        calls = []
+        k_colorable = exact.k_colorable
+
+        def counted(G, k, *rest, **kw):
+            calls.append(k)
+            return k_colorable(G, k, *rest, **kw)
+
+        monkeypatch.setattr(exact, "k_colorable", counted)
+        code, out = run_cli(["chi"], stdin_text=serialize_hypergraph(
+            cons.named("fano")), monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and json.loads(out)["result"] == {"chi": 3}
+        assert calls == [1, 2, 3]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "fano"],
+        ["gen", "random", "--n", "8", "--m", "4"],
+        ["color", "--algo", "greedy"],
+        ["color", "--algo", "lll", "--r", "9"],
+        ["chain"],
+    ])
+    def test_bad_seed_env_is_usage_error(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("HYPERCHROME_SEED", "abc")
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            serialize_hypergraph(cons.named("fano"))))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: HYPERCHROME_SEED")
+
+
+class TestCertificateChecks:
+    """A certificate that fails its check is never printed: exit 1 and an
+    error on stderr, also under python -O."""
+
+    def test_failed_check_survives_optimize(self, tmp_path):
+        path = tmp_path / "fano.hg"
+        path.write_text(serialize_hypergraph(cons.named("fano")))
+        script = ("import sys; from hyperchrome import cli; "
+                  "cli.is_proper = lambda *a: (False, None); "
+                  f"sys.exit(cli.main(['chi', '--in', {str(path)!r}, "
+                  "'--quiet']))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: certificate check failed (chi)\n"
+
+    def test_alpha_independent_set_checked(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "is_independent", lambda *a: False)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            serialize_hypergraph(cons.named("fano"))))
+        assert cli.main(["alpha"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate check failed (alpha)\n"
