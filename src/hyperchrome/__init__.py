@@ -5,7 +5,7 @@ certificates, constructive local-lemma coloring, peeling and dyadic
 decompositions, extremal constructions, and desk-scale Turan/Ramsey search.
 """
 
-from ._kernels import backend_name, have_native
+from ._kernels import backend_name
 from .core import (Balance, Coloring, Hypergraph, OrderedChain, VertexOrder,
                    balance, canonical_form, degree, induced, is_hyperforest,
                    is_linear, is_ordered_chain, is_proper, new_hypergraph)

@@ -1,11 +1,11 @@
 """Kernel backend selection.
 
-The compiled extension is used when it imported cleanly, the instance is
-small enough for its fixed-width bitsets (n <= 64), and HYPERCHROME_PURE is
-unset.  Otherwise the pure-Python twins run; both produce identical results.
+Two search kernels, ``kcolor_search`` and ``mis_search``, exist twice: the
+compiled extension ``_native`` (built from ``_native.pyx`` when Cython is
+present at build time) and the pure-Python twins in ``pure``.  The extension
+runs when it is built and the instance fits its 64-bit bitsets (n <= 64);
+otherwise the pure twin runs.  Both return identical results.
 """
-
-import os
 
 from . import pure
 from .pure import FOUND, NONE, EXHAUSTED
@@ -15,31 +15,15 @@ try:
 except ImportError:
     _native = None
 
-_FORCE_PURE = os.environ.get("HYPERCHROME_PURE", "") not in ("", "0")
-
 _NATIVE_MAX_N = 64
 
 
-def have_native():
-    return _native is not None and not _FORCE_PURE
+def _mod(n):
+    return _native if _native is not None and n <= _NATIVE_MAX_N else pure
 
 
 def backend_name(n=0):
-    if have_native() and n <= _NATIVE_MAX_N:
-        return "native"
-    return "pure"
-
-
-def _mod(n):
-    return _native if (have_native() and n <= _NATIVE_MAX_N) else pure
-
-
-def greedy_color_count(n, edges, order):
-    return _mod(n).greedy_color_count(n, list(edges), list(order))
-
-
-def longest_ordered_chain(n, edges, position):
-    return _mod(n).longest_ordered_chain(n, list(edges), list(position))
+    return "pure" if _mod(n) is pure else "native"
 
 
 def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):

@@ -1,5 +1,7 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled search kernels; step-for-step twins of pure.py (n <= 64)."""
+"""Compiled search kernels, exact k-coloring and maximum independent set:
+step-for-step twins of pure.py for n <= 64.  This file is the only native
+source; Cython turns it into C at build time (setup.py)."""
 
 from libc.stdlib cimport malloc, free
 from time import monotonic
@@ -9,104 +11,6 @@ NONE = 1
 EXHAUSTED = 2
 
 DEF TIME_CHECK_MASK = 4095
-
-
-def greedy_color_count(int n, list edges, list order):
-    if n == 0:
-        return 0
-    cdef int m = len(edges)
-    cdef int *pa = <int *> malloc(3 * m * 2 * sizeof(int))   # (other1, other2) per incidence
-    cdef int *pstart = <int *> malloc((n + 1) * sizeof(int))
-    cdef int *pcount = <int *> malloc(n * sizeof(int))
-    cdef int *colors = <int *> malloc(n * sizeof(int))
-    cdef int i, v, a, b, c, ca, top, pos
-    cdef unsigned long long blocked
-    try:
-        for v in range(n):
-            pcount[v] = 0
-        for i in range(m):
-            a, b, c = edges[i]
-            pcount[a] += 1
-            pcount[b] += 1
-            pcount[c] += 1
-        pstart[0] = 0
-        for v in range(n):
-            pstart[v + 1] = pstart[v] + pcount[v]
-            pcount[v] = 0
-        for i in range(m):
-            a, b, c = edges[i]
-            pos = pstart[a] + pcount[a]; pa[2 * pos] = b; pa[2 * pos + 1] = c; pcount[a] += 1
-            pos = pstart[b] + pcount[b]; pa[2 * pos] = a; pa[2 * pos + 1] = c; pcount[b] += 1
-            pos = pstart[c] + pcount[c]; pa[2 * pos] = a; pa[2 * pos + 1] = b; pcount[c] += 1
-        for v in range(n):
-            colors[v] = -1
-        top = -1
-        for i in range(n):
-            v = order[i]
-            blocked = 0
-            for pos in range(pstart[v], pstart[v + 1]):
-                a = pa[2 * pos]
-                b = pa[2 * pos + 1]
-                ca = colors[a]
-                if ca >= 0 and ca == colors[b] and ca < 64:
-                    blocked |= (<unsigned long long> 1) << ca
-            c = 0
-            if blocked != 0:
-                while (blocked >> c) & 1:
-                    c += 1
-            # colors above 63 cannot be blocked at n <= 64 (needs 2 earlier
-            # same-colored vertices per blocked color), so 64 bits suffice
-            colors[v] = c
-            if c > top:
-                top = c
-        return top + 1
-    finally:
-        free(pa); free(pstart); free(pcount); free(colors)
-
-
-def longest_ordered_chain(int n, list edges, list position):
-    cdef int m = len(edges)
-    if m == 0:
-        return 0
-    cdef unsigned long long *mask = <unsigned long long *> malloc(m * sizeof(unsigned long long))
-    cdef int *maxp = <int *> malloc(m * sizeof(int))
-    cdef int *minp = <int *> malloc(m * sizeof(int))
-    cdef int *best = <int *> malloc(m * sizeof(int))
-    cdef int i, j, pj, pi, v, p, longest
-    cdef unsigned long long inter
-    try:
-        for i in range(m):
-            mask[i] = 0
-            maxp[i] = -1
-            minp[i] = n + 1
-            for v in edges[i]:
-                mask[i] |= (<unsigned long long> 1) << v
-                p = position[v]
-                if p > maxp[i]:
-                    maxp[i] = p
-                if p < minp[i]:
-                    minp[i] = p
-        order = sorted(range(m), key=lambda t: (maxp[t], minp[t], edges[t]))
-        cidx = [0] * m
-        for i in range(m):
-            cidx[i] = order[i]
-        for i in range(m):
-            best[i] = 1
-        longest = 1
-        for pj in range(m):
-            j = cidx[pj]
-            for pi in range(pj):
-                i = cidx[pi]
-                if maxp[i] <= minp[j]:
-                    inter = mask[i] & mask[j]
-                    if inter != 0 and (inter & (inter - 1)) == 0:
-                        if best[i] + 1 > best[j]:
-                            best[j] = best[i] + 1
-            if best[j] > longest:
-                longest = best[j]
-        return longest
-    finally:
-        free(mask); free(maxp); free(minp); free(best)
 
 
 cdef struct KState:

@@ -1,81 +1,21 @@
-"""Pure-Python search kernels.
+"""Pure-Python search kernels: exact k-coloring and maximum independent set.
 
-These are the hot inner loops: greedy color counting, ordered-chain length,
-exact k-coloring and maximum independent set.  The compiled twin in
-``_native.pyx`` implements the same algorithms step for step; results must be
-bit-identical for equal inputs (budget-by-wall-clock aside).
+The compiled twin in ``_native.pyx`` implements the same two algorithms step
+for step; results must be bit-identical for equal inputs (budget-by-wall-clock
+aside).  These run whenever the extension is not built or n > 64.
 
 Statuses: 0 = found/exact, 1 = definitive none, 2 = budget exhausted.
 """
 
 from time import monotonic
 
+from ..core import pairs_at
+
 FOUND = 0
 NONE = 1
 EXHAUSTED = 2
 
 _TIME_CHECK_MASK = 4095
-
-
-def greedy_color_count(n, edges, order):
-    """Colors used by first-fit greedy along `order` on a 3-uniform edge list."""
-    if n == 0:
-        return 0
-    pairs_at = [[] for _ in range(n)]
-    for a, b, c in edges:
-        pairs_at[a].append((b, c))
-        pairs_at[b].append((a, c))
-        pairs_at[c].append((a, b))
-    colors = [-1] * n
-    top = -1
-    for v in order:
-        blocked = set()
-        for a, b in pairs_at[v]:
-            ca = colors[a]
-            if ca >= 0 and ca == colors[b]:
-                blocked.add(ca)
-        c = 0
-        while c in blocked:
-            c += 1
-        colors[v] = c
-        if c > top:
-            top = c
-    return top + 1
-
-
-def longest_ordered_chain(n, edges, position):
-    """Length of the longest ordered chain under the order given by `position`.
-
-    Edges of a chain have strictly increasing max positions, so a DP over
-    edges sorted by max position suffices; consecutive edges must share
-    exactly one vertex and satisfy max-pos <= min-pos, which forces the
-    shared vertex to attain both and makes non-consecutive edges disjoint.
-    """
-    m = len(edges)
-    if m == 0:
-        return 0
-    info = []
-    for e in edges:
-        ps = [position[v] for v in e]
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        info.append((max(ps), min(ps), mask))
-    idx = sorted(range(m), key=lambda i: (info[i][0], info[i][1], edges[i]))
-    best = [1] * m
-    longest = 1
-    for pos_j in range(m):
-        j = idx[pos_j]
-        maxj, minj, maskj = info[j]
-        for pos_i in range(pos_j):
-            i = idx[pos_i]
-            maxi, mini, maski = info[i]
-            if maxi <= minj and bin(maski & maskj).count("1") == 1:
-                if best[i] + 1 > best[j]:
-                    best[j] = best[i] + 1
-        if best[j] > longest:
-            longest = best[j]
-    return longest
 
 
 def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
@@ -87,11 +27,7 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     """
     if n == 0:
         return FOUND, []
-    pairs_at = [[] for _ in range(n)]
-    for a, b, c in edges:
-        pairs_at[a].append((b, c))
-        pairs_at[b].append((a, c))
-        pairs_at[c].append((a, b))
+    pairs = pairs_at(n, edges)
     colors = [-1] * n
     nodes = 0
     exhausted = False
@@ -111,7 +47,7 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
         cmax = min(p, k - 1)
         for c in range(cmax + 1):
             ok = True
-            for a, b in pairs_at[v]:
+            for a, b in pairs[v]:
                 if colors[a] == c and colors[b] == c:
                     ok = False
                     break

@@ -440,8 +440,6 @@ def build_parser():
             p.add_argument("--budget-ms", type=int, default=0)
         if cmd.cached:
             p.add_argument("--cache", default=None)
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON report (default)")
         p.add_argument("--quiet", action="store_true",
                        help="one-line summary instead of JSON")
         for flag, kwargs in cmd.options:

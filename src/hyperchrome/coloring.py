@@ -13,7 +13,7 @@ from fractions import Fraction
 from time import monotonic
 
 from . import exact
-from .core import Coloring, OrderedChain, induced
+from .core import Coloring, OrderedChain, induced, pairs_at
 from .constructions import mix_seed, named
 
 # rational upper bound on Euler's number, error < 1e-18; thresholds compare
@@ -32,9 +32,6 @@ class GreedyTrace:
 
     coloring: Coloring
     witness: tuple  # witness[v] = tuple of edges, index c -> edge for color c
-
-    def witness_for(self, v, c):
-        return self.witness[v][c]
 
 
 @dataclass(frozen=True)
@@ -70,21 +67,16 @@ def greedy_pluhar(G, ord, palette_cap=None):
     if G.k != 3:
         raise ValueError("greedy coloring handles 3-graphs")
     n = G.n
-    pairs_at = [[] for _ in range(n)]
-    for e in G.edges:
-        a, b, c = e
-        pairs_at[a].append((b, c, e))
-        pairs_at[b].append((a, c, e))
-        pairs_at[c].append((a, b, e))
+    pairs = pairs_at(n, G.edges)
     colors = [-1] * n
     witness = [()] * n
     top = -1
     for v in ord.order:
         blocking = {}
-        for a, b, e in pairs_at[v]:
+        for a, b in pairs[v]:
             ca = colors[a]
             if ca >= 0 and ca == colors[b] and ca not in blocking:
-                blocking[ca] = e
+                blocking[ca] = tuple(sorted((v, a, b)))
         c = 0
         while c in blocking:
             c += 1
@@ -305,9 +297,6 @@ class DyadicClasses:
 
     classes: tuple  # ((k, frozenset), ...) sorted by k, empty classes omitted
     base_threshold: Fraction
-
-    def as_dict(self):
-        return dict(self.classes)
 
 
 def dyadic_classes(G, r):

@@ -7,6 +7,7 @@ reproduce identical outputs bit for bit.
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, isqrt
 
 from .core import Hypergraph, new_hypergraph
 
@@ -179,7 +180,7 @@ class BlowupSpec:
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         if self.m < self.tau ** 2 + 2 * self.tau:
-            raise ValueError("m must be at least tau^2 + 2*tau")
+            raise ValueError("vertex count must be at least tau^2 + 2*tau")
 
 
 def fq_blowup(spec):
@@ -234,12 +235,34 @@ def blow_up(G, tau, seed):
 
 
 def random_3graph(n, m, seed):
-    """m distinct uniform-random triples on n vertices, seeded."""
-    pool = list(combinations(range(n), 3))
-    if m > len(pool):
-        raise ValueError(f"at most {len(pool)} edges fit on {n} vertices")
-    rng = random.Random(seed)
-    return Hypergraph(n, 3, tuple(sorted(rng.sample(pool, m))))
+    """m distinct uniform-random triples on n vertices, seeded.
+
+    Samples m lexicographic ranks among the C(n,3) triples and unranks them
+    in one sorted sweep, in O(m) memory.  ``random.sample`` picks the same
+    positions from a range as from a list of equal length, so the result is
+    the one sampling from the full list of triples would give.
+    """
+    total = comb(max(n, 0), 3)  # comb rejects n < 0
+    if m > total:
+        raise ValueError(f"at most {total} edges fit on {n} vertices")
+    ranks = sorted(random.Random(seed).sample(range(total), m))
+    edges = []
+    a = 0
+    start = 0  # rank of the first triple whose least vertex is a
+    for r in ranks:
+        while r >= start + comb(n - 1 - a, 2):
+            start += comb(n - 1 - a, 2)
+            a += 1
+        # (b, c) is pair r - start among the pairs of the n-1-a vertices after
+        # a; i * (w - i) / 2 of those pairs have first offset below i
+        r -= start
+        w = 2 * (n - 1 - a) - 1
+        i = (w - isqrt(w * w - 8 * r)) // 2
+        while i * (w - i) // 2 > r:
+            i -= 1
+        j = i + 1 + r - i * (w - i) // 2
+        edges.append((a, a + 1 + i, a + 1 + j))
+    return Hypergraph(n, 3, tuple(edges))
 
 
 def random_hypertree(e, seed):

@@ -27,9 +27,6 @@ class Hypergraph:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
         return sum(1 for e in self.edges if v in e)
 
-    def edges_at(self, v):
-        return tuple(e for e in self.edges if v in e)
-
     def max_degree(self):
         degs = [0] * self.n
         for e in self.edges:
@@ -73,6 +70,17 @@ def new_hypergraph(n, k, edges):
             raise ValueError(f"edge {t} uses a vertex outside 0..{n - 1}")
         normalized.add(t)
     return Hypergraph(n, k, tuple(sorted(normalized)))
+
+
+def pairs_at(n, edges):
+    """Per-vertex pair adjacency of a 3-uniform edge list on 0..n-1: entry v
+    lists, for each edge holding v, its other two vertices in edge order."""
+    pairs = [[] for _ in range(n)]
+    for a, b, c in edges:
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+    return pairs
 
 
 def degree(G, v):
@@ -166,10 +174,6 @@ class VertexOrder:
     @classmethod
     def identity(cls, n):
         return cls(tuple(range(n)))
-
-    @classmethod
-    def from_seq(cls, seq):
-        return cls(tuple(seq))
 
     @property
     def n(self):

@@ -6,6 +6,7 @@ enumeration against the definitional validator.
 """
 
 import itertools
+import random
 
 from hyperchrome.core import Coloring, is_ordered_chain, is_proper
 
@@ -86,3 +87,10 @@ def brute_turan_ex(n, H):
         if contains(Hypergraph(n, 3, edges), H) is None:
             best = len(edges)
     return best
+
+
+def pool_random_3graph(n, m, seed):
+    """Edges of a seeded random 3-graph drawn from the list of all C(n,3)
+    triples: the reference that constructions.random_3graph must match."""
+    pool = list(itertools.combinations(range(n), 3))
+    return tuple(sorted(random.Random(seed).sample(pool, m)))

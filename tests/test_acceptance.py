@@ -13,7 +13,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from hyperchrome import _kernels
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome import exact
@@ -23,7 +22,7 @@ from hyperchrome.core import (Hypergraph, VertexOrder, balance,
                               canonical_form, induced, is_linear,
                               is_ordered_chain, is_proper, new_hypergraph)
 
-from oracles import brute_contains
+from oracles import brute_contains, brute_longest_chain
 
 
 @contextmanager
@@ -75,16 +74,14 @@ def test_c03_pluhar_equivalence_exhaustive():
         t0 = time.monotonic()
         triples = list(itertools.combinations(range(5), 3))
         orders = [VertexOrder(p) for p in itertools.permutations(range(5))]
-        positions = [list(o.position) for o in orders]
-        plain_orders = [list(o.order) for o in orders]
         for bits in range(1 << 10):
             edges = [triples[i] for i in range(10) if bits >> i & 1]
             G = Hypergraph(5, 3, tuple(edges))
             chi = exact.chromatic_number(G)
             min_chain = 10
-            for po, pos in zip(plain_orders, positions):
-                greedy = _kernels.greedy_color_count(5, edges, po)
-                longest = _kernels.longest_ordered_chain(5, edges, pos)
+            for ordv in orders:
+                greedy = col.greedy_pluhar(G, ordv).coloring.used()
+                longest = brute_longest_chain(G, ordv)
                 assert greedy - 1 <= longest
                 min_chain = min(min_chain, longest)
             assert chi == min_chain + 1

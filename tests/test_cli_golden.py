@@ -50,6 +50,7 @@ CASES = [
     ("gen-partition", "gen partition --r 2 --t 3", None),
     ("gen-gq", "gen gq --q 2", None),
     ("gen-fq-blowup", "gen fq-blowup --n 3 --tau 1 --seed 4", None),
+    ("gen-fq-blowup-too-small", "gen fq-blowup --n 2 --tau 1", None),
     ("gen-random", "gen random --n 8 --m 4 --seed 3", None),
     ("gen-hypertree", "gen hypertree --e 3 --seed 2", None),
     ("gen-unknown-family", "gen petersen", None),
@@ -237,6 +238,10 @@ EXPECTED = {
          'e 7 10 13\n'),
     'gen-fq-blowup':
         (0, 'p h 3 3 1\ne 1 2 3\n'),
+    'gen-fq-blowup-too-small':
+        (1,
+         '{"error": "vertex count must be at least tau^2 + 2*tau", "status": '
+         '"failure"}\n'),
     'gen-random':
         (0, 'p h 3 8 4\ne 1 3 6\ne 1 5 6\ne 2 6 8\ne 3 4 6\n'),
     'gen-hypertree':
@@ -258,12 +263,7 @@ EXPECTED = {
          '"06eec7072d312f5d12acfa60f214dd942fba5a76e04e9e8696edf94f70a106cf"}, '
          '"params": {}, "result": {"chi": 3}, "seed": null, "status": "exact"}'),
     'chi-json-flag':
-        (0,
-         '{"certificate": {"colors": [0, 0, 1, 1, 2], "palette": 3, "type": '
-         '"coloring"}, "command": "chi", "input": {"k": 3, "m": 10, "n": 5, '
-         '"sha256": '
-         '"c7597878a6a5c83601da3aa4874a3b150fedca4a54646886ab438f2b3182f25d"}, '
-         '"params": {}, "result": {"chi": 3}, "seed": null, "status": "exact"}'),
+        (2, ''),
     'chi-exhausted':
         (1,
          '{"certificate": null, "command": "chi", "input": {"k": 3, "m": 7, "n": '
@@ -611,7 +611,7 @@ EXPECTED_QUIET = {
     'chi-stdin':
         (0, 'chi = 3\n'),
     'chi-json-flag':
-        (0, 'chi = 3\n'),
+        (2, ''),
     'chi-exhausted':
         (1, 'chi exhausted\n'),
     'chi-malformed':
@@ -735,45 +735,42 @@ HELP = {
     ),
     'chi': (
         'usage: hyperchrome chi [-h] [--in INFILE] [--budget-nodes BUDGET_NODES]\n'
-        '                       [--budget-ms BUDGET_MS] [--json] [--quiet]\n'
+        '                       [--budget-ms BUDGET_MS] [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --in INFILE           input HypergraphFile (default: stdin)\n'
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
     ),
     'alpha': (
         'usage: hyperchrome alpha [-h] [--in INFILE] [--budget-nodes BUDGET_NODES]\n'
-        '                         [--budget-ms BUDGET_MS] [--json] [--quiet]\n'
+        '                         [--budget-ms BUDGET_MS] [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --in INFILE           input HypergraphFile (default: stdin)\n'
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
     ),
     'kcolor': (
         'usage: hyperchrome kcolor [-h] [--in INFILE] [--budget-nodes BUDGET_NODES]\n'
-        '                          [--budget-ms BUDGET_MS] [--json] [--quiet] --k K\n'
+        '                          [--budget-ms BUDGET_MS] [--quiet] --k K\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --in INFILE           input HypergraphFile (default: stdin)\n'
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --k K\n'
     ),
     'color': (
         'usage: hyperchrome color [-h] [--in INFILE] [--seed SEED]\n'
         '                         [--budget-nodes BUDGET_NODES] [--budget-ms BUDGET_MS]\n'
-        '                         [--json] [--quiet] --algo {greedy,lll,layered,dyadic}\n'
+        '                         [--quiet] --algo {greedy,lll,layered,dyadic}\n'
         '                         [--order {identity,reverse,degree,random}] [--r R]\n'
         '                         [--theta THETA] [--per-layer PER_LAYER]\n'
         '\n'
@@ -783,7 +780,6 @@ HELP = {
         '  --seed SEED\n'
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --algo {greedy,lll,layered,dyadic}\n'
         '  --order {identity,reverse,degree,random}\n'
@@ -792,41 +788,37 @@ HELP = {
         '  --per-layer PER_LAYER\n'
     ),
     'contains': (
-        'usage: hyperchrome contains [-h] [--in INFILE] --h PATTERN [--json] [--quiet]\n'
+        'usage: hyperchrome contains [-h] [--in INFILE] --h PATTERN [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help   show this help message and exit\n'
         '  --in INFILE  input HypergraphFile (default: stdin)\n'
         '  --h PATTERN  pattern hypergraph H (HypergraphFile)\n'
-        '  --json       JSON report (default)\n'
         '  --quiet      one-line summary instead of JSON\n'
     ),
     'free': (
-        'usage: hyperchrome free [-h] [--in INFILE] --h PATTERN [--json] [--quiet]\n'
+        'usage: hyperchrome free [-h] [--in INFILE] --h PATTERN [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help   show this help message and exit\n'
         '  --in INFILE  input HypergraphFile (default: stdin)\n'
         '  --h PATTERN  pattern hypergraph H (HypergraphFile)\n'
-        '  --json       JSON report (default)\n'
         '  --quiet      one-line summary instead of JSON\n'
     ),
     'chain': (
-        'usage: hyperchrome chain [-h] [--in INFILE] [--seed SEED] [--json] [--quiet]\n'
+        'usage: hyperchrome chain [-h] [--in INFILE] [--seed SEED] [--quiet]\n'
         '                         [--order {identity,reverse,degree,random}]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --in INFILE           input HypergraphFile (default: stdin)\n'
         '  --seed SEED\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --order {identity,reverse,degree,random}\n'
     ),
     'ex': (
         'usage: hyperchrome ex [-h] --h PATTERN [--budget-nodes BUDGET_NODES]\n'
-        '                      [--budget-ms BUDGET_MS] [--cache CACHE] [--json]\n'
-        '                      [--quiet] --n N\n'
+        '                      [--budget-ms BUDGET_MS] [--cache CACHE] [--quiet] --n N\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
@@ -834,14 +826,13 @@ HELP = {
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
         '  --cache CACHE\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --n N\n'
     ),
     'ramsey': (
         'usage: hyperchrome ramsey [-h] --h PATTERN [--budget-nodes BUDGET_NODES]\n'
-        '                          [--budget-ms BUDGET_MS] [--cache CACHE] [--json]\n'
-        '                          [--quiet] --t T [--n-max N_MAX]\n'
+        '                          [--budget-ms BUDGET_MS] [--cache CACHE] [--quiet]\n'
+        '                          --t T [--n-max N_MAX]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
@@ -849,33 +840,30 @@ HELP = {
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
         '  --cache CACHE\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --t T\n'
         '  --n-max N_MAX\n'
     ),
     'balance': (
-        'usage: hyperchrome balance [-h] [--in INFILE] [--json] [--quiet]\n'
+        'usage: hyperchrome balance [-h] [--in INFILE] [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help   show this help message and exit\n'
         '  --in INFILE  input HypergraphFile (default: stdin)\n'
-        '  --json       JSON report (default)\n'
         '  --quiet      one-line summary instead of JSON\n'
     ),
     'hyperforest': (
-        'usage: hyperchrome hyperforest [-h] [--in INFILE] [--json] [--quiet]\n'
+        'usage: hyperchrome hyperforest [-h] [--in INFILE] [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help   show this help message and exit\n'
         '  --in INFILE  input HypergraphFile (default: stdin)\n'
-        '  --json       JSON report (default)\n'
         '  --quiet      one-line summary instead of JSON\n'
     ),
     'witness': (
         'usage: hyperchrome witness [-h] [--in INFILE] --h PATTERN\n'
         '                           [--budget-nodes BUDGET_NODES]\n'
-        '                           [--budget-ms BUDGET_MS] [--json] [--quiet] --r R\n'
+        '                           [--budget-ms BUDGET_MS] [--quiet] --r R\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
@@ -883,19 +871,16 @@ HELP = {
         '  --h PATTERN           pattern hypergraph H (HypergraphFile)\n'
         '  --budget-nodes BUDGET_NODES\n'
         '  --budget-ms BUDGET_MS\n'
-        '  --json                JSON report (default)\n'
         '  --quiet               one-line summary instead of JSON\n'
         '  --r R\n'
     ),
     'embed-order': (
-        'usage: hyperchrome embed-order [-h] [--in INFILE] --h PATTERN [--json]\n'
-        '                               [--quiet]\n'
+        'usage: hyperchrome embed-order [-h] [--in INFILE] --h PATTERN [--quiet]\n'
         '\n'
         'options:\n'
         '  -h, --help   show this help message and exit\n'
         '  --in INFILE  input HypergraphFile (default: stdin)\n'
         '  --h PATTERN  pattern hypergraph H (HypergraphFile)\n'
-        '  --json       JSON report (default)\n'
         '  --quiet      one-line summary instead of JSON\n'
     ),
 }

@@ -1,12 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from hyperchrome import constructions as cons
 from hyperchrome import exact
 from hyperchrome.core import canonical_form, is_hyperforest, is_linear
+
+from oracles import pool_random_3graph
 
 
 class TestComplete:
@@ -232,6 +238,33 @@ class TestRandomGenerators:
     def test_too_many(self):
         with pytest.raises(ValueError):
             cons.random_3graph(4, 5, 0)
+
+    def test_matches_sampling_from_all_triples(self):
+        cases = [(n, m, seed) for n in range(14) for seed in range(3)
+                 for m in {0, 1, math.comb(n, 3) // 2, math.comb(n, 3) - 1,
+                           math.comb(n, 3)} if 0 <= m <= math.comb(n, 3)]
+        cases += [(40, 9000, 1), (60, 34220, 2), (100, 400, 3)]
+        for n, m, seed in cases:
+            assert cons.random_3graph(n, m, seed).edges == \
+                pool_random_3graph(n, m, seed), (n, m, seed)
+
+    def test_large_sparse_in_bounded_memory(self):
+        # all C(10^4, 3) triples would take terabytes; the child process is
+        # capped at 512 MB of address space, so building them fails fast
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from hyperchrome.constructions import random_3graph\n"
+            "E = random_3graph(10_000, 100_000, 11).edges\n"
+            "assert len(E) == 100_000\n"
+            "assert all(0 <= a < b < c < 10_000 for a, b, c in E)\n"
+            "assert all(e < f for e, f in zip(E, E[1:]))\n")
+        src = str(Path(cons.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
 
     def test_hypertree_single(self):
         assert cons.random_hypertree(1, 0).edges == ((0, 1, 2),)

@@ -1,12 +1,18 @@
-"""Pure vs native kernel equivalence, and kernels vs the rich Python paths.
+"""Pure vs native kernel equivalence, the twins' shared surface, and the
+dispatch.
 
 The two backends implement the same algorithms step for step, so everything
 they return (including tie-breaking and exhaustion-by-node-count) must be
-bit-identical.
+bit-identical.  The surface test reads ``_native.pyx`` as text, so it runs
+without Cython or a C compiler.
 """
 
+import ast
+import inspect
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +20,7 @@ from hypothesis import strategies as st
 
 from hyperchrome import _kernels
 from hyperchrome._kernels import pure
-from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
-from hyperchrome.core import VertexOrder
 
 try:
     from hyperchrome._kernels import _native
@@ -25,6 +29,8 @@ except ImportError:
 
 needs_native = pytest.mark.skipif(_native is None,
                                   reason="native kernel not built")
+
+PYX = Path(inspect.getfile(pure)).with_name("_native.pyx")
 
 
 def random_instance(seed, n_max=10):
@@ -36,45 +42,61 @@ def random_instance(seed, n_max=10):
     edges = list(G.edges) if G else []
     perm = list(range(n))
     rng.shuffle(perm)
-    pos = [0] * n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    return n, edges, perm, pos
+    return n, edges, perm
+
+
+def pyx_signatures():
+    """name -> ((param, default), ...) of every top-level def in _native.pyx."""
+    out = {}
+    for name, params in re.findall(r"^def (\w+)\((.*?)\):", PYX.read_text(),
+                                   re.M | re.S):
+        out[name] = tuple(
+            (decl.split()[-1], ast.literal_eval(default) if eq else None)
+            for decl, eq, default in (p.strip().partition("=")
+                                      for p in params.split(",")))
+    return out
+
+
+def pure_signatures():
+    return {name: tuple((p.name, None if p.default is p.empty else p.default)
+                        for p in inspect.signature(fn).parameters.values())
+            for name, fn in vars(pure).items()
+            if inspect.isfunction(fn) and fn.__module__ == pure.__name__
+            and not name.startswith("_")}
+
+
+class TestTwinSurface:
+    def test_pyx_defines_exactly_the_pure_kernels(self):
+        assert sorted(pure_signatures()) == ["kcolor_search", "mis_search"]
+        assert pyx_signatures() == pure_signatures()
+
+    def test_pyx_statuses_match_pure(self):
+        consts = dict(re.findall(r"^(FOUND|NONE|EXHAUSTED) = (\d+)$",
+                                 PYX.read_text(), re.M))
+        assert {k: int(v) for k, v in consts.items()} == \
+            {"FOUND": pure.FOUND, "NONE": pure.NONE,
+             "EXHAUSTED": pure.EXHAUSTED}
 
 
 @needs_native
 class TestBackendEquivalence:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=120, deadline=None)
-    def test_greedy_count(self, seed):
-        n, edges, order, _ = random_instance(seed)
-        assert pure.greedy_color_count(n, edges, order) == \
-            _native.greedy_color_count(n, edges, order)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=120, deadline=None)
-    def test_longest_chain(self, seed):
-        n, edges, _, pos = random_instance(seed)
-        assert pure.longest_ordered_chain(n, edges, pos) == \
-            _native.longest_ordered_chain(n, edges, pos)
-
     @given(st.integers(0, 10_000), st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_kcolor(self, seed, k):
-        n, edges, order, _ = random_instance(seed)
+        n, edges, order = random_instance(seed)
         assert pure.kcolor_search(n, edges, k, order) == \
             _native.kcolor_search(n, edges, k, order)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
     def test_mis(self, seed):
-        n, edges, _, _ = random_instance(seed)
+        n, edges, _ = random_instance(seed)
         assert pure.mis_search(n, edges) == _native.mis_search(n, edges)
 
     @given(st.integers(0, 5_000), st.integers(1, 200))
     @settings(max_examples=60, deadline=None)
     def test_budget_exhaustion_identical(self, seed, cap):
-        n, edges, order, _ = random_instance(seed)
+        n, edges, order = random_instance(seed)
         assert pure.kcolor_search(n, edges, 2, order, max_nodes=cap) == \
             _native.kcolor_search(n, edges, 2, order, max_nodes=cap)
         assert pure.mis_search(n, edges, max_nodes=cap) == \
@@ -82,41 +104,6 @@ class TestBackendEquivalence:
 
 
 class TestKernelAgainstRichPaths:
-    def test_greedy_kernel_matches_traced_greedy(self):
-        for seed in range(60):
-            n, edges, order, _ = random_instance(seed, n_max=8)
-            if n < 3:
-                continue
-            G = cons.random_3graph(n, len(edges), seed)
-            tr = col.greedy_pluhar(G, VertexOrder(tuple(order)))
-            assert _kernels.greedy_color_count(n, list(G.edges), order) == \
-                tr.coloring.used()
-
-    def test_chain_kernel_matches_bruteforce(self):
-        from oracles import brute_longest_chain
-        for seed in range(40):
-            rng = random.Random(seed)
-            n = rng.randrange(3, 7)
-            m = rng.randrange(0, math.comb(n, 3) + 1)
-            G = cons.random_3graph(n, m, seed)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            ordv = VertexOrder(tuple(perm))
-            kernel = _kernels.longest_ordered_chain(n, list(G.edges),
-                                                    list(ordv.position))
-            assert kernel == brute_longest_chain(G, ordv)
-
-    def test_dispatch_forced_pure(self, monkeypatch):
-        monkeypatch.setenv("HYPERCHROME_PURE", "1")
-        import importlib
-        import hyperchrome._kernels as km
-        importlib.reload(km)
-        try:
-            assert km.backend_name(5) == "pure"
-        finally:
-            monkeypatch.delenv("HYPERCHROME_PURE")
-            importlib.reload(km)
-
     def test_dispatch_large_n_uses_pure(self):
         assert _kernels.backend_name(500) == "pure"
         status, best = _kernels.mis_search(100, [(0, 1, 2)])
