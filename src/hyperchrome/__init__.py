@@ -7,7 +7,7 @@ decompositions, extremal constructions, and desk-scale Turan/Ramsey search.
 
 from ._kernels import backend_name
 from .core import (Balance, Coloring, Hypergraph, OrderedChain, VertexOrder,
-                   balance, canonical_form, degree, induced, is_hyperforest,
+                   balance, canonical_form, induced, is_hyperforest,
                    is_linear, is_ordered_chain, is_proper, new_hypergraph)
 from .exact import (EXHAUSTED, SearchBudget, chromatic_number,
                     independence_number, k_colorable, max_independent_set)

@@ -38,8 +38,8 @@ from . import constructions as cons
 from . import exact, extremal
 from .cache import ResultCache, encode_graph
 from .containment import Embedding, contains, embedding_ok
-from .core import (Coloring, VertexOrder, balance, is_hyperforest,
-                   is_independent, is_ordered_chain, is_proper)
+from .core import (Coloring, VertexOrder, balance, degree_order,
+                   is_hyperforest, is_independent, is_ordered_chain, is_proper)
 from .fileio import parse_hypergraph, serialize_hypergraph
 
 ORDERS = ["identity", "reverse", "degree", "random"]
@@ -120,8 +120,7 @@ def _order(G, name, seed):
     if name == "reverse":
         return VertexOrder(tuple(reversed(range(G.n))))
     if name == "degree":
-        degs = G.degrees()
-        return VertexOrder(tuple(sorted(range(G.n), key=lambda v: (-degs[v], v))))
+        return VertexOrder(tuple(degree_order(G)))
     import random
     perm = list(range(G.n))  # "random", the last of ORDERS
     random.Random(seed).shuffle(perm)

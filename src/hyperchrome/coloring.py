@@ -13,7 +13,7 @@ from fractions import Fraction
 from time import monotonic
 
 from . import exact
-from .core import Coloring, OrderedChain, induced, pairs_at
+from .core import Coloring, OrderedChain, incidence, induced, pairs_at
 from .constructions import mix_seed, named
 
 # rational upper bound on Euler's number, error < 1e-18; thresholds compare
@@ -37,14 +37,13 @@ class GreedyTrace:
 @dataclass(frozen=True)
 class GreedyFailure:
     """Greedy hit the palette cap: `vertex` would need color >= cap, with one
-    witness edge per blocked color 0..cap-1.  The prefix fields carry the
-    colors and witnesses of the vertices placed before the failure, which the
-    chain extraction walks through."""
+    witness edge per blocked color 0..cap-1.  `prefix_witness` carries the
+    witnesses of the vertices placed before the failure, which the chain
+    extraction walks through."""
 
     vertex: int
     cap: int
     witnesses: tuple
-    prefix_colors: tuple
     prefix_witness: tuple
 
 
@@ -85,7 +84,6 @@ def greedy_pluhar(G, ord, palette_cap=None):
                 vertex=v,
                 cap=palette_cap,
                 witnesses=tuple(blocking[i] for i in range(palette_cap)),
-                prefix_colors=tuple(colors),
                 prefix_witness=tuple(witness),
             )
         colors[v] = c
@@ -319,16 +317,10 @@ def dyadic_classes(G, r):
 
 def _greedy_independent(sub):
     # min-degree-first greedy independent set on an induced subgraph
-    degs = sub.degrees()
-    order = sorted(range(sub.n), key=lambda v: (degs[v], v))
+    at = incidence(sub.n, sub.edges)
     chosen = set()
-    for v in order:
-        ok = True
-        for e in sub.edges:
-            if v in e and all(u in chosen or u == v for u in e):
-                ok = False
-                break
-        if ok:
+    for v in sorted(range(sub.n), key=lambda v: (len(at[v]), v)):
+        if not any(all(u in chosen or u == v for u in e) for e in at[v]):
             chosen.add(v)
     return chosen
 

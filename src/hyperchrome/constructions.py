@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
-from .core import Hypergraph, new_hypergraph
+from .core import Hypergraph, incidence, new_hypergraph
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -152,17 +152,12 @@ def gq(q):
 def gq_axiom_holds(G):
     """Generalized-quadrangle axiom: for every vertex p off a line L there is
     exactly one line through p meeting L."""
-    lines = [set(e) for e in G.edges]
-    at = [[] for _ in range(G.n)]
-    for i, line in enumerate(lines):
-        for v in line:
-            at[v].append(i)
+    at = incidence(G.n, G.edges)
     for p in range(G.n):
-        through = at[p]
-        for i, line in enumerate(lines):
+        for line in G.edges:
             if p in line:
                 continue
-            meeting = sum(1 for j in through if lines[j] & line)
+            meeting = sum(1 for e in at[p] if any(v in line for v in e))
             if meeting != 1:
                 return False
     return True
@@ -242,7 +237,11 @@ def random_3graph(n, m, seed):
     positions from a range as from a list of equal length, so the result is
     the one sampling from the full list of triples would give.
     """
-    total = comb(max(n, 0), 3)  # comb rejects n < 0
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if m < 0:
+        raise ValueError("edge count must be nonnegative")
+    total = comb(n, 3)
     if m > total:
         raise ValueError(f"at most {total} edges fit on {n} vertices")
     ranks = sorted(random.Random(seed).sample(range(total), m))

@@ -6,7 +6,8 @@ with fewer vertices than H is vacuously H-free.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+
+from .core import incidence, pair_support
 
 
 @dataclass(frozen=True)
@@ -46,26 +47,18 @@ def embedding_ok(G, H, emb):
     return True
 
 
-def _pair_support(G):
-    support = {}
-    for e in G.edges:
-        for p in combinations(e, 2):
-            support[p] = support.get(p, 0) + 1
-    return support
-
-
 def _h_order(H):
     # next vertex = most edges into the placed set, ties by higher degree,
     # then lower index
-    degs = H.degrees()
+    at = incidence(H.n, H.edges)
     placed = []
     placed_set = set()
     remaining = set(range(H.n))
     while remaining:
         def score(u):
-            touching = sum(1 for e in H.edges
-                           if u in e and any(w in placed_set for w in e if w != u))
-            return (-touching, -degs[u], u)
+            touching = sum(1 for e in at[u]
+                           if any(w in placed_set for w in e if w != u))
+            return (-touching, -len(at[u]), u)
         u = min(remaining, key=score)
         placed.append(u)
         placed_set.add(u)
@@ -85,8 +78,8 @@ def contains(G, H):
         return None
     g_degs = G.degrees()
     h_degs = H.degrees()
-    g_support = _pair_support(G)
-    h_support = _pair_support(H)
+    g_support = pair_support(G.edges)
+    h_support = pair_support(H.edges)
     gset = G.edge_set()
     order = _h_order(H)
     pos_of = {u: i for i, u in enumerate(order)}

@@ -4,6 +4,7 @@ Vertices are 0-based integers below ``n``; edges are stored as sorted,
 duplicate-free tuples.  All objects here are immutable and safe to share.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -28,11 +29,7 @@ class Hypergraph:
         return sum(1 for e in self.edges if v in e)
 
     def max_degree(self):
-        degs = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                degs[v] += 1
-        return max(degs, default=0)
+        return max(self.degrees(), default=0)
 
     def degrees(self):
         degs = [0] * self.n
@@ -43,9 +40,6 @@ class Hypergraph:
 
     def edge_set(self):
         return set(self.edges)
-
-    def __contains__(self, edge):
-        return tuple(sorted(edge)) in self.edge_set()
 
 
 def new_hypergraph(n, k, edges):
@@ -83,9 +77,26 @@ def pairs_at(n, edges):
     return pairs
 
 
-def degree(G, v):
-    """Number of stored edges containing v."""
-    return G.degree(v)
+def incidence(n, edges):
+    """Per-vertex incidence of an edge list on 0..n-1: entry v lists the
+    edges holding v, in edge order."""
+    at = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            at[v].append(e)
+    return at
+
+
+def pair_support(edges):
+    """Vertex pair -> number of edges holding it.  Pairs keep the vertex
+    order of their edge, so sorted edges give sorted pairs."""
+    return Counter(p for e in edges for p in combinations(e, 2))
+
+
+def degree_order(G):
+    """Vertices by descending degree, ties broken by lower index."""
+    degs = G.degrees()
+    return sorted(range(G.n), key=lambda v: (-degs[v], v))
 
 
 def induced(G, S):
@@ -303,16 +314,12 @@ def canonical_form(G):
     edge set is emitted sorted, prefixed with n and k.
     """
     n, k = G.n, G.k
-    edges = [tuple(sorted(e)) for e in G.edges]
-    m = len(edges)
+    m = len(G.edges)
     if m == 0:
         return f"{n}:{k}|".encode()
 
-    incident = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            incident[v].append(idx)
-    degs = [len(incident[v]) for v in range(n)]
+    incident = incidence(n, G.edges)
+    degs = [len(es) for es in incident]
 
     best = [None]  # best complete code: list of edge tuples
 
@@ -325,15 +332,14 @@ def canonical_form(G):
         j = n - len(remaining)
         scored = sorted(
             remaining,
-            key=lambda v: (-sum(1 for idx in incident[v]
+            key=lambda v: (-sum(1 for e in incident[v]
                                 if all(u in new_label_of or u == v
-                                       for u in edges[idx])),
+                                       for u in e)),
                            -degs[v], v))
         for v in scored:
             new_label_of[v] = j
             done = []
-            for idx in incident[v]:
-                e = edges[idx]
+            for e in incident[v]:
                 if all(u in new_label_of for u in e):
                     done.append(tuple(sorted(new_label_of[u] for u in e)))
             done.sort(key=lambda t: (t[-1], t))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from time import monotonic
 
 from . import _kernels
-from .core import Coloring
+from .core import Coloring, degree_order
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,6 @@ class _Exhausted:
 EXHAUSTED = _Exhausted()
 
 
-def _search_order(G):
-    # descending degree, ties by index: the standard first-fail heuristic
-    degs = G.degrees()
-    return sorted(range(G.n), key=lambda v: (-degs[v], v))
-
-
 def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     """A proper k-coloring if one exists, None if definitively not, or EXHAUSTED.
 
@@ -65,7 +59,7 @@ def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
         raise ValueError("k_colorable handles 3-graphs")
     deadline = budget.deadline() if _deadline is None else _deadline
     status, colors = _kernels.kcolor_search(
-        G.n, G.edges, k, _search_order(G), budget.max_nodes, deadline)
+        G.n, G.edges, k, degree_order(G), budget.max_nodes, deadline)
     if status == _kernels.FOUND:
         return Coloring(tuple(colors), k)
     if status == _kernels.NONE:

@@ -13,7 +13,7 @@ from time import monotonic
 from . import exact
 from .cache import ResultRecord
 from .containment import Embedding, contains, embedding_ok, is_free
-from .core import Hypergraph, canonical_form
+from .core import Hypergraph, canonical_form, incidence, pair_support
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,7 @@ def prune_low_support(G, t):
     changed = True
     while changed:
         changed = False
-        support = {}
-        for e in edges:
-            for p in combinations(e, 2):
-                support[p] = support.get(p, 0) + 1
+        support = pair_support(edges)
         for e in sorted(edges):
             if any(support[p] <= t - 3 for p in combinations(e, 2)):
                 edges.remove(e)
@@ -110,11 +107,7 @@ def embed_by_edge_order(G, H, ord):
     pruned = prune_low_support(G, t)
     if not pruned.edges:
         return None
-    eset = set(pruned.edges)
-    pair_edges = {}
-    for e in pruned.edges:
-        for p in combinations(e, 2):
-            pair_edges.setdefault(p, []).append(e)
+    at = incidence(pruned.n, pruned.edges)
 
     first = pruned.edges[0]
     vmap = {}
@@ -127,8 +120,8 @@ def embed_by_edge_order(G, H, ord):
         img_pair = tuple(sorted((vmap[pair[0]], vmap[pair[1]])))
         target = None
         image_verts = set(vmap.values())
-        for e in sorted(pair_edges.get(img_pair, [])):
-            if e in used_edges:
+        for e in at[img_pair[0]]:
+            if img_pair[1] not in e or e in used_edges:
                 continue
             third = next(v for v in e if v not in img_pair)
             if third in image_verts:
@@ -151,9 +144,11 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _hfree_level_reps(n, H):
+def _hfree_level_reps(n, H, deadline=0.0):
     """Iterator over levels of H-free graphs on n labeled vertices up to
-    isomorphism: yields (edge_count, list of representatives)."""
+    isomorphism: yields (edge_count, list of representatives).  When the
+    deadline (a monotonic() time, 0 for none) passes while a level is being
+    built, yields (edge_count, None) for that level and stops."""
     empty = Hypergraph(n, 3, ())
     level = {canonical_form(empty): empty}
     count = 0
@@ -166,6 +161,9 @@ def _hfree_level_reps(n, H):
             for e in all_triples:
                 if e in present:
                     continue
+                if deadline and monotonic() > deadline:
+                    yield count + 1, None
+                    return
                 cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                 if contains(cand, H) is not None:
                     continue
@@ -183,8 +181,9 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
 
     Enumerates H-free graphs level by level with canonical-form dedup; the
     returned record carries an extremal witness.  On budget exhaustion the
-    status is lower_bound and the value is the best level reached.  Only an
-    exact cache record whose witness revalidates is served.
+    status is lower_bound and the value is the best level reached.  The
+    deadline is checked per candidate graph, the node cap after each whole
+    level.  Only an exact cache record whose witness revalidates is served.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -202,7 +201,10 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     best_value = 0
     best_witness = Hypergraph(n, 3, ())
     status = "exact"
-    for count, reps in _hfree_level_reps(n, H):
+    for count, reps in _hfree_level_reps(n, H, deadline):
+        if reps is None:
+            status = "lower_bound"
+            break
         best_value = count
         best_witness = reps[0]
         nodes += len(reps)
@@ -255,7 +257,10 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
             break
         found = None
         out_of_budget = False
-        for _, reps in _hfree_level_reps(n, H):
+        for _, reps in _hfree_level_reps(n, H, deadline):
+            if reps is None:
+                out_of_budget = True
+                break
             nodes += len(reps)
             for R in reps:
                 alpha = exact.independence_number(R, budget)

@@ -94,3 +94,15 @@ def pool_random_3graph(n, m, seed):
     triples: the reference that constructions.random_3graph must match."""
     pool = list(itertools.combinations(range(n), 3))
     return tuple(sorted(random.Random(seed).sample(pool, m)))
+
+
+def scan_greedy_independent(G):
+    """Min-degree-first greedy independent set, scanning every edge for every
+    vertex: the reference for coloring._greedy_independent."""
+    degs = G.degrees()
+    chosen = set()
+    for v in sorted(range(G.n), key=lambda v: (degs[v], v)):
+        if not any(v in e and all(u in chosen or u == v for u in e)
+                   for e in G.edges):
+            chosen.add(v)
+    return chosen

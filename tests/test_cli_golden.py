@@ -52,6 +52,8 @@ CASES = [
     ("gen-fq-blowup", "gen fq-blowup --n 3 --tau 1 --seed 4", None),
     ("gen-fq-blowup-too-small", "gen fq-blowup --n 2 --tau 1", None),
     ("gen-random", "gen random --n 8 --m 4 --seed 3", None),
+    ("gen-random-negative-n", "gen random --n -1 --m 0", None),
+    ("gen-random-negative-m", "gen random --n 8 --m -1", None),
     ("gen-hypertree", "gen hypertree --e 3 --seed 2", None),
     ("gen-unknown-family", "gen petersen", None),
     ("chi", "chi --in {fano}", None),
@@ -244,6 +246,10 @@ EXPECTED = {
          '"failure"}\n'),
     'gen-random':
         (0, 'p h 3 8 4\ne 1 3 6\ne 1 5 6\ne 2 6 8\ne 3 4 6\n'),
+    'gen-random-negative-n':
+        (1, '{"error": "vertex count must be nonnegative", "status": "failure"}\n'),
+    'gen-random-negative-m':
+        (1, '{"error": "edge count must be nonnegative", "status": "failure"}\n'),
     'gen-hypertree':
         (0, 'p h 3 7 3\ne 1 2 3\ne 1 4 5\ne 1 6 7\n'),
     'gen-unknown-family':

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchrome import constructions as cons
+from hyperchrome.coloring import _greedy_independent
 from hyperchrome.core import (Coloring, Hypergraph, VertexOrder, balance,
-                              canonical_form, degree, induced, is_hyperforest,
-                              is_linear, is_ordered_chain, is_proper,
-                              new_hypergraph)
+                              canonical_form, degree_order, incidence, induced,
+                              is_hyperforest, is_linear, is_ordered_chain,
+                              is_proper, new_hypergraph, pair_support)
 
-from oracles import all_colorings
+from oracles import all_colorings, scan_greedy_independent
 
 
 def small_graph(seed, n_max=7, m_max=8):
@@ -53,19 +54,67 @@ class TestNewHypergraph:
 class TestDegree:
     def test_complete(self):
         G = cons.complete(5)
-        assert all(degree(G, v) == 6 for v in range(5))
+        assert all(G.degree(v) == 6 for v in range(5))
 
     def test_loose_cycle_shared_vertex(self):
         G = cons.loose_cycle(3)
-        assert degree(G, 0) == 2  # vertex shared by two edges
+        assert G.degree(0) == 2  # vertex shared by two edges
 
     def test_empty(self):
         G = new_hypergraph(4, 3, [])
-        assert degree(G, 2) == 0
+        assert G.degree(2) == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            degree(cons.complete(4), 4)
+            cons.complete(4).degree(4)
+
+
+def uniform_graphs(k):
+    """Random k-uniform hypergraphs on at most 9 vertices, up to 12 edges."""
+    def on(n):
+        pool = list(combinations(range(n), k))
+        if not pool:
+            return st.just(Hypergraph(n, k, ()))
+        return st.lists(st.sampled_from(pool), unique=True, max_size=12).map(
+            lambda edges: Hypergraph(n, k, tuple(sorted(edges))))
+    return st.integers(0, 9).flatmap(on)
+
+
+any_graph = st.sampled_from([3, 4]).flatmap(uniform_graphs)
+
+
+class TestIndexLayer:
+    """The index builders against their definitions, on 3- and 4-graphs."""
+
+    @given(any_graph)
+    @settings(max_examples=150, deadline=None)
+    def test_incidence(self, G):
+        at = incidence(G.n, G.edges)
+        assert at == [[e for e in G.edges if v in e] for v in range(G.n)]
+
+    @given(any_graph)
+    @settings(max_examples=150, deadline=None)
+    def test_pair_support(self, G):
+        brute = {}
+        for p in combinations(range(G.n), 2):
+            count = sum(1 for e in G.edges if set(p) <= set(e))
+            if count:
+                brute[p] = count
+        assert dict(pair_support(G.edges)) == brute
+
+    @given(any_graph)
+    @settings(max_examples=150, deadline=None)
+    def test_degree_order(self, G):
+        order = degree_order(G)
+        assert sorted(order) == list(range(G.n))
+        for u, w in zip(order, order[1:]):
+            du, dw = G.degree(u), G.degree(w)
+            assert du > dw or (du == dw and u < w)
+
+    @given(any_graph)
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_independent_matches_scan(self, G):
+        assert _greedy_independent(G) == scan_greedy_independent(G)
 
 
 class TestInduced:

@@ -133,6 +133,32 @@ class TestTuranEx:
         assert is_free(rec.witness, LP)
 
 
+@pytest.mark.parametrize("search", [
+    lambda budget: ext.turan_ex(6, LP, budget),
+    lambda budget: ext.ramsey(LP, 4, 7, budget),
+], ids=["turan_ex", "ramsey"])
+def test_deadline_stops_mid_level(search, monkeypatch):
+    # the clock passes the deadline right after the third canonical form;
+    # the search must notice before it starts building another candidate
+    # (the deadline is checked per candidate, not only per completed level)
+    real = ext.canonical_form
+    calls = {"done": 0, "late": 0}
+    passed = lambda: calls["done"] >= 3
+
+    def counting(G):
+        calls["late"] += passed()
+        out = real(G)
+        calls["done"] += 1
+        return out
+
+    monkeypatch.setattr(ext, "canonical_form", counting)
+    monkeypatch.setattr(ext, "monotonic",
+                        lambda: float("inf") if passed() else 0.0)
+    rec = search(SearchBudget(max_millis=60_000))
+    assert rec.status == "lower_bound"
+    assert calls["late"] <= 1
+
+
 class TestRamsey:
     def test_single_edge(self):
         H = new_hypergraph(3, 3, [(0, 1, 2)])
