@@ -9,9 +9,12 @@ n (ex) or t (ramsey), status is "exact" or "lower_bound", and witness encodes
 a hypergraph as n:k:v1,v2,v3/v4,v5,v6 with 1-based vertices.  Unparseable
 lines are evicted on load; semantic revalidation happens at lookup time in
 the extremal module, which serves only exact records.  A lower_bound record
-never replaces an exact one.  Writes replace the whole file atomically.
+never replaces an exact one.  Each write re-reads the file under a lock on
+PATH.lock, applies one change and replaces the whole file atomically, so
+concurrent writers lose no records.
 """
 
+import fcntl
 import os
 import tempfile
 from dataclasses import dataclass
@@ -45,16 +48,24 @@ def decode_graph(text):
 
 
 class ResultCache:
-    """Single-writer cache; the whole file is rewritten on every put."""
+    """A cache file that any number of writers may share.
+
+    Each put or evict takes an exclusive ``flock`` on the sidecar file
+    ``PATH.lock``, re-reads the cache file, applies that one change and
+    replaces the file atomically.  Records other writers stored since this
+    cache was loaded survive, and one they evicted stays evicted.  The lock
+    sits on its own file because ``os.replace`` gives the cache file a new
+    inode at every write.  Without a path the records live in memory only.
+    """
 
     def __init__(self, path):
         self.path = path
-        self.records = {}
-        self._load()
+        self.records = self._load()
 
     def _load(self):
+        records = {}
         if not self.path or not os.path.exists(self.path):
-            return
+            return records
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -70,28 +81,43 @@ class ResultCache:
                                        status, decode_graph(witness))
                 except (ValueError, IndexError):
                     continue  # corrupt line: evict by not loading it
-                self.records[(rec.kind, rec.key, rec.param)] = rec
+                records[(rec.kind, rec.key, rec.param)] = rec
+        return records
 
     def get(self, kind, key, param):
         return self.records.get((kind, key, param))
 
     def put(self, rec):
         """Store rec, unless it is a lower bound and an exact record exists."""
-        old = self.records.get((rec.kind, rec.key, rec.param))
-        if (rec.status == "lower_bound" and old is not None
-                and old.status == "exact"):
-            return
-        self.records[(rec.kind, rec.key, rec.param)] = rec
-        self._write()
+        self._update((rec.kind, rec.key, rec.param), rec)
 
     def evict(self, kind, key, param):
-        if (kind, key, param) in self.records:
-            del self.records[(kind, key, param)]
-            self._write()
+        self._update((kind, key, param), None)
+
+    def _update(self, slot, rec):
+        """Store rec at slot (None: drop the slot) in the latest file."""
+        if not self.path:
+            self._apply(self.records, slot, rec)
+            return
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when lock closes
+            self.records = self._load()
+            if self._apply(self.records, slot, rec):
+                self._write()
+
+    @staticmethod
+    def _apply(records, slot, rec):
+        """Apply one put (rec) or evict (None); True if records changed."""
+        if rec is None:
+            return records.pop(slot, None) is not None
+        old = records.get(slot)
+        if (rec.status == "lower_bound" and old is not None
+                and old.status == "exact"):
+            return False
+        records[slot] = rec
+        return True
 
     def _write(self):
-        if not self.path:
-            return
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
         try:

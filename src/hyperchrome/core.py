@@ -307,52 +307,123 @@ def balance(H):
 def canonical_form(G):
     """Canonical byte encoding: equal encodings iff isomorphic hypergraphs.
 
-    Backtracks over vertex relabelings, assigning new labels 0..n-1 one at a
-    time and minimizing the sequence of completed edges, where edges are
-    ordered by (largest label, full sorted tuple).  Degree-based candidate
-    ordering steers the search; prefix comparison prunes it.  The winning
-    edge set is emitted sorted, prefixed with n and k.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014).  The vertices in edges are partitioned into
+    ordered cells, a cell's colour being the position of its first vertex.
+    Refinement splits a cell until its vertices agree on the sorted
+    multiset of the sorted colour tuples of their edges' other vertices;
+    it reads colours only, never labels.  Isolated vertices take the last
+    cell and are never individualized.  While some cell holds two or more
+    vertices, each vertex of the first such cell is split off in turn and
+    the partition refined again.  At a leaf every cell is a single vertex,
+    labelled by its colour; the encoding is the smallest sorted edge list
+    over all leaves, emitted as ``n:k|e1/e2/...``.
+
+    A leaf whose edge list equals the first or best leaf's gives an
+    automorphism.  The search then returns to the level where the two
+    paths part, and it skips every vertex in the orbit of one already tried
+    under the automorphisms found so far that fix the current path.
     """
     n, k = G.n, G.k
-    m = len(G.edges)
-    if m == 0:
-        return f"{n}:{k}|".encode()
+    at = incidence(n, G.edges)
+    # isolated vertices drop out: they would take labels a..n-1, in no edge
+    active = [v for v in range(n) if at[v]]
+    index = {v: i for i, v in enumerate(active)}
+    edges = [tuple(index[v] for v in e) for e in G.edges]
+    others = [[tuple(index[u] for u in e if u != v) for e in at[v]]
+              for v in active]
+    a = len(active)
 
-    incident = incidence(n, G.edges)
-    degs = [len(es) for es in incident]
+    first = best = None  # leaves: (code, colour, path)
+    gens = []  # automorphisms found, as vertex maps on 0..a-1
 
-    best = [None]  # best complete code: list of edge tuples
+    def search(colour, cells, path):
+        """Explore the node reached by individualizing path; returns the
+        depth of the node to resume at (len(path) - 1: the parent)."""
+        nonlocal first, best
+        depth = len(path)
+        if len(cells) == a:
+            code = sorted(tuple(sorted(colour[v] for v in e)) for e in edges)
+            if first is None:
+                first = best = (code, colour, path)
+                return depth - 1
+            for ref_code, ref_colour, ref_path in (first, best):
+                if code == ref_code:
+                    vertex_at = [0] * a
+                    for v, c in enumerate(ref_colour):
+                        vertex_at[c] = v
+                    gens.append([vertex_at[c] for c in colour])
+                    # the automorphism maps the reference path onto this
+                    # one, so both have this depth and part at some level
+                    common = 0
+                    while path[common] == ref_path[common]:
+                        common += 1
+                    return common
+            if code < best[0]:
+                best = (code, colour, path)
+            return depth - 1
 
-    def extend(new_label_of, remaining, code):
-        if len(code) == m:
-            if best[0] is None or code < best[0]:
-                best[0] = list(code)
-            return
-        # candidates for the next label, most-connected first
-        j = n - len(remaining)
-        scored = sorted(
-            remaining,
-            key=lambda v: (-sum(1 for e in incident[v]
-                                if all(u in new_label_of or u == v
-                                       for u in e)),
-                           -degs[v], v))
-        for v in scored:
-            new_label_of[v] = j
-            done = []
-            for e in incident[v]:
-                if all(u in new_label_of for u in e):
-                    done.append(tuple(sorted(new_label_of[u] for u in e)))
-            done.sort(key=lambda t: (t[-1], t))
-            new_code = code + done
-            # prune only a strictly worse prefix; compare against the current
-            # best every time since best may move while we recurse
-            if best[0] is None or new_code <= best[0][:len(new_code)]:
-                remaining.remove(v)
-                extend(new_label_of, remaining, new_code)
-                remaining.add(v)
-            del new_label_of[v]
+        start = min(c for c, members in cells.items() if len(members) > 1)
+        tried = []
+        orbit = list(range(a))  # union-find under gens fixing path
+        merged = 0
 
-    extend({}, set(range(n)), [])
-    final = sorted(best[0])
-    body = "/".join(",".join(str(v) for v in e) for e in final)
+        def root(v):
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        for w in sorted(cells[start]):
+            if tried:
+                for g in gens[merged:]:
+                    if all(g[x] == x for x in path):
+                        for v in range(a):
+                            orbit[root(v)] = root(g[v])
+                merged = len(gens)
+                if root(w) in {root(t) for t in tried}:
+                    continue
+            tried.append(w)
+            child = colour[:]
+            for u in cells[start]:
+                child[u] = start + 1
+            child[w] = start
+            back = search(child, _equitable(child, others), path + [w])
+            if back < depth:
+                return back
+        return depth - 1
+
+    colour = [0] * a
+    search(colour, _equitable(colour, others), [])
+    body = "/".join(",".join(str(v) for v in e) for e in best[0])
     return f"{n}:{k}|{body}".encode()
+
+
+def _equitable(colour, others):
+    """Refine colour in place until equitable; returns colour -> members.
+
+    colour[v] is the position of the first vertex of v's cell, so a split
+    keeps the order of cells; others[v] lists, per edge at v, the other
+    vertices of that edge.
+    """
+    while True:
+        cells = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        moved = {}
+        for start, members in cells.items():
+            if len(members) == 1:
+                continue
+            sig = {v: sorted(sorted([colour[u] for u in o]) for o in others[v])
+                   for v in members}
+            members.sort(key=sig.__getitem__)
+            pos, prev = start, sig[members[0]]
+            for i, v in enumerate(members):
+                if sig[v] != prev:
+                    pos, prev = start + i, sig[v]
+                if pos != start:
+                    moved[v] = pos
+        if not moved:
+            return cells
+        for v, c in moved.items():
+            colour[v] = c

@@ -2,8 +2,12 @@
 edge-ordering embedding, and witness verification for m_H(r) bounds.
 
 Exhaustive searches enumerate H-free graphs up to isomorphism, level by edge
-count, deduplicating on canonical forms; budget-limited outcomes are labeled
-lower_bound and carry the best witness found.
+count.  Each candidate gets one core.canonical_form call (individualization-
+refinement), and the first candidate seen in each isomorphism class is its
+representative.  Budget-limited outcomes are labeled lower_bound and carry
+the best witness found.  Cache records are keyed by canonical_form(H): an
+encoding is the edge list of a copy of H, so a key written by any other
+canonical labelling can only match H's own class and needs no version.
 """
 
 from dataclasses import dataclass
@@ -146,9 +150,10 @@ def embed_by_edge_order(G, H, ord):
 
 def _hfree_level_reps(n, H, deadline=0.0):
     """Iterator over levels of H-free graphs on n labeled vertices up to
-    isomorphism: yields (edge_count, list of representatives).  When the
-    deadline (a monotonic() time, 0 for none) passes while a level is being
-    built, yields (edge_count, None) for that level and stops."""
+    isomorphism: yields (edge_count, list of representatives, each the first
+    candidate seen in its class).  When the deadline (a monotonic() time, 0
+    for none) passes while a level is being built, yields (edge_count, None)
+    for that level and stops."""
     empty = Hypergraph(n, 3, ())
     level = {canonical_form(empty): empty}
     count = 0

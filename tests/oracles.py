@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's search code: colorings and subsets by
 full enumeration, containment by raw injection scans, chains by sequence
-enumeration against the definitional validator.
+enumeration against the definitional validator, canonical forms by
+backtracking over every vertex relabeling.
 """
 
 import itertools
 import random
 
-from hyperchrome.core import Coloring, is_ordered_chain, is_proper
+from hyperchrome.core import Coloring, incidence, is_ordered_chain, is_proper
 
 
 def all_colorings(n, k):
@@ -106,3 +107,58 @@ def scan_greedy_independent(G):
                    for e in G.edges):
             chosen.add(v)
     return chosen
+
+
+def brute_canonical_form(G):
+    """Canonical byte encoding by backtracking over vertex relabelings: the
+    reference that core.canonical_form's isomorphism classes must match.
+
+    Assigns new labels 0..n-1 one at a time and minimizes the sequence of
+    completed edges, where edges are ordered by (largest label, full sorted
+    tuple).  Degree-based candidate ordering steers the search; prefix
+    comparison prunes it.  The winning edge set is emitted sorted, prefixed
+    with n and k.  Factorial in the number of vertices it cannot tell apart.
+    """
+    n, k = G.n, G.k
+    m = len(G.edges)
+    if m == 0:
+        return f"{n}:{k}|".encode()
+
+    incident = incidence(n, G.edges)
+    degs = [len(es) for es in incident]
+
+    best = [None]  # best complete code: list of edge tuples
+
+    def extend(new_label_of, remaining, code):
+        if len(code) == m:
+            if best[0] is None or code < best[0]:
+                best[0] = list(code)
+            return
+        # candidates for the next label, most-connected first
+        j = n - len(remaining)
+        scored = sorted(
+            remaining,
+            key=lambda v: (-sum(1 for e in incident[v]
+                                if all(u in new_label_of or u == v
+                                       for u in e)),
+                           -degs[v], v))
+        for v in scored:
+            new_label_of[v] = j
+            done = []
+            for e in incident[v]:
+                if all(u in new_label_of for u in e):
+                    done.append(tuple(sorted(new_label_of[u] for u in e)))
+            done.sort(key=lambda t: (t[-1], t))
+            new_code = code + done
+            # prune only a strictly worse prefix; compare against the current
+            # best every time since best may move while we recurse
+            if best[0] is None or new_code <= best[0][:len(new_code)]:
+                remaining.remove(v)
+                extend(new_label_of, remaining, new_code)
+                remaining.add(v)
+            del new_label_of[v]
+
+    extend({}, set(range(n)), [])
+    final = sorted(best[0])
+    body = "/".join(",".join(str(v) for v in e) for e in final)
+    return f"{n}:{k}|{body}".encode()

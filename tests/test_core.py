@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,8 @@ from hyperchrome.core import (Coloring, Hypergraph, VertexOrder, balance,
                               is_hyperforest, is_linear, is_ordered_chain,
                               is_proper, new_hypergraph, pair_support)
 
-from oracles import all_colorings, scan_greedy_independent
+from oracles import (all_colorings, brute_canonical_form,
+                     scan_greedy_independent)
 
 
 def small_graph(seed, n_max=7, m_max=8):
@@ -236,6 +241,32 @@ class TestOrderedChain:
                                     VertexOrder.identity(4))
 
 
+def relabeled(G, perm):
+    return new_hypergraph(G.n, G.k, [[perm[v] for v in e] for e in G.edges])
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two k-graphs (k = 3 or 4, n <= 7) with the same edge count, the
+    second often a relabeled copy of the first."""
+    k = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(k, 7))
+    pool = list(combinations(range(n), k))
+    m = draw(st.integers(0, min(len(pool), 8)))
+    edges = st.lists(st.sampled_from(pool), min_size=m, max_size=m,
+                     unique=True)
+    A = Hypergraph(n, k, tuple(sorted(draw(edges))))
+    other = Hypergraph(n, k, tuple(sorted(draw(edges))))
+    B = relabeled(draw(st.sampled_from((A, other))),
+                  draw(st.permutations(range(n))))
+    return A, B
+
+
+def matching(m):
+    return Hypergraph(3 * m, 3, tuple((3 * i, 3 * i + 1, 3 * i + 2)
+                                      for i in range(m)))
+
+
 class TestCanonicalForm:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -276,6 +307,86 @@ class TestCanonicalForm:
                     == B.edge_set()
                     for p in permutations(range(5)))
                 assert same_canon == iso
+
+    @given(graph_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_classes_match_brute_force(self, pair):
+        A, B = pair
+        assert (canonical_form(A) == canonical_form(B)) == \
+            (brute_canonical_form(A) == brute_canonical_form(B))
+
+    def test_all_four_edge_graphs_on_six_vertices(self):
+        # the isomorphism classes are the orbits of S_6, generated by a
+        # transposition and a 6-cycle; the forms must be constant on each
+        # orbit and differ between orbits.  Some of these graphs, such as
+        # 012/013/245/345, are regular but not vertex-transitive, so
+        # refinement alone cannot label them.
+        pool = list(combinations(range(6), 3))
+        graphs = list(combinations(pool, 4))
+        where = {edges: i for i, edges in enumerate(graphs)}
+        forms = [canonical_form(Hypergraph(6, 3, edges)) for edges in graphs]
+        orbit = list(range(len(graphs)))
+
+        def root(i):
+            while orbit[i] != i:
+                i = orbit[i]
+            return i
+
+        for perm in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)):
+            for i, edges in enumerate(graphs):
+                j = where[tuple(sorted(tuple(sorted(perm[v] for v in e))
+                                       for e in edges))]
+                assert forms[i] == forms[j]
+                orbit[root(i)] = root(j)
+        classes = {root(i) for i in range(len(graphs))}
+        assert len(set(forms)) == len(classes)
+
+    @pytest.mark.parametrize("G", [
+        cons.named("fano"),
+        cons.complete(8),
+        cons.gq(2),
+        cons.partition_example(4, 4),
+        cons.loose_cycle(3),
+        cons.loose_cycle(6),
+        matching(20),
+        Hypergraph(12, 3, ((0, 1, 2), (2, 3, 4))),
+        new_hypergraph(10, 3, [[v + 3 for v in e]
+                               for e in cons.named("fano").edges]),
+        # regular, so refinement keeps one cell, but not vertex-transitive
+        new_hypergraph(10, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+                       + [(4 + i, 4 + (i + 1) % 6, 4 + (i + 2) % 6)
+                          for i in range(6)]),
+    ], ids=["fano", "complete8", "gq2", "partition4_4", "loose_cycle3",
+            "loose_cycle6", "matching20", "isolated_path", "isolated_fano",
+            "k4_and_tight_cycle6"])
+    def test_relabel_invariant(self, G):
+        key = canonical_form(G)
+        rng = random.Random(G.n)
+        for _ in range(6):
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabeled(G, perm)) == key
+        # the encoding is an edge list of a copy of G, its own canonical form
+        head, body = key.decode().split("|")
+        assert head == f"{G.n}:{G.k}"
+        edges = [tuple(map(int, e.split(","))) for e in body.split("/")]
+        copy = new_hypergraph(G.n, G.k, edges)
+        assert len(copy.edges) == len(G.edges)
+        assert sorted(copy.degrees()) == sorted(G.degrees())
+        assert canonical_form(copy) == key
+
+    def test_isolated_vertices_not_factorial(self):
+        # a labelling that orders the 1497 isolated vertices is factorial
+        # in them, and recursing once per vertex overflows the stack
+        script = ("from hyperchrome.core import Hypergraph, canonical_form\n"
+                  "key = canonical_form(Hypergraph(1500, 3, ((0, 1, 2),)))\n"
+                  "assert key == b'1500:3|0,1,2', key\n")
+        src = str(Path(cons.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-500:]
 
 
 class TestVertexOrder:

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +11,10 @@ from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
 from hyperchrome.containment import embedding_ok, is_free
-from hyperchrome.core import canonical_form, new_hypergraph
+from hyperchrome.core import canonical_form, is_linear, new_hypergraph
 from hyperchrome.exact import SearchBudget, independence_number
 
-from oracles import brute_turan_ex
+from oracles import brute_canonical_form, brute_turan_ex
 
 LP = cons.named("linear_pair")
 
@@ -125,6 +129,13 @@ class TestTuranEx:
         t = LP.n
         for n in (4, 5, 6):
             assert ext.turan_ex(n, LP).value <= (t - 3) * math.comb(n, 2)
+
+    @pytest.mark.parametrize("n, value", [(8, 8), (9, 12)])
+    def test_packing_numbers(self, n, value):
+        # LP-free means linear, so ex(n, LP) is the packing number D(n, 3, 2)
+        rec = ext.turan_ex(n, LP)
+        assert (rec.value, rec.status) == (value, "exact")
+        assert is_linear(rec.witness) and len(rec.witness.edges) == value
 
     def test_budget_gives_lower_bound(self):
         rec = ext.turan_ex(7, LP, SearchBudget(max_nodes=2))
@@ -274,3 +285,58 @@ class TestCache:
         assert budgeted.status == "lower_bound"
         kept = ResultCache(path).get("ramsey", first.key, 3)
         assert (kept.value, kept.status) == (4, "exact")
+
+    def test_two_writers_keep_both_records(self, tmp_path):
+        path = str(tmp_path / "cache.txt")
+        first, second = ResultCache(path), ResultCache(path)
+        a, b = ext.turan_ex(4, LP), ext.turan_ex(5, LP)
+        first.put(a)
+        second.put(b)
+        assert set(ResultCache(path).records) == {("ex", a.key, 4),
+                                                  ("ex", b.key, 5)}
+
+    def test_evicted_record_stays_evicted(self, tmp_path):
+        path = str(tmp_path / "cache.txt")
+        a = ext.turan_ex(4, LP, cache=ResultCache(path))
+        stale = ResultCache(path)  # loaded while a was stored
+        ResultCache(path).evict("ex", a.key, 4)
+        stale.put(ext.turan_ex(5, LP))
+        assert set(ResultCache(path).records) == {("ex", a.key, 5)}
+
+    def test_concurrent_writers_lose_nothing(self, tmp_path):
+        # more writer processes than cores, each storing its own records
+        path = str(tmp_path / "cache.txt")
+        script = ("import sys\n"
+                  "from hyperchrome.cache import ResultCache, ResultRecord\n"
+                  "from hyperchrome.core import Hypergraph\n"
+                  "w = int(sys.argv[1])\n"
+                  "for i in range(10):\n"
+                  "    ResultCache(sys.argv[2]).put(ResultRecord(\n"
+                  "        'ex', f'w{w}', i, 0, 'exact', Hypergraph(3, 3, ())))\n")
+        src = str(Path(ext.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        writers = [subprocess.Popen([sys.executable, "-c", script, str(w),
+                                     path], env=env, stderr=subprocess.PIPE)
+                   for w in range((os.cpu_count() or 1) + 2)]
+        for proc in writers:
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()[-500:]
+            proc.stderr.close()
+        assert len(ResultCache(path).records) == 10 * len(writers)
+
+    def test_brute_force_keys_never_answer_wrong(self, tmp_path):
+        # a key of the former brute-force form is the edge list of a copy of
+        # its H, so it can only match H's own class: at worst it is a miss
+        path = str(tmp_path / "cache.txt")
+        graphs = [LP, cons.named("k4"), cons.named("k4_minus"),
+                  cons.named("neighborhood5"), cons.loose_path(2),
+                  new_hypergraph(3, 3, [(0, 1, 2)])]
+        truth = [ext.turan_ex(5, H) for H in graphs]
+        cache = ResultCache(path)
+        for H, rec in zip(graphs, truth):
+            cache.put(ResultRecord("ex", brute_canonical_form(H).decode(), 5,
+                                   rec.value, "exact", rec.witness))
+        for H, rec in zip(graphs, truth):
+            got = ext.turan_ex(5, H, cache=ResultCache(path))
+            assert (got.value, got.status) == (rec.value, "exact")
+            assert is_free(got.witness, H)
