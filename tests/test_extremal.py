@@ -144,6 +144,50 @@ class TestTuranEx:
         assert is_free(rec.witness, LP)
 
 
+K4 = cons.named("k4")
+P2 = cons.loose_path(2)
+
+# (value, status, encoded witness) under SearchBudget(max_nodes=cap) for
+# cap = 1..8.  The node cap is charged a whole level of representatives at a
+# time; ramsey's alpha calls exhaust at these caps.
+BUDGET_TABLE = {
+    "turan_ex(6, LP)": (lambda b: ext.turan_ex(6, LP, b), [
+        (1, "lower_bound", "6:3:1,2,3"),
+        (2, "lower_bound", "6:3:1,2,3/1,4,5"),
+        (2, "lower_bound", "6:3:1,2,3/1,4,5"),
+        (3, "lower_bound", "6:3:1,2,3/1,4,5/2,4,6"),
+        (4, "lower_bound", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
+        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
+        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
+        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
+    ]),
+    "turan_ex(5, K4)": (lambda b: ext.turan_ex(5, K4, b), [
+        (1, "lower_bound", "5:3:1,2,3"),
+        (2, "lower_bound", "5:3:1,2,3/1,2,4"),
+        (2, "lower_bound", "5:3:1,2,3/1,2,4"),
+        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
+        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
+        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
+        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
+        (4, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5/1,3,4"),
+    ]),
+    "ramsey(LP, 4, 7)": (lambda b: ext.ramsey(LP, 4, 7, b),
+                         [(4, "lower_bound", "3:3:")] * 8),
+    "ramsey(P2, 4, 8)": (lambda b: ext.ramsey(P2, 4, 8, b),
+                         [(4, "lower_bound", "3:3:")] * 8),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_TABLE)
+def test_node_cap_table(name):
+    search, rows = BUDGET_TABLE[name]
+    got = []
+    for cap in range(1, len(rows) + 1):
+        rec = search(SearchBudget(max_nodes=cap))
+        got.append((rec.value, rec.status, encode_graph(rec.witness)))
+    assert got == rows
+
+
 @pytest.mark.parametrize("search", [
     lambda budget: ext.turan_ex(6, LP, budget),
     lambda budget: ext.ramsey(LP, 4, 7, budget),
