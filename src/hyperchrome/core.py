@@ -166,21 +166,16 @@ class VertexOrder:
     """A linear order on 0..n-1: order[i] = vertex at position i, position = inverse."""
 
     order: tuple
-    position: tuple = field(default=None)
+    position: tuple = field(init=False)
 
     def __post_init__(self):
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
             raise ValueError("order is not a permutation of 0..n-1")
-        if self.position is None:
-            pos = [0] * n
-            for i, v in enumerate(self.order):
-                pos[v] = i
-            object.__setattr__(self, "position", tuple(pos))
-        else:
-            for i, v in enumerate(self.order):
-                if self.position[v] != i:
-                    raise ValueError("position is not the inverse of order")
+        pos = [0] * n
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        object.__setattr__(self, "position", tuple(pos))
 
     @classmethod
     def identity(cls, n):

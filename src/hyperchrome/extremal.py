@@ -1,13 +1,19 @@
 """Brute-force Turan and Ramsey computation at desk scale, the incremental
 edge-ordering embedding, and witness verification for m_H(r) bounds.
 
-Exhaustive searches enumerate H-free graphs up to isomorphism, level by edge
-count.  Each candidate gets one core.canonical_form call (individualization-
-refinement), and the first candidate seen in each isomorphism class is its
-representative.  Budget-limited outcomes are labeled lower_bound and carry
-the best witness found.  Cache records are keyed by canonical_form(H): an
-encoding is the edge list of a copy of H, so a key written by any other
-canonical labelling can only match H's own class and needs no version.
+turan_ex and ramsey are thin callers of one level search and one cache
+driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
+by edge count: each candidate gets one core.canonical_form call
+(individualization-refinement), and the first candidate seen in each class is
+its representative.  It is the only place the budget is checked: the deadline
+before each candidate, the node cap after each whole level (a level's
+representatives are its nodes).  Budget-limited outcomes are labeled
+lower_bound and carry the best witness found.  _cached owns the cache
+policy: records are keyed by canonical_form(H), only an exact record whose
+witness revalidates is served, one that fails revalidation is evicted, and
+one that cannot be revalidated within budget is kept but not served.  A key
+is the edge list of a copy of H, so a key written by any other canonical
+labelling can only match H's own class and needs no version.
 """
 
 from dataclasses import dataclass
@@ -42,62 +48,65 @@ def find_edge_ordering(H):
     edges = list(H.edges)
     m = len(edges)
 
-    def extend(order, used, covered):
-        if len(order) == m:
-            return []
-        for idx in range(m):
-            if idx in used:
-                continue
-            e = edges[idx]
-            fresh = [v for v in e if v not in covered]
-            if len(fresh) != 1:
-                continue
-            pair = tuple(v for v in e if v != fresh[0])
-            anchor_j = None
-            for j, prev_idx in enumerate(order):
-                prev = edges[prev_idx]
-                if pair[0] in prev and pair[1] in prev:
-                    anchor_j = j
-                    break
-            if anchor_j is None:
-                continue
-            used.add(idx)
-            order.append(idx)
-            tail = extend(order, used, covered | set(e))
-            if tail is not None:
-                return [(anchor_j, pair, fresh[0])] + tail
-            order.pop()
-            used.remove(idx)
+    def anchor(idx, order, covered):
+        """(j, pair, fresh) letting edges[idx] follow order, or None."""
+        e = edges[idx]
+        fresh = [v for v in e if v not in covered]
+        if len(fresh) != 1:
+            return None
+        pair = tuple(v for v in e if v != fresh[0])
+        for j, prev_idx in enumerate(order):
+            prev = edges[prev_idx]
+            if pair[0] in prev and pair[1] in prev:
+                return j, pair, fresh[0]
         return None
 
     for first in range(m):
-        order = [first]
+        # depth-first on an explicit stack; each position tries the unused
+        # edges by increasing index, so the first ordering found is the same
+        # as a recursive search's
+        order, anchors, covered = [first], [], set(edges[first])
         used = {first}
-        anchors = extend(order, used, set(edges[first]))
-        if anchors is not None:
+        start = 0  # the first index to try at position len(order)
+        while len(order) < m:
+            for idx in range(start, m):
+                a = None if idx in used else anchor(idx, order, covered)
+                if a is not None:
+                    order.append(idx)
+                    anchors.append(a)
+                    used.add(idx)
+                    covered.add(a[2])
+                    start = 0
+                    break
+            else:
+                if not anchors:
+                    break  # no ordering starts with this edge
+                last = order.pop()  # backtrack, then try the next index
+                used.remove(last)
+                covered.remove(anchors.pop()[2])
+                start = last + 1
+        if len(order) == m:
             return EdgeOrdering(tuple(edges[i] for i in order), tuple(anchors))
     return None  # includes the edgeless case: nothing to start from
 
 
 def prune_low_support(G, t):
-    """Repeatedly delete an edge one of whose pairs lies in at most t-3 edges.
+    """Repeatedly delete the edges one of whose pairs lies in at most t-3
+    edges, a whole sweep at a time, until a sweep deletes nothing.
 
-    The fixpoint is order-independent: every surviving pair supports 0 or at
-    least t-2 edges.
+    Supports only fall, so the fixpoint is order-independent: every surviving
+    pair supports 0 or at least t-2 edges.
     """
     if t < 3:
         raise ValueError("t must be at least 3")
     edges = set(G.edges)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         support = pair_support(edges)
-        for e in sorted(edges):
-            if any(support[p] <= t - 3 for p in combinations(e, 2)):
-                edges.remove(e)
-                changed = True
-                break
-    return Hypergraph(G.n, G.k, tuple(sorted(edges)))
+        low = {e for e in edges
+               if any(support[p] <= t - 3 for p in combinations(e, 2))}
+        if not low:
+            return Hypergraph(G.n, G.k, tuple(sorted(edges)))
+        edges -= low
 
 
 def embed_by_edge_order(G, H, ord):
@@ -148,37 +157,62 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _hfree_level_reps(n, H, deadline=0.0):
+def _hfree_level_reps(n, H, over):
     """Iterator over levels of H-free graphs on n labeled vertices up to
-    isomorphism: yields (edge_count, list of representatives, each the first
-    candidate seen in its class).  When the deadline (a monotonic() time, 0
-    for none) passes while a level is being built, yields (edge_count, None)
-    for that level and stops."""
-    empty = Hypergraph(n, 3, ())
-    level = {canonical_form(empty): empty}
-    count = 0
+    isomorphism: yields (edge_count, representatives), from the empty graph
+    at level 0.  over(k) charges k nodes and says whether the budget is spent;
+    it is called with k = 0 before each candidate and with k = the number of
+    representatives after each level.  Once it says so, yields
+    (edge_count, None) for the unfinished level and stops."""
     all_triples = list(combinations(range(n), 3))
-    yield count, list(level.values())
+    count, level = 0, [Hypergraph(n, 3, ())]
     while level:
+        yield count, level
+        count += 1
+        if over(len(level)):
+            yield count, None
+            return
         nxt = {}
-        for G in level.values():
+        for G in level:
             present = G.edge_set()
             for e in all_triples:
                 if e in present:
                     continue
-                if deadline and monotonic() > deadline:
-                    yield count + 1, None
+                if over(0):
+                    yield count, None
                     return
                 cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
-                if contains(cand, H) is not None:
-                    continue
-                key = canonical_form(cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        count += 1
-        level = nxt
-        if level:
-            yield count, list(level.values())
+                if contains(cand, H) is None:
+                    nxt.setdefault(canonical_form(cand), cand)
+        level = list(nxt.values())
+
+
+def _cached(kind, H, param, budget, cache, valid, search):
+    """The record for (kind, H, param): served from cache when valid(record)
+    is true, else computed by search(over) -> (value, status, witness) and
+    stored.  valid returns None when it cannot check within budget; such a
+    record is kept, a false one evicted.  over is as in _hfree_level_reps."""
+    key = canonical_form(H).decode()
+    if cache is not None:
+        rec = cache.get(kind, key, param)
+        if rec is not None and rec.status == "exact":
+            ok = valid(rec)
+            if ok:
+                return rec
+            if ok is not None:
+                cache.evict(kind, key, param)
+    deadline = budget.deadline()
+    nodes = 0
+
+    def over(k):
+        nonlocal nodes
+        nodes += k
+        return 0 < budget.max_nodes < nodes or 0 < deadline < monotonic()
+
+    rec = ResultRecord(kind, key, param, *search(over))
+    if cache is not None:
+        cache.put(rec)
+    return rec
 
 
 def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
@@ -186,41 +220,28 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
 
     Enumerates H-free graphs level by level with canonical-form dedup; the
     returned record carries an extremal witness.  On budget exhaustion the
-    status is lower_bound and the value is the best level reached.  The
-    deadline is checked per candidate graph, the node cap after each whole
-    level.  Only an exact cache record whose witness revalidates is served.
+    status is lower_bound and the value is the best level reached.  An exact
+    cache record is served only when its witness revalidates.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
-    key = canonical_form(H).decode()
-    if cache is not None:
-        rec = cache.get("ex", key, n)
-        if rec is not None and rec.status == "exact":
-            if (rec.witness.n == n and rec.witness.k == 3
-                    and len(rec.witness.edges) == rec.value
-                    and is_free(rec.witness, H)):
-                return rec
-            cache.evict("ex", key, n)
-    deadline = budget.deadline()
-    nodes = 0
-    best_value = 0
-    best_witness = Hypergraph(n, 3, ())
-    status = "exact"
-    for count, reps in _hfree_level_reps(n, H, deadline):
-        if reps is None:
-            status = "lower_bound"
-            break
-        best_value = count
-        best_witness = reps[0]
-        nodes += len(reps)
-        if (budget.max_nodes and nodes > budget.max_nodes) or \
-                (deadline and monotonic() > deadline):
-            status = "lower_bound"
-            break
-    rec = ResultRecord("ex", key, n, best_value, status, best_witness)
-    if cache is not None:
-        cache.put(rec)
-    return rec
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+
+    def valid(rec):
+        w = rec.witness
+        return w.n == n and w.k == 3 and len(w.edges) == rec.value \
+            and is_free(w, H)
+
+    def search(over):
+        # level 0, the empty graph, always comes first
+        for count, reps in _hfree_level_reps(n, H, over):
+            if reps is None:
+                return value, "lower_bound", witness
+            value, witness = count, reps[0]
+        return value, "exact", witness
+
+    return _cached("ex", H, n, budget, cache, valid, search)
 
 
 def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
@@ -229,8 +250,8 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     For each n, searches the H-free isomorphism classes for one with
     independence number below t; when none exists, n is the answer and the
     critical witness for n-1 is returned.  Hitting n_max or the budget gives
-    a lower_bound record (value = first n not yet decided).  Only an exact
-    cache record whose witness revalidates within budget is served.
+    a lower_bound record (value = first n not yet decided).  An exact cache
+    record is served only when its witness revalidates within budget.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -238,62 +259,36 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         raise ValueError("t must be at least 3")
     if not H.edges:
         raise ValueError("R(H, K_t) needs H with at least one edge")
-    key = canonical_form(H).decode()
-    if cache is not None:
-        rec = cache.get("ramsey", key, t)
-        if rec is not None and rec.status == "exact":
-            alpha = exact.independence_number(rec.witness, budget)
-            # a witness not checked within budget is kept, but not served
-            if alpha is not exact.EXHAUSTED:
-                if (rec.witness.n == rec.value - 1 and is_free(rec.witness, H)
-                        and alpha <= t - 1):
-                    return rec
-                cache.evict("ramsey", key, t)
-    deadline = budget.deadline()
-    nodes = 0
-    witness = Hypergraph(max(t - 1, 1), 3, ())  # empty graph: H-free, alpha = t-1
-    n = witness.n + 1
-    status = "exact"
-    value = None
-    while True:
-        if n > n_max:
-            status = "lower_bound"
-            value = n
-            break
-        found = None
-        out_of_budget = False
-        for _, reps in _hfree_level_reps(n, H, deadline):
-            if reps is None:
-                out_of_budget = True
+
+    def valid(rec):
+        alpha = exact.independence_number(rec.witness, budget)
+        if alpha is exact.EXHAUSTED:
+            return None
+        return rec.witness.n == rec.value - 1 and is_free(rec.witness, H) \
+            and alpha < t
+
+    def search(over):
+        witness = Hypergraph(max(t - 1, 1), 3, ())  # H-free, alpha = t-1
+        while witness.n < n_max:
+            n = witness.n + 1
+            for _, reps in _hfree_level_reps(n, H, over):
+                if reps is None:
+                    return n, "lower_bound", witness
+                for R in reps:
+                    alpha = exact.independence_number(R, budget)
+                    if alpha is exact.EXHAUSTED:
+                        return n, "lower_bound", witness
+                    if alpha < t:
+                        break
+                else:
+                    continue  # no class of this level has alpha < t
+                witness = R
                 break
-            nodes += len(reps)
-            for R in reps:
-                alpha = exact.independence_number(R, budget)
-                if alpha is exact.EXHAUSTED:
-                    out_of_budget = True
-                    break
-                if alpha <= t - 1:
-                    found = R
-                    break
-            if found is not None or out_of_budget:
-                break
-            if (budget.max_nodes and nodes > budget.max_nodes) or \
-                    (deadline and monotonic() > deadline):
-                out_of_budget = True
-                break
-        if out_of_budget:
-            status = "lower_bound"
-            value = n
-            break
-        if found is None:
-            value = n
-            break
-        witness = found
-        n += 1
-    rec = ResultRecord("ramsey", key, t, value, status, witness)
-    if cache is not None:
-        cache.put(rec)
-    return rec
+            else:
+                return n, "exact", witness  # no class on n vertices does
+        return witness.n + 1, "lower_bound", witness
+
+    return _cached("ramsey", H, t, budget, cache, valid, search)
 
 
 @dataclass(frozen=True)

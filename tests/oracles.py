@@ -3,13 +3,15 @@
 These deliberately avoid the library's search code: colorings and subsets by
 full enumeration, containment by raw injection scans, chains by sequence
 enumeration against the definitional validator, canonical forms by
-backtracking over every vertex relabeling.
+backtracking over every vertex relabeling, low-support pruning one edge at a
+time.
 """
 
 import itertools
 import random
 
-from hyperchrome.core import Coloring, incidence, is_ordered_chain, is_proper
+from hyperchrome.core import (Coloring, Hypergraph, incidence, is_ordered_chain,
+                              is_proper, pair_support)
 
 
 def all_colorings(n, k):
@@ -77,7 +79,6 @@ def brute_longest_chain(G, ordv):
 def brute_turan_ex(n, H):
     """ex(n, H) by enumerating every edge subset; use only for tiny n."""
     from hyperchrome.containment import contains
-    from hyperchrome.core import Hypergraph
 
     triples = list(itertools.combinations(range(n), 3))
     best = 0
@@ -88,6 +89,22 @@ def brute_turan_ex(n, H):
         if contains(Hypergraph(n, 3, edges), H) is None:
             best = len(edges)
     return best
+
+
+def one_at_a_time_prune(G, t):
+    """Low-support pruning one edge per pass: delete the least edge with a
+    pair in at most t-3 edges, recount, repeat until none is left."""
+    edges = set(G.edges)
+    changed = True
+    while changed:
+        changed = False
+        support = pair_support(edges)
+        for e in sorted(edges):
+            if any(support[p] <= t - 3 for p in itertools.combinations(e, 2)):
+                edges.remove(e)
+                changed = True
+                break
+    return Hypergraph(G.n, G.k, tuple(sorted(edges)))
 
 
 def pool_random_3graph(n, m, seed):

@@ -98,6 +98,7 @@ CASES = [
     ("ex", "ex --h {lp} --n 6", None),
     ("ex-budget", "ex --h {lp} --n 6 --budget-nodes 2", None),
     ("ex-cache", "ex --h {lp} --n 5 --cache {cache}", None),
+    ("ex-negative-n", "ex --h {lp} --n -1 --cache {cache}", None),
     ("ramsey", "ramsey --h {lp} --t 3", None),
     ("ramsey-n-max", "ramsey --h {lp} --t 3 --n-max 3", None),
     ("balance", "balance --in {c3}", None),
@@ -498,6 +499,8 @@ EXPECTED = {
          '"c2bc07b31a397b7b6d17e9dd83c7188389a9ca5cd82f276135acdac99a3f5c87"}, '
          '"params": {"n": 5}, "result": {"ex": 2}, "seed": null, "status": '
          '"exact"}'),
+    'ex-negative-n':
+        (1, '{"error": "vertex count must be nonnegative", "status": "failure"}\n'),
     'ramsey':
         (0,
          '{"certificate": {"type": "ramsey-witness", "witness": "3:3:1,2,3"}, '
@@ -686,6 +689,8 @@ EXPECTED_QUIET = {
         (0, 'ex(6, H) = 2 [lower_bound]\n'),
     'ex-cache':
         (0, 'ex(5, H) = 2 [exact]\n'),
+    'ex-negative-n':
+        (1, '{"error": "vertex count must be nonnegative", "status": "failure"}\n'),
     'ramsey':
         (0, 'R(H, K_3) = 4 [exact]\n'),
     'ramsey-n-max':

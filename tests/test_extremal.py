@@ -3,18 +3,23 @@ import os
 import random
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
 from hyperchrome.containment import embedding_ok, is_free
-from hyperchrome.core import canonical_form, is_linear, new_hypergraph
+from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
+                              new_hypergraph)
 from hyperchrome.exact import SearchBudget, independence_number
 
-from oracles import brute_canonical_form, brute_turan_ex
+from oracles import brute_canonical_form, brute_turan_ex, one_at_a_time_prune
 
 LP = cons.named("linear_pair")
 
@@ -50,6 +55,17 @@ class TestFindEdgeOrdering:
         H = new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         assert ext.find_edge_ordering(H) is None
 
+    def test_long_tight_path(self):
+        # edges {i, i+1, i+2}: a search one level deep per edge
+        m = 2000
+        H = Hypergraph(m + 2, 3, tuple((i, i + 1, i + 2) for i in range(m)))
+        eo = ext.find_edge_ordering(H)
+        assert eo is not None and eo.order == H.edges
+        for i, (j, pair, fresh) in enumerate(eo.anchors, start=1):
+            assert j < i and set(pair) <= set(eo.order[j])
+            assert eo.order[i] == tuple(sorted(pair + (fresh,)))
+            assert all(fresh not in e for e in eo.order[:i])
+
 
 class TestPruneLowSupport:
     def test_k6_unchanged(self):
@@ -71,7 +87,6 @@ class TestPruneLowSupport:
             assert once.edges == twice.edges
 
     def test_pair_support_postcondition(self):
-        from itertools import combinations
         for seed in range(15):
             G = cons.random_3graph(7, 20 + seed, 70 + seed)
             t = 4
@@ -81,6 +96,26 @@ class TestPruneLowSupport:
                 for p in combinations(e, 2):
                     support[p] = support.get(p, 0) + 1
             assert all(v >= t - 2 for v in support.values())
+
+    @given(st.integers(3, 9).flatmap(lambda n: st.lists(
+        st.sampled_from(list(combinations(range(n), 3))), unique=True,
+        max_size=40).map(lambda edges: Hypergraph(n, 3, tuple(sorted(edges))))),
+        st.integers(3, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_at_a_time(self, G, t):
+        assert ext.prune_low_support(G, t) == one_at_a_time_prune(G, t)
+
+    def test_ten_thousand_edges(self):
+        # a sparse random graph, all of it pruned, beside a K7, all of it
+        # kept: one edge per pass would recount 10^4 supports 10^4 times
+        n = 2000
+        sparse = cons.random_3graph(n, 10_000, 3).edges
+        k7 = tuple(combinations(range(n, n + 7), 3))
+        G = Hypergraph(n + 7, 3, sparse + k7)
+        started = time.monotonic()
+        pruned = ext.prune_low_support(G, 5)
+        assert time.monotonic() - started < 5.0
+        assert pruned.edges == k7
 
 
 class TestEmbedByEdgeOrder:
@@ -136,6 +171,12 @@ class TestTuranEx:
         rec = ext.turan_ex(n, LP)
         assert (rec.value, rec.status) == (value, "exact")
         assert is_linear(rec.witness) and len(rec.witness.edges) == value
+
+    def test_negative_n_rejected(self, tmp_path):
+        path = str(tmp_path / "cache.txt")
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            ext.turan_ex(-1, LP, cache=ResultCache(path))
+        assert not ResultCache(path).records
 
     def test_budget_gives_lower_bound(self):
         rec = ext.turan_ex(7, LP, SearchBudget(max_nodes=2))
