@@ -10,6 +10,7 @@ is reserved for violated call contracts.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from time import monotonic
 
 from . import exact
@@ -190,10 +191,18 @@ def lll_color(G, r, seed, max_resamples=None, check=True):
     """Moser-Tardos coloring: random assignment, then repeatedly re-randomize
     the lowest-index monochromatic edge until the coloring is proper.
 
+    One O(m) pass colors every vertex and collects the monochromatic edges
+    into a min-heap; the edge list is sorted, so the smallest heap entry is
+    the lowest-index one.  Entries are dropped lazily once no longer
+    monochromatic, and after a resample only the edges at its three vertices
+    are rechecked, so each step costs time proportional to their degrees.
+
     Deterministic per seed.  Default resample cap is 1000 * |E|; exceeding it
     returns a ColoringFailure("resample-cap").  With check=True (default) a
     failing lll_check raises ValueError; pass check=False to override.
     """
+    if G.k != 3:
+        raise ValueError("lll_color handles 3-graphs")
     if check and not lll_check(G, r).ok:
         raise ValueError("lll_check fails for this graph and palette; "
                          "pass check=False to override")
@@ -201,22 +210,27 @@ def lll_color(G, r, seed, max_resamples=None, check=True):
         max_resamples = 1000 * len(G.edges)
     rng = random.Random(seed)
     colors = [rng.randrange(r) for _ in range(G.n)]
+    at = incidence(G.n, G.edges)
+    # collected in edge order, so already a heap
+    mono = [e for e in G.edges
+            if colors[e[0]] == colors[e[1]] == colors[e[2]]]
     resamples = 0
-    while True:
-        mono = None
-        for e in G.edges:
-            c0 = colors[e[0]]
-            if colors[e[1]] == c0 and colors[e[2]] == c0:
-                mono = e
-                break
-        if mono is None:
-            return Coloring(tuple(colors), r)
+    while mono:
+        e = heappop(mono)
+        a, b, c = e
+        if not colors[a] == colors[b] == colors[c]:
+            continue  # stale: a resample since the push recolored it
         if resamples >= max_resamples:
             return ColoringFailure("resample-cap",
-                                   {"resamples": resamples, "edge": mono})
-        for v in mono:
+                                   {"resamples": resamples, "edge": e})
+        for v in e:
             colors[v] = rng.randrange(r)
         resamples += 1
+        for v in e:
+            for f in at[v]:
+                if colors[f[0]] == colors[f[1]] == colors[f[2]]:
+                    heappush(mono, f)
+    return Coloring(tuple(colors), r)
 
 
 def small_big_split(G, r):

@@ -150,7 +150,12 @@ def is_proper(G, coloring):
     cols = coloring.colors
     for e in G.edges:
         c0 = cols[e[0]]
-        if all(cols[v] == c0 for v in e[1:]):
+        if cols[e[1]] != c0:
+            continue  # most edges of a proper coloring stop here
+        for v in e:
+            if cols[v] != c0:
+                break
+        else:
             return False, e
     return True, None
 

@@ -47,6 +47,8 @@ def find_edge_ordering(H):
         raise ValueError(f"need |V| = |E| + 2, got |V|={t}, |E|={len(H.edges)}")
     edges = list(H.edges)
     m = len(edges)
+    if len({v for e in edges for v in e}) < t:
+        return None  # an ordering covers every vertex; this H leaves one out
 
     def anchor(idx, order, covered):
         """(j, pair, fresh) letting edges[idx] follow order, or None."""
@@ -87,7 +89,7 @@ def find_edge_ordering(H):
                 start = last + 1
         if len(order) == m:
             return EdgeOrdering(tuple(edges[i] for i in order), tuple(anchors))
-    return None  # includes the edgeless case: nothing to start from
+    return None
 
 
 def prune_low_support(G, t):
@@ -164,7 +166,6 @@ def _hfree_level_reps(n, H, over):
     it is called with k = 0 before each candidate and with k = the number of
     representatives after each level.  Once it says so, yields
     (edge_count, None) for the unfinished level and stops."""
-    all_triples = list(combinations(range(n), 3))
     count, level = 0, [Hypergraph(n, 3, ())]
     while level:
         yield count, level
@@ -175,7 +176,7 @@ def _hfree_level_reps(n, H, over):
         nxt = {}
         for G in level:
             present = G.edge_set()
-            for e in all_triples:
+            for e in combinations(range(n), 3):
                 if e in present:
                     continue
                 if over(0):

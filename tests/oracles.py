@@ -4,12 +4,13 @@ These deliberately avoid the library's search code: colorings and subsets by
 full enumeration, containment by raw injection scans, chains by sequence
 enumeration against the definitional validator, canonical forms by
 backtracking over every vertex relabeling, low-support pruning one edge at a
-time.
+time, local-lemma resampling by rescanning every edge after each step.
 """
 
 import itertools
 import random
 
+from hyperchrome.coloring import ColoringFailure
 from hyperchrome.core import (Coloring, Hypergraph, incidence, is_ordered_chain,
                               is_proper, pair_support)
 
@@ -124,6 +125,32 @@ def scan_greedy_independent(G):
                    for e in G.edges):
             chosen.add(v)
     return chosen
+
+
+def rescan_lll_color(G, r, seed, max_resamples=None):
+    """Moser-Tardos by full rescans: after every resample, scan the edges
+    from the first for a monochromatic one.  The reference that
+    coloring.lll_color(..., check=False) must match draw for draw."""
+    if max_resamples is None:
+        max_resamples = 1000 * len(G.edges)
+    rng = random.Random(seed)
+    colors = [rng.randrange(r) for _ in range(G.n)]
+    resamples = 0
+    while True:
+        mono = None
+        for e in G.edges:
+            c0 = colors[e[0]]
+            if colors[e[1]] == c0 and colors[e[2]] == c0:
+                mono = e
+                break
+        if mono is None:
+            return Coloring(tuple(colors), r)
+        if resamples >= max_resamples:
+            return ColoringFailure("resample-cap",
+                                   {"resamples": resamples, "edge": mono})
+        for v in mono:
+            colors[v] = rng.randrange(r)
+        resamples += 1
 
 
 def brute_canonical_form(G):

@@ -1,18 +1,35 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
-from hyperchrome.core import (Hypergraph, VertexOrder, is_ordered_chain,
-                              is_proper, new_hypergraph)
+from hyperchrome.core import (Coloring, Hypergraph, VertexOrder,
+                              is_ordered_chain, is_proper, new_hypergraph)
+
+from oracles import rescan_lll_color
 
 
 def matching(edges=5):
     return new_hypergraph(3 * edges, 3,
                           [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(edges)])
+
+
+def small_3graphs(n_max=14, m_max=40):
+    """Random 3-graphs on at most n_max vertices and m_max edges."""
+    def on(n):
+        pool = list(combinations(range(n), 3))
+        if not pool:
+            return st.just(Hypergraph(n, 3, ()))
+        return st.lists(st.sampled_from(pool), unique=True,
+                        max_size=m_max).map(
+            lambda edges: new_hypergraph(n, 3, edges))
+    return st.integers(0, n_max).flatmap(on)
 
 
 def random_order(n, seed):
@@ -211,6 +228,42 @@ class TestLllColor:
         res = col.lll_color(G, 1, seed=0, max_resamples=5, check=False)
         assert isinstance(res, col.ColoringFailure)
         assert res.stage == "resample-cap"
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rejects_2_uniform(self, check):
+        G = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="lll_color handles 3-graphs"):
+            col.lll_color(G, 3, seed=0, check=check)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rejects_4_uniform(self, check):
+        # vertex 3 differs, so only the first three vertices of the edge
+        # agree: that is no monochromatic edge, and no answer either
+        G = new_hypergraph(4, 4, [(0, 1, 2, 3)])
+        with pytest.raises(ValueError, match="lll_color handles 3-graphs"):
+            col.lll_color(G, 3, seed=0, check=check)
+
+    def test_layered_rejects_2_uniform(self):
+        G = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="lll_color handles 3-graphs"):
+            col.layered_color(G, 5, 3, seed=0, check=False)
+
+    @given(small_3graphs(), st.integers(1, 4), st.integers(0, 2 ** 32),
+           st.sampled_from([0, 1, 5, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan(self, G, r, seed, cap):
+        assert col.lll_color(G, r, seed, max_resamples=cap, check=False) == \
+            rescan_lll_color(G, r, seed, max_resamples=cap)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_rescan_medium(self, seed):
+        G = cons.random_3graph(2000, 20_000, seed)
+        r = 1
+        while not col.lll_check(G, r).ok:
+            r += 1
+        res = col.lll_color(G, r, seed)
+        assert isinstance(res, Coloring) and is_proper(G, res)[0]
+        assert res == rescan_lll_color(G, r, seed)
 
 
 class TestSmallBigSplit:

@@ -88,6 +88,16 @@ def uniform_graphs(k):
 any_graph = st.sampled_from([3, 4]).flatmap(uniform_graphs)
 
 
+@st.composite
+def colored_graphs(draw):
+    """A random 2-, 3- or 4-graph with a random coloring from 1..3 colors."""
+    G = draw(st.sampled_from([2, 3, 4]).flatmap(uniform_graphs))
+    palette = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(0, palette - 1),
+                           min_size=G.n, max_size=G.n))
+    return G, Coloring(tuple(colors), palette)
+
+
 class TestIndexLayer:
     """The index builders against their definitions, on 3- and 4-graphs."""
 
@@ -156,6 +166,15 @@ class TestIsProper:
     def test_partial_coloring_rejected(self):
         with pytest.raises(ValueError):
             is_proper(cons.complete(4), Coloring((0, 1), 2))
+
+    @given(colored_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_first_monochromatic_edge(self, case):
+        G, coloring = case
+        mono = [e for e in G.edges
+                if len({coloring.colors[v] for v in e}) == 1]
+        expected = (False, mono[0]) if mono else (True, None)
+        assert is_proper(G, coloring) == expected
 
 
 class TestIsLinear:

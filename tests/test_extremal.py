@@ -55,6 +55,16 @@ class TestFindEdgeOrdering:
         H = new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         assert ext.find_edge_ordering(H) is None
 
+    def test_uncovered_vertex_refused_at_once(self):
+        # {0,1,i} for i = 2..12 plus {0,2,3}: vertex 13 is in no edge, and
+        # the edges at the pair 0,1 can be interleaved in 11! ways
+        m = 12
+        H = new_hypergraph(m + 2, 3,
+                           [(0, 1, i) for i in range(2, m + 1)] + [(0, 2, 3)])
+        started = time.monotonic()
+        assert ext.find_edge_ordering(H) is None
+        assert time.monotonic() - started < 1.0
+
     def test_long_tight_path(self):
         # edges {i, i+1, i+2}: a search one level deep per edge
         m = 2000
@@ -183,6 +193,27 @@ class TestTuranEx:
         assert rec.status == "lower_bound"
         assert rec.value <= 7
         assert is_free(rec.witness, LP)
+
+    def test_large_n_in_bounded_memory(self):
+        # the C(1000, 3) candidate triples would take several GB as a list;
+        # the child process is capped at 512 MB of address space
+        script = (
+            "import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from hyperchrome.constructions import loose_path\n"
+            "from hyperchrome.exact import SearchBudget\n"
+            "from hyperchrome.extremal import turan_ex\n"
+            "started = time.monotonic()\n"
+            "rec = turan_ex(1000, loose_path(2), SearchBudget(max_millis=50))\n"
+            "assert time.monotonic() - started < 5.0\n"
+            "print(rec.value, rec.status)\n")
+        src = str(Path(ext.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout == "0 lower_bound\n"
 
 
 K4 = cons.named("k4")
