@@ -237,8 +237,7 @@ class TestLllColor:
 
     @pytest.mark.parametrize("check", [True, False])
     def test_rejects_4_uniform(self, check):
-        # vertex 3 differs, so only the first three vertices of the edge
-        # agree: that is no monochromatic edge, and no answer either
+        # judging an edge by its first three vertices would be wrong here
         G = new_hypergraph(4, 4, [(0, 1, 2, 3)])
         with pytest.raises(ValueError, match="lll_color handles 3-graphs"):
             col.lll_color(G, 3, seed=0, check=check)

@@ -205,15 +205,16 @@ class TestTuranEx:
             "from hyperchrome.extremal import turan_ex\n"
             "started = time.monotonic()\n"
             "rec = turan_ex(1000, loose_path(2), SearchBudget(max_millis=50))\n"
-            "assert time.monotonic() - started < 5.0\n"
-            "print(rec.value, rec.status)\n")
+            "print(rec.value, rec.status, time.monotonic() - started)\n")
         src = str(Path(ext.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr[-500:]
-        assert proc.stdout == "0 lower_bound\n"
+        value, status, seconds = proc.stdout.split()
+        assert (value, status) == ("0", "lower_bound")
+        assert float(seconds) < 5.0
 
 
 K4 = cons.named("k4")
