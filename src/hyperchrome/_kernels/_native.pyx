@@ -1,7 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled search kernels, exact k-coloring and maximum independent set:
 step-for-step twins of pure.py for n <= 64.  This file is the only native
-source; Cython turns it into C at build time (setup.py)."""
+source; Cython turns it into C at build time (setup.py).
+
+kcolor_search keeps the forward-checking ban counts in a flat int[n*k] and
+the per-position ban logs on one int stack; mis_search keeps the chosen and
+dead sets in 64-bit masks and bounds by a popcount.  Both search on explicit
+stacks and count a node when it is entered, as pure.py does."""
 
 from libc.stdlib cimport malloc, free
 from time import monotonic
@@ -12,181 +17,217 @@ EXHAUSTED = 2
 
 DEF TIME_CHECK_MASK = 4095
 
-
-cdef struct KState:
-    int n
-    int k
-    int *order
-    int *colors
-    int *pa
-    int *pstart
-    long long nodes
-    long long max_nodes
-    double deadline
-    bint exhausted
+cdef extern from *:
+    int __builtin_popcountll(unsigned long long x) nogil
 
 
-cdef bint _kcolor_dfs(KState *st, int p):
-    cdef int v, c, cmax, pos, a, b
-    cdef bint ok
-    st.nodes += 1
-    if st.max_nodes and st.nodes > st.max_nodes:
-        st.exhausted = True
-        return False
-    if st.deadline and (st.nodes & TIME_CHECK_MASK) == 0 and monotonic() > st.deadline:
-        st.exhausted = True
-        return False
-    if p == st.n:
-        return True
-    v = st.order[p]
-    cmax = p if p < st.k - 1 else st.k - 1
-    for c in range(cmax + 1):
-        ok = True
-        for pos in range(st.pstart[v], st.pstart[v + 1]):
-            a = st.pa[2 * pos]
-            b = st.pa[2 * pos + 1]
-            if st.colors[a] == c and st.colors[b] == c:
-                ok = False
-                break
-        if ok:
-            st.colors[v] = c
-            if _kcolor_dfs(st, p + 1):
-                return True
-            st.colors[v] = -1
-            if st.exhausted:
-                return False
-    return False
+cdef inline void _unban(int *bans, int *nbanned, int *log, int lo, int hi,
+                        int c, int k) noexcept:
+    cdef int j, i, u
+    for j in range(lo, hi):
+        u = log[j]
+        i = u * k + c
+        bans[i] -= 1
+        if bans[i] == 0:
+            nbanned[u] -= 1
 
 
 def kcolor_search(int n, list edges, int k, list order,
                   long long max_nodes=0, double deadline=0.0):
     if n == 0:
         return FOUND, []
+    if k > n:
+        k = n  # at most n - 1 colors are ever in use, so no search change
     cdef int m = len(edges)
-    cdef KState st
-    cdef int i, v, a, b, c, pos
+    cdef int i, v, a, b, c, u, pos, p, base, cmax, top
+    cdef bint wiped, entered
+    cdef long long nodes
     cdef int *pcount = <int *> malloc(n * sizeof(int))
-    st.n = n
-    st.k = k
-    st.nodes = 0
-    st.max_nodes = max_nodes
-    st.deadline = deadline
-    st.exhausted = False
-    st.order = <int *> malloc(n * sizeof(int))
-    st.colors = <int *> malloc(n * sizeof(int))
-    st.pa = <int *> malloc(3 * m * 2 * sizeof(int)) if m else <int *> malloc(sizeof(int))
-    st.pstart = <int *> malloc((n + 1) * sizeof(int))
+    cdef int *ords = <int *> malloc(n * sizeof(int))
+    cdef int *colors = <int *> malloc(n * sizeof(int))
+    cdef int *pa = <int *> malloc((6 * m if m else 1) * sizeof(int))
+    cdef int *pstart = <int *> malloc((n + 1) * sizeof(int))
+    # bans[u*k + c]: edges banning c at uncolored u
+    cdef int *bans = <int *> malloc((n * k if k > 0 else 1) * sizeof(int))
+    cdef int *nbanned = <int *> malloc(n * sizeof(int))
+    cdef int *tried = <int *> malloc(n * sizeof(int))
+    cdef int *used = <int *> malloc((n + 1) * sizeof(int))
+    # the ban log of position p is log[logstart[p]:logstart[p + 1]]; a path
+    # bans at most once per pair of each of its vertices, 3m in all
+    cdef int *log = <int *> malloc((3 * m if m else 1) * sizeof(int))
+    cdef int *logstart = <int *> malloc((n + 1) * sizeof(int))
     try:
         for i in range(n):
-            st.order[i] = order[i]
-            st.colors[i] = -1
+            ords[i] = order[i]
+            colors[i] = -1
             pcount[i] = 0
+            nbanned[i] = 0
+            tried[i] = -1
+        for i in range(n * k):
+            bans[i] = 0
         for i in range(m):
             a, b, c = edges[i]
             pcount[a] += 1
             pcount[b] += 1
             pcount[c] += 1
-        st.pstart[0] = 0
+        pstart[0] = 0
         for v in range(n):
-            st.pstart[v + 1] = st.pstart[v] + pcount[v]
+            pstart[v + 1] = pstart[v] + pcount[v]
             pcount[v] = 0
         for i in range(m):
             a, b, c = edges[i]
-            pos = st.pstart[a] + pcount[a]; st.pa[2 * pos] = b; st.pa[2 * pos + 1] = c; pcount[a] += 1
-            pos = st.pstart[b] + pcount[b]; st.pa[2 * pos] = a; st.pa[2 * pos + 1] = c; pcount[b] += 1
-            pos = st.pstart[c] + pcount[c]; st.pa[2 * pos] = a; st.pa[2 * pos + 1] = b; pcount[c] += 1
-        if _kcolor_dfs(&st, 0):
-            return FOUND, [st.colors[i] for i in range(n)]
-        if st.exhausted:
-            return EXHAUSTED, None
-        return NONE, None
+            pos = pstart[a] + pcount[a]; pa[2 * pos] = b; pa[2 * pos + 1] = c; pcount[a] += 1
+            pos = pstart[b] + pcount[b]; pa[2 * pos] = a; pa[2 * pos + 1] = c; pcount[b] += 1
+            pos = pstart[c] + pcount[c]; pa[2 * pos] = a; pa[2 * pos + 1] = b; pcount[c] += 1
+        used[0] = 0
+        logstart[0] = 0
+        nodes = 1
+        p = 0
+        while True:
+            v = ords[p]
+            base = v * k
+            cmax = used[p] if used[p] < k - 1 else k - 1
+            c = tried[p] + 1
+            top = logstart[p]
+            entered = False
+            while c <= cmax:
+                if bans[base + c] == 0:
+                    top = logstart[p]
+                    wiped = False
+                    for pos in range(pstart[v], pstart[v + 1]):
+                        a = pa[2 * pos]
+                        b = pa[2 * pos + 1]
+                        if colors[a] == c:
+                            if colors[b] >= 0:
+                                continue
+                            u = b
+                        elif colors[a] < 0 and colors[b] == c:
+                            u = a
+                        else:
+                            continue
+                        i = u * k + c
+                        bans[i] += 1
+                        log[top] = u
+                        top += 1
+                        if bans[i] == 1:
+                            nbanned[u] += 1
+                            if nbanned[u] == k:
+                                wiped = True
+                                break
+                    if not wiped:
+                        entered = True
+                        break
+                    _unban(bans, nbanned, log, logstart[p], top, c, k)
+                c += 1
+            if not entered:
+                # every color tried: back up to the previous position
+                tried[p] = -1
+                p -= 1
+                if p < 0:
+                    return NONE, None
+                colors[ords[p]] = -1
+                _unban(bans, nbanned, log, logstart[p], logstart[p + 1], tried[p], k)
+                continue
+            colors[v] = c
+            tried[p] = c
+            logstart[p + 1] = top
+            used[p + 1] = used[p] if c < used[p] else c + 1
+            nodes += 1
+            if max_nodes and nodes > max_nodes:
+                return EXHAUSTED, None
+            if deadline and (nodes & TIME_CHECK_MASK) == 0 and monotonic() > deadline:
+                return EXHAUSTED, None
+            p += 1
+            if p == n:
+                return FOUND, [colors[i] for i in range(n)]
     finally:
-        free(st.order); free(st.colors); free(st.pa); free(st.pstart); free(pcount)
-
-
-cdef struct MState:
-    int n
-    unsigned long long *emasks
-    int *estart
-    long long nodes
-    long long max_nodes
-    double deadline
-    bint exhausted
-    int best_size
-    unsigned long long best_mask
-
-
-cdef void _mis_dfs(MState *st, int idx, unsigned long long chosen, int count):
-    cdef unsigned long long bit
-    cdef int pos
-    cdef bint legal
-    st.nodes += 1
-    if st.max_nodes and st.nodes > st.max_nodes:
-        st.exhausted = True
-        return
-    if st.deadline and (st.nodes & TIME_CHECK_MASK) == 0 and monotonic() > st.deadline:
-        st.exhausted = True
-        return
-    if count + (st.n - idx) <= st.best_size:
-        return
-    if idx == st.n:
-        st.best_size = count
-        st.best_mask = chosen
-        return
-    bit = (<unsigned long long> 1) << idx
-    legal = True
-    for pos in range(st.estart[idx], st.estart[idx + 1]):
-        if st.emasks[pos] & ~(chosen | bit) == 0:
-            legal = False
-            break
-    if legal:
-        _mis_dfs(st, idx + 1, chosen | bit, count + 1)
-        if st.exhausted:
-            return
-    _mis_dfs(st, idx + 1, chosen, count)
+        free(pcount); free(ords); free(colors); free(pa); free(pstart)
+        free(bans); free(nbanned); free(tried); free(used); free(log)
+        free(logstart)
 
 
 def mis_search(int n, list edges, long long max_nodes=0, double deadline=0.0):
     if n == 0:
         return FOUND, []
-    cdef int m = len(edges)
-    cdef MState st
-    cdef int i, v, total, pos
-    cdef unsigned long long mask
+    cdef int i, v, total, pos, idx, count, sp
+    cdef int best_size = -1
+    cdef long long nodes = 0
+    cdef bint exhausted = False
+    cdef unsigned long long mask, chosen, dead, with_v, new_dead, rest, rem
+    cdef unsigned long long best_mask = 0
+    cdef unsigned long long full = \
+        ~(<unsigned long long> 0) if n == 64 else ((<unsigned long long> 1) << n) - 1
+    cdef bint legal
+    cdef unsigned long long *emasks
     cdef int *ecount = <int *> malloc(n * sizeof(int))
-    st.n = n
-    st.nodes = 0
-    st.max_nodes = max_nodes
-    st.deadline = deadline
-    st.exhausted = False
-    st.best_size = -1
-    st.best_mask = 0
-    st.estart = <int *> malloc((n + 1) * sizeof(int))
+    cdef int *estart = <int *> malloc((n + 1) * sizeof(int))
+    # the stack holds at most one pending exclude child per level, plus one
+    cdef int *s_idx = <int *> malloc((n + 2) * sizeof(int))
+    cdef int *s_count = <int *> malloc((n + 2) * sizeof(int))
+    cdef unsigned long long *s_chosen = \
+        <unsigned long long *> malloc((n + 2) * sizeof(unsigned long long))
+    cdef unsigned long long *s_dead = \
+        <unsigned long long *> malloc((n + 2) * sizeof(unsigned long long))
     total = 0
     for e in edges:
         total += len(e)
-    st.emasks = <unsigned long long *> malloc(total * sizeof(unsigned long long)) if total \
-        else <unsigned long long *> malloc(sizeof(unsigned long long))
+    emasks = <unsigned long long *> malloc(
+        (total if total else 1) * sizeof(unsigned long long))
     try:
         for i in range(n):
             ecount[i] = 0
         for e in edges:
             for v in e:
                 ecount[v] += 1
-        st.estart[0] = 0
+        estart[0] = 0
         for i in range(n):
-            st.estart[i + 1] = st.estart[i] + ecount[i]
+            estart[i + 1] = estart[i] + ecount[i]
             ecount[i] = 0
         for e in edges:
             mask = 0
             for v in e:
                 mask |= (<unsigned long long> 1) << v
             for v in e:
-                pos = st.estart[v] + ecount[v]
-                st.emasks[pos] = mask
+                pos = estart[v] + ecount[v]
+                emasks[pos] = mask
                 ecount[v] += 1
-        _mis_dfs(&st, 0, 0, 0)
-        best = [i for i in range(n) if (st.best_mask >> i) & 1]
-        return (EXHAUSTED, best) if st.exhausted else (FOUND, best)
+        s_idx[0] = 0; s_chosen[0] = 0; s_count[0] = 0; s_dead[0] = 0
+        sp = 1
+        while sp:
+            sp -= 1
+            idx = s_idx[sp]; chosen = s_chosen[sp]; count = s_count[sp]; dead = s_dead[sp]
+            nodes += 1
+            if max_nodes and nodes > max_nodes:
+                exhausted = True
+                break
+            if deadline and (nodes & TIME_CHECK_MASK) == 0 and monotonic() > deadline:
+                exhausted = True
+                break
+            rem = (full >> idx) << idx if idx < 64 else 0
+            if count + __builtin_popcountll(rem & ~dead) <= best_size:
+                continue
+            if idx == n:
+                best_size = count
+                best_mask = chosen
+                continue
+            s_idx[sp] = idx + 1; s_chosen[sp] = chosen; s_count[sp] = count; s_dead[sp] = dead
+            sp += 1
+            with_v = chosen | ((<unsigned long long> 1) << idx)
+            new_dead = dead
+            legal = True
+            for pos in range(estart[idx], estart[idx + 1]):
+                rest = emasks[pos] & ~with_v
+                if rest == 0:
+                    legal = False
+                    break
+                if rest & (rest - 1) == 0:
+                    new_dead |= rest
+            if legal:
+                s_idx[sp] = idx + 1; s_chosen[sp] = with_v; s_count[sp] = count + 1
+                s_dead[sp] = new_dead
+                sp += 1
+        best = [i for i in range(n) if (best_mask >> i) & 1]
+        return (EXHAUSTED, best) if exhausted else (FOUND, best)
     finally:
-        free(st.estart); free(st.emasks); free(ecount)
+        free(ecount); free(estart); free(emasks)
+        free(s_idx); free(s_count); free(s_chosen); free(s_dead)

@@ -4,6 +4,14 @@ The compiled twin in ``_native.pyx`` implements the same two algorithms step
 for step; results must be bit-identical for equal inputs (budget-by-wall-clock
 aside).  These run whenever the extension is not built or n > 64.
 
+Both searches run on an explicit stack, so their depth is bounded by memory,
+not by the interpreter's recursion limit.  A search node is counted when it
+is entered; ``max_nodes`` caps that count.  Every pruning rule below only
+skips subtrees that hold no better answer, so the tree is a subset of the
+plain backtracking tree, visited in the same order: the answers equal the
+plain search's, and a node cap under which the plain search finishes is
+never hit.
+
 Statuses: 0 = found/exact, 1 = definitive none, 2 = budget exhausted.
 """
 
@@ -21,56 +29,101 @@ _TIME_CHECK_MASK = 4095
 def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     """Backtracking k-colorability along a fixed vertex order.
 
-    Symmetry broken by capping the vertex at position p to colors 0..min(p, k-1).
-    A color c is infeasible at v iff some edge holds v plus two vertices
-    already colored c.  Returns (status, colors-or-None).
+    Colors are tried in increasing order.  First-use symmetry: a vertex may
+    take colors 0..min(used, k-1), where used is the number of colors the
+    earlier vertices use, so solutions come out in first-use normal form.
+    A color c is banned at v iff some edge holds v plus two vertices already
+    colored c.  Forward checking keeps, per (vertex, color), the count of
+    such edges: coloring v with c bans c at b for every edge {v, a, b} with
+    a colored c and b uncolored, and a child in which some uncolored vertex
+    has all k colors banned is not entered.  Returns (status, colors-or-None):
+    the lexicographically least proper k-coloring along the order.
     """
     if n == 0:
         return FOUND, []
+    k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
     pairs = pairs_at(n, edges)
     colors = [-1] * n
-    nodes = 0
-    exhausted = False
-
-    def dfs(p):
-        nonlocal nodes, exhausted
+    bans = [0] * (n * k)   # bans[u*k + c]: edges banning c at uncolored u
+    nbanned = [0] * n      # colors with a nonzero ban count, per vertex
+    tried = [-1] * n       # tried[p]: color at position p, or the last tried
+    used = [0] * (n + 1)   # used[p]: colors in use at positions < p
+    logs = [None] * n      # logs[p]: vertices whose ban count p's color raised
+    nodes = 1              # the root, position 0, is entered
+    p = 0
+    while True:
+        v = order[p]
+        base = v * k
+        cmax = min(used[p], k - 1)
+        c = tried[p] + 1
+        log = None
+        while c <= cmax:
+            if not bans[base + c]:
+                log = []
+                wiped = False
+                for a, b in pairs[v]:
+                    ca = colors[a]
+                    if ca == c:
+                        if colors[b] >= 0:
+                            continue
+                        u = b
+                    elif ca < 0 and colors[b] == c:
+                        u = a
+                    else:
+                        continue
+                    i = u * k + c
+                    bans[i] += 1
+                    log.append(u)
+                    if bans[i] == 1:
+                        nbanned[u] += 1
+                        if nbanned[u] == k:
+                            wiped = True
+                            break
+                if not wiped:
+                    break
+                _unban(log, c, k, bans, nbanned)
+                log = None
+            c += 1
+        if log is None:
+            # every color tried: back up to the previous position
+            tried[p] = -1
+            p -= 1
+            if p < 0:
+                return NONE, None
+            colors[order[p]] = -1
+            _unban(logs[p], tried[p], k, bans, nbanned)
+            continue
+        colors[v] = c
+        tried[p] = c
+        logs[p] = log
+        used[p + 1] = used[p] if c < used[p] else c + 1
         nodes += 1
         if max_nodes and nodes > max_nodes:
-            exhausted = True
-            return False
+            return EXHAUSTED, None
         if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-            exhausted = True
-            return False
+            return EXHAUSTED, None
+        p += 1
         if p == n:
-            return True
-        v = order[p]
-        cmax = min(p, k - 1)
-        for c in range(cmax + 1):
-            ok = True
-            for a, b in pairs[v]:
-                if colors[a] == c and colors[b] == c:
-                    ok = False
-                    break
-            if ok:
-                colors[v] = c
-                if dfs(p + 1):
-                    return True
-                colors[v] = -1
-                if exhausted:
-                    return False
-        return False
+            return FOUND, colors
 
-    if dfs(0):
-        return FOUND, colors
-    return (EXHAUSTED, None) if exhausted else (NONE, None)
+
+def _unban(log, c, k, bans, nbanned):
+    for u in log:
+        i = u * k + c
+        bans[i] -= 1
+        if not bans[i]:
+            nbanned[u] -= 1
 
 
 def mis_search(n, edges, max_nodes=0, deadline=0.0):
     """Maximum independent set by include/exclude branch and bound.
 
-    Vertices are considered in index order, include branch first; the bound
-    is |current| + |remaining|.  Independence means containing no full edge.
-    Returns (status, best-vertex-list); on exhaustion the best found so far.
+    Vertices are considered in index order, include branch first.  A node
+    carries the chosen set and the dead set: later vertices that some edge
+    rules out because its other vertices are all chosen.  The bound is
+    |chosen| + |remaining vertices not dead|.  Independence means containing
+    no full edge.  Returns (status, best-vertex-list): the first maximum set
+    in include-first order, or on exhaustion the best found so far.
     """
     if n == 0:
         return FOUND, []
@@ -81,40 +134,37 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
             mask |= 1 << v
         for v in e:
             masks_at[v].append(mask)
+    full = (1 << n) - 1
     best_size = -1
-    best = []
+    best_mask = 0
     nodes = 0
-    exhausted = False
-    chosen_list = []
-
-    def dfs(idx, chosen_mask, count):
-        nonlocal nodes, exhausted, best_size, best
+    stack = [(0, 0, 0, 0)]  # (idx, chosen mask, |chosen|, dead mask)
+    while stack:
+        idx, chosen, count, dead = stack.pop()
         nodes += 1
         if max_nodes and nodes > max_nodes:
-            exhausted = True
-            return
+            return EXHAUSTED, _members(best_mask, n)
         if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-            exhausted = True
-            return
-        if count + (n - idx) <= best_size:
-            return
+            return EXHAUSTED, _members(best_mask, n)
+        if count + ((full >> idx << idx) & ~dead).bit_count() <= best_size:
+            continue
         if idx == n:
             best_size = count
-            best = list(chosen_list)
-            return
-        bit = 1 << idx
-        legal = True
+            best_mask = chosen
+            continue
+        stack.append((idx + 1, chosen, count, dead))
+        with_v = chosen | (1 << idx)
+        new_dead = dead
         for mask in masks_at[idx]:
-            if mask & ~(chosen_mask | bit) == 0:
-                legal = False
+            rest = mask & ~with_v
+            if not rest:
                 break
-        if legal:
-            chosen_list.append(idx)
-            dfs(idx + 1, chosen_mask | bit, count + 1)
-            chosen_list.pop()
-            if exhausted:
-                return
-        dfs(idx + 1, chosen_mask, count)
+            if not rest & (rest - 1):
+                new_dead |= rest
+        else:
+            stack.append((idx + 1, with_v, count + 1, new_dead))
+    return FOUND, _members(best_mask, n)
 
-    dfs(0, 0, 0)
-    return (EXHAUSTED, best) if exhausted else (FOUND, best)
+
+def _members(mask, n):
+    return [i for i in range(n) if (mask >> i) & 1]

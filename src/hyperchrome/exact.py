@@ -48,10 +48,16 @@ EXHAUSTED = _Exhausted()
 def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     """A proper k-coloring if one exists, None if definitively not, or EXHAUSTED.
 
-    Backtracks over vertices in descending-degree order with symmetry
-    breaking (the i-th processed vertex uses only colors 0..i while i < k)
-    and the rule that an edge with two vertices of one color forbids that
-    color on the third.
+    Backtracks over vertices in descending-degree order, trying colors in
+    increasing order.  First-use symmetry breaking: a vertex takes only
+    colors 0..min(used, k-1), where used is the number of colors already in
+    use.  An edge with two vertices of one color forbids that color on the
+    third, and forward checking keeps those bans per uncolored vertex, so no
+    branch is entered that leaves an uncolored vertex with all k colors
+    banned.  The coloring returned is the lexicographically least along the
+    order.  The node cap counts entered branches; _deadline, when given,
+    replaces the budget's wall-clock cap with a deadline shared by a larger
+    computation.
     """
     if k < 1:
         raise ValueError("palette must be at least 1")
@@ -89,18 +95,22 @@ def chromatic_number(G, budget=UNLIMITED):
     return res if res is EXHAUSTED else res.palette
 
 
-def max_independent_set(G, budget=UNLIMITED):
+def max_independent_set(G, budget=UNLIMITED, _deadline=None):
     """A maximum vertex set containing no full edge, or EXHAUSTED.
 
-    Branch and bound on include/exclude with the bound |current| + |remaining|.
+    Branch and bound on include/exclude, include first, in vertex order.
+    The bound is |current| + |remaining vertices not dead|, where a dead
+    vertex is one that some edge rules out because its other vertices are
+    all chosen.  _deadline is as in k_colorable.
     """
+    deadline = budget.deadline() if _deadline is None else _deadline
     status, best = _kernels.mis_search(
-        G.n, G.edges, budget.max_nodes, budget.deadline())
+        G.n, G.edges, budget.max_nodes, deadline)
     if status == _kernels.EXHAUSTED:
         return EXHAUSTED
     return frozenset(best)
 
 
-def independence_number(G, budget=UNLIMITED):
-    res = max_independent_set(G, budget)
+def independence_number(G, budget=UNLIMITED, _deadline=None):
+    res = max_independent_set(G, budget, _deadline)
     return res if res is EXHAUSTED else len(res)

@@ -5,9 +5,10 @@ turan_ex and ramsey are thin callers of one level search and one cache
 driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
 by edge count: each candidate gets one core.canonical_form call
 (individualization-refinement), and the first candidate seen in each class is
-its representative.  It is the only place the budget is checked: the deadline
-before each candidate, the node cap after each whole level (a level's
-representatives are its nodes).  Budget-limited outcomes are labeled
+its representative.  It checks the budget: the deadline before each
+candidate, the node cap after each whole level (a level's representatives
+are its nodes).  ramsey's independence-number calls check the same deadline
+and a node cap of their own.  Budget-limited outcomes are labeled
 lower_bound and carry the best witness found.  _cached owns the cache
 policy: records are keyed by canonical_form(H), only an exact record whose
 witness revalidates is served, one that fails revalidation is evicted, and
@@ -188,11 +189,13 @@ def _hfree_level_reps(n, H, over):
         level = list(nxt.values())
 
 
-def _cached(kind, H, param, budget, cache, valid, search):
+def _cached(kind, H, param, budget, deadline, cache, valid, search):
     """The record for (kind, H, param): served from cache when valid(record)
     is true, else computed by search(over) -> (value, status, witness) and
     stored.  valid returns None when it cannot check within budget; such a
-    record is kept, a false one evicted.  over is as in _hfree_level_reps."""
+    record is kept, a false one evicted.  over is as in _hfree_level_reps;
+    it charges budget.max_nodes and checks deadline, the caller's one
+    wall-clock deadline (0.0 for none)."""
     key = canonical_form(H).decode()
     if cache is not None:
         rec = cache.get(kind, key, param)
@@ -202,7 +205,6 @@ def _cached(kind, H, param, budget, cache, valid, search):
                 return rec
             if ok is not None:
                 cache.evict(kind, key, param)
-    deadline = budget.deadline()
     nodes = 0
 
     def over(k):
@@ -242,7 +244,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
             value, witness = count, reps[0]
         return value, "exact", witness
 
-    return _cached("ex", H, n, budget, cache, valid, search)
+    return _cached("ex", H, n, budget, budget.deadline(), cache, valid, search)
 
 
 def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
@@ -252,7 +254,10 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     independence number below t; when none exists, n is the answer and the
     critical witness for n-1 is returned.  Hitting n_max or the budget gives
     a lower_bound record (value = first n not yet decided).  An exact cache
-    record is served only when its witness revalidates within budget.
+    record is served only when its witness revalidates within budget.  The
+    level search and every independence-number call, revalidation included,
+    share one wall-clock deadline; the node cap applies to the level search
+    and to each independence-number call separately.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -261,8 +266,13 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     if not H.edges:
         raise ValueError("R(H, K_t) needs H with at least one edge")
 
+    deadline = budget.deadline()
+
+    def alpha_of(G):
+        return exact.independence_number(G, budget, _deadline=deadline)
+
     def valid(rec):
-        alpha = exact.independence_number(rec.witness, budget)
+        alpha = alpha_of(rec.witness)
         if alpha is exact.EXHAUSTED:
             return None
         return rec.witness.n == rec.value - 1 and is_free(rec.witness, H) \
@@ -276,7 +286,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
                 if reps is None:
                     return n, "lower_bound", witness
                 for R in reps:
-                    alpha = exact.independence_number(R, budget)
+                    alpha = alpha_of(R)
                     if alpha is exact.EXHAUSTED:
                         return n, "lower_bound", witness
                     if alpha < t:
@@ -289,7 +299,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
                 return n, "exact", witness  # no class on n vertices does
         return witness.n + 1, "lower_bound", witness
 
-    return _cached("ramsey", H, t, budget, cache, valid, search)
+    return _cached("ramsey", H, t, budget, deadline, cache, valid, search)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ These deliberately avoid the library's search code: colorings and subsets by
 full enumeration, containment by raw injection scans, chains by sequence
 enumeration against the definitional validator, canonical forms by
 backtracking over every vertex relabeling, low-support pruning one edge at a
-time, local-lemma resampling by rescanning every edge after each step.
+time, local-lemma resampling by rescanning every edge after each step, the
+exact kernels by plain recursive backtracking with no pruning beyond
+infeasibility and the trivial bound.
 """
 
 import itertools
 import random
+from time import monotonic
 
+from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
 from hyperchrome.coloring import ColoringFailure
 from hyperchrome.core import (Coloring, Hypergraph, incidence, is_ordered_chain,
-                              is_proper, pair_support)
+                              is_proper, pair_support, pairs_at)
 
 
 def all_colorings(n, k):
@@ -206,3 +210,113 @@ def brute_canonical_form(G):
     final = sorted(best[0])
     body = "/".join(",".join(str(v) for v in e) for e in final)
     return f"{n}:{k}|{body}".encode()
+
+
+_TIME_CHECK_MASK = 4095
+
+
+def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
+    """Backtracking k-colorability along a fixed vertex order, recursively
+    and without pruning beyond infeasibility: the reference that
+    _kernels.pure.kcolor_search and its native twin must match, node caps
+    included.
+
+    Symmetry broken by capping the vertex at position p to colors 0..min(p, k-1).
+    A color c is infeasible at v iff some edge holds v plus two vertices
+    already colored c.  Returns (status, colors-or-None).
+    """
+    if n == 0:
+        return FOUND, []
+    pairs = pairs_at(n, edges)
+    colors = [-1] * n
+    nodes = 0
+    exhausted = False
+
+    def dfs(p):
+        nonlocal nodes, exhausted
+        nodes += 1
+        if max_nodes and nodes > max_nodes:
+            exhausted = True
+            return False
+        if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
+            exhausted = True
+            return False
+        if p == n:
+            return True
+        v = order[p]
+        cmax = min(p, k - 1)
+        for c in range(cmax + 1):
+            ok = True
+            for a, b in pairs[v]:
+                if colors[a] == c and colors[b] == c:
+                    ok = False
+                    break
+            if ok:
+                colors[v] = c
+                if dfs(p + 1):
+                    return True
+                colors[v] = -1
+                if exhausted:
+                    return False
+        return False
+
+    if dfs(0):
+        return FOUND, colors
+    return (EXHAUSTED, None) if exhausted else (NONE, None)
+
+
+def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
+    """Maximum independent set by include/exclude branch and bound, with the
+    plain bound: the reference that _kernels.pure.mis_search and its native
+    twin must match, node caps included.
+
+    Vertices are considered in index order, include branch first; the bound
+    is |current| + |remaining|.  Independence means containing no full edge.
+    Returns (status, best-vertex-list); on exhaustion the best found so far.
+    """
+    if n == 0:
+        return FOUND, []
+    masks_at = [[] for _ in range(n)]
+    for e in edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            masks_at[v].append(mask)
+    best_size = -1
+    best = []
+    nodes = 0
+    exhausted = False
+    chosen_list = []
+
+    def dfs(idx, chosen_mask, count):
+        nonlocal nodes, exhausted, best_size, best
+        nodes += 1
+        if max_nodes and nodes > max_nodes:
+            exhausted = True
+            return
+        if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
+            exhausted = True
+            return
+        if count + (n - idx) <= best_size:
+            return
+        if idx == n:
+            best_size = count
+            best = list(chosen_list)
+            return
+        bit = 1 << idx
+        legal = True
+        for mask in masks_at[idx]:
+            if mask & ~(chosen_mask | bit) == 0:
+                legal = False
+                break
+        if legal:
+            chosen_list.append(idx)
+            dfs(idx + 1, chosen_mask | bit, count + 1)
+            chosen_list.pop()
+            if exhausted:
+                return
+        dfs(idx + 1, chosen_mask, count)
+
+    dfs(0, 0, 0)
+    return (EXHAUSTED, best) if exhausted else (FOUND, best)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperchrome import _kernels
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
@@ -285,6 +286,28 @@ def test_deadline_stops_mid_level(search, monkeypatch):
     rec = search(SearchBudget(max_millis=60_000))
     assert rec.status == "lower_bound"
     assert calls["late"] <= 1
+
+
+def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
+    # a cached record with a witness of the wrong order: revalidation runs
+    # one independence-number call, fails, and the search runs more
+    path = str(tmp_path / "cache.txt")
+    key = canonical_form(LP).decode()
+    ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
+                                       Hypergraph(3, 3, ())))
+    real = _kernels.mis_search
+    deadlines = []
+
+    def recording(n, edges, max_nodes=0, deadline=0.0):
+        deadlines.append(deadline)
+        return real(n, edges, max_nodes, deadline)
+
+    monkeypatch.setattr(_kernels, "mis_search", recording)
+    rec = ext.ramsey(LP, 4, 7, SearchBudget(max_millis=60_000),
+                     cache=ResultCache(path))
+    assert (rec.value, rec.status) == (5, "exact")
+    assert len(deadlines) > 1 and len(set(deadlines)) == 1
+    assert deadlines[0] > 0
 
 
 class TestRamsey:

@@ -10,6 +10,7 @@ import pytest
 from hyperchrome import cli
 from hyperchrome import constructions as cons
 from hyperchrome import exact
+from hyperchrome.core import Coloring, is_proper, new_hypergraph
 from hyperchrome.fileio import parse_hypergraph, serialize_hypergraph
 
 
@@ -282,6 +283,13 @@ class TestCli:
         assert captured.err.startswith("error: HYPERCHROME_SEED")
 
 
+def child_env():
+    """The environment for a child Python that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestCertificateChecks:
     """A certificate that fails its check is never printed: exit 1 and an
     error on stderr, also under python -O."""
@@ -293,11 +301,9 @@ class TestCertificateChecks:
                   "cli.is_proper = lambda *a: (False, None); "
                   f"sys.exit(cli.main(['chi', '--in', {str(path)!r}, "
                   "'--quiet']))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=60)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: certificate check failed (chi)\n"
@@ -310,3 +316,31 @@ class TestCertificateChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: certificate check failed (alpha)\n"
+
+
+class TestLargeInput:
+    """The exact commands search on explicit stacks: a valid input with
+    thousands of vertices gets a certified answer, not a RecursionError."""
+
+    @pytest.mark.parametrize("argv, result", [
+        (["chi"], {"chi": 2}),
+        (["alpha"], {"alpha": 4999}),
+        (["kcolor", "--k", "2"], {"colorable": True}),
+    ], ids=["chi", "alpha", "kcolor"])
+    def test_5000_vertices_one_edge(self, argv, result, tmp_path):
+        G = new_hypergraph(5000, 3, [(0, 1, 2)])
+        path = tmp_path / "big.hg"
+        path.write_text(serialize_hypergraph(G))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperchrome.cli", *argv, "--in", str(path)],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["status"], report["result"]) == ("exact", result)
+        cert = report["certificate"]
+        if cert["type"] == "coloring":
+            coloring = Coloring(tuple(cert["colors"]), cert["palette"])
+            assert is_proper(G, coloring)[0]
+        else:
+            chosen = {v - 1 for v in cert["vertices"]}
+            assert len(chosen) == 4999 and not {0, 1, 2} <= chosen
