@@ -347,7 +347,8 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
     search when the class has <= 24 vertices and the budget allows, greedy
     min-degree-first otherwise) with one fresh color, remove it and decrement
     the palette.  The remaining low-degree graph goes to lll_color with the
-    palette that is left.
+    palette that is left.  The budget's wall-clock cap spans the whole call;
+    its node cap applies to each exact search.
     """
     if G.k != 3:
         raise ValueError("handles 3-graphs")
@@ -386,7 +387,8 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
         cls_sub, cls_verts = induced(cur, members)
         chosen_local = None
         if cls_sub.n <= 24:
-            res = exact.max_independent_set(cls_sub, budget)
+            res = exact.max_independent_set(cls_sub, budget,
+                                            _deadline=deadline)
             if res is not exact.EXHAUSTED:
                 chosen_local = set(res)
         if chosen_local is None:

@@ -1,13 +1,28 @@
-"""Subgraph containment (not induced) and H-freeness.
+"""Subgraph containment (not induced), H-freeness and the forbidden triples of
+an H-free 3-graph.
 
 An embedding injects all of V(H) into V(G) so that every H-edge lands on a
 G-edge.  Isolated H-vertices still consume distinct G-vertices, so a graph
 with fewer vertices than H is vacuously H-free.
+
+Both searches place the vertices that lie in edges of the pattern one at a
+time, on an explicit stack, in a connectivity-maximizing order, trying G's
+vertices by increasing index.  The candidates for the next vertex are an AND
+of bitmasks over V(G) (Ullmann, "An algorithm for subgraph isomorphism",
+1976): the unused vertices of high enough degree and, for each pattern edge
+holding the vertex and some placed ones, the link of their images, that is
+the vertices of the G-edges holding all of those images.  Once an edge's
+other vertices are all placed, its link is exactly the vertices completing
+it.  Each constraint is necessary, so the search meets the valid maps in
+lexicographic order along the vertex order.  Vertices in no pattern edge
+are wildcards: any unused vertices will do.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
-from .core import incidence, pair_support
+from .core import incidence
 
 
 @dataclass(frozen=True)
@@ -47,86 +62,134 @@ def embedding_ok(G, H, emb):
     return True
 
 
-def _h_order(H):
-    # next vertex = most edges into the placed set, ties by higher degree,
-    # then lower index
-    at = incidence(H.n, H.edges)
-    placed = []
-    placed_set = set()
-    remaining = set(range(H.n))
-    while remaining:
-        def score(u):
-            touching = sum(1 for e in at[u]
-                           if any(w in placed_set for w in e if w != u))
-            return (-touching, -len(at[u]), u)
-        u = min(remaining, key=score)
-        placed.append(u)
-        placed_set.add(u)
-        remaining.remove(u)
-    return placed
+def _h_order(n, edges):
+    """The vertices of an edge list on 0..n-1 in search order: next is the
+    vertex with the most edges into the placed set, ties by higher degree,
+    then lower index.  Vertices in no edge come last, by index."""
+    at = incidence(n, edges)
+    touching = [0] * n
+    hits = dict.fromkeys(edges, 0)  # placed vertices per edge
+    placed = [False] * n
+    heap = [(0, -len(at[u]), u) for u in range(n)]
+    heapify(heap)
+    order = []
+    while heap:
+        t, d, u = heappop(heap)
+        if placed[u] or -t != touching[u]:
+            continue  # superseded by an entry with a higher touching count
+        placed[u] = True
+        order.append(u)
+        for e in at[u]:
+            if not hits[e]:  # e now meets the placed set for the first time
+                for w in e:
+                    if not placed[w]:
+                        touching[w] += 1
+                        heappush(heap, (-touching[w], -len(at[w]), w))
+            hits[e] += 1
+    return order
+
+
+def _plan(n, edges):
+    """Search plan for embedding an edge list on 0..n-1: (order, steps).
+    order lists the vertices in edges in search order; steps[i] is
+    (degree, links) for order[i]: its degree and, for each set of earlier
+    vertices that some edge holds together with order[i], an itemgetter of
+    their positions."""
+    at = incidence(n, edges)
+    order = [u for u in _h_order(n, edges) if at[u]]
+    pos = {u: i for i, u in enumerate(order)}
+    steps = []
+    for i, u in enumerate(order):
+        placed = {tuple(pos[w] for w in e if w != u and pos[w] < i)
+                  for e in at[u]}
+        links = [itemgetter(*js) for js in sorted(placed) if js]
+        steps.append((len(at[u]), links))
+    return order, steps
+
+
+class _Links(dict):
+    """The link masks of a graph on len(at) vertices, built on first use:
+    self[key] is the mask of the vertices of the edges holding every vertex
+    of key, a tuple of vertices or a bare vertex (itemgetter of one position
+    returns it).  Masks are kept while they fit in 2**27 bits (16 MB)."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at, self.room = at, (1 << 27) // max(len(at), 1)
+
+    def __missing__(self, key):
+        first, *rest = key if isinstance(key, tuple) else (key,)
+        mask = 0
+        for e in self.at[first]:
+            if all(v in e for v in rest):
+                for w in e:
+                    mask |= 1 << w
+        if self.room:
+            self.room -= 1
+            self[key] = mask
+        return mask
+
+
+def _embeddings(steps, link):
+    """Yield (phi, image) for every injective map phi of a plan's vertices
+    into the vertices of link's graph that keeps their edges, in
+    lexicographic order: phi[i] is the image of order[i], image the mask of
+    all images.  phi is one list updated in place between yields."""
+    width = len(steps)
+    if not width:
+        yield [], 0
+        return
+    at = link.at
+    at_least = {d: sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
+                for d in {d for d, _ in steps}}
+    base = [at_least[d] for d, _ in steps]
+    phi = [0] * width
+    cands = [0] * width
+    cands[0] = base[0]
+    used, i = 0, 0
+    while True:
+        c = cands[i]
+        if not c:
+            if not i:
+                return
+            i -= 1
+            used ^= 1 << phi[i]
+            continue
+        low = c & -c
+        cands[i] = c ^ low
+        phi[i] = low.bit_length() - 1
+        if i + 1 == width:
+            yield phi, used | low
+            continue
+        used |= low
+        i += 1
+        m = base[i] & ~used
+        for get in steps[i][1]:
+            m &= link[get(phi)]
+        cands[i] = m
 
 
 def contains(G, H):
     """An Embedding of H into G if one exists, else None.
 
-    Backtracking over partial vertex maps in a connectivity-maximizing
-    H-vertex order, pruning by degree and by pair co-edge counts.
+    The first valid map in the search order: the vertices in H's edges are
+    placed as in the module docstring, and H's isolated vertices then take
+    the lowest unused vertices of G.
     """
     if G.k != H.k:
         raise ValueError("uniformity mismatch")
     if H.n > G.n:
         return None
-    g_degs = G.degrees()
-    h_degs = H.degrees()
-    g_support = pair_support(G.edges)
-    h_support = pair_support(H.edges)
-    gset = G.edge_set()
-    order = _h_order(H)
-    pos_of = {u: i for i, u in enumerate(order)}
-    # for the vertex at position i: H-edges completed exactly when it is placed,
-    # and H-pairs (with an earlier vertex) whose pair support we can prune on
-    completed = [[] for _ in range(H.n)]
-    pair_checks = [[] for _ in range(H.n)]
-    for e in H.edges:
-        last = max(e, key=lambda u: pos_of[u])
-        completed[pos_of[last]].append(e)
-    for p in h_support:
-        u, w = p
-        later = u if pos_of[u] > pos_of[w] else w
-        pair_checks[pos_of[later]].append((p, h_support[p]))
-
-    vmap = {}
-    used = set()
-
-    def place(i):
-        if i == H.n:
-            return True
-        u = order[i]
-        for g in range(G.n):
-            if g in used or g_degs[g] < h_degs[u]:
-                continue
-            vmap[u] = g
-            ok = True
-            for p, need in pair_checks[i]:
-                img = tuple(sorted((vmap[p[0]], vmap[p[1]])))
-                if g_support.get(img, 0) < need:
-                    ok = False
-                    break
-            if ok:
-                for e in completed[i]:
-                    if tuple(sorted(vmap[w] for w in e)) not in gset:
-                        ok = False
-                        break
-            if ok:
-                used.add(g)
-                if place(i + 1):
-                    return True
-                used.remove(g)
-            del vmap[u]
-        return False
-
-    if not place(0):
+    order, steps = _plan(H.n, H.edges)
+    first = next(_embeddings(steps, _Links(incidence(G.n, G.edges))), None)
+    if first is None:
         return None
+    phi, image = first
+    vmap = dict(zip(order, phi))
+    spare = (g for g in range(G.n) if not image >> g & 1)
+    for u in range(H.n):
+        if u not in vmap:
+            vmap[u] = next(spare)
     vm = tuple(sorted(vmap.items()))
     em = tuple((e, tuple(sorted(vmap[w] for w in e))) for e in H.edges)
     return Embedding(vm, em)
@@ -135,3 +198,97 @@ def contains(G, H):
 def is_free(G, H):
     """True iff G contains no subgraph isomorphic to H."""
     return contains(G, H) is None
+
+
+@dataclass(frozen=True)
+class TripleMasks:
+    """A set of vertex triples held as bitmasks: a triple {a, b, c} is in it
+    when c is in pairs[(a, b)], b in pairs[(a, c)] or a in pairs[(b, c)]
+    (pairs keyed with the lower vertex first), or when some mask in wholes
+    holds all three."""
+
+    pairs: dict
+    wholes: frozenset
+
+    def __contains__(self, e):
+        a, b, c = sorted(e)
+        get = self.pairs.get
+        if (get((a, b), 0) >> c | get((a, c), 0) >> b | get((b, c), 0) >> a) & 1:
+            return True
+        bits = 1 << a | 1 << b | 1 << c
+        return any(m & bits == bits for m in self.wholes)
+
+
+def _edge_images(plans, G):
+    """The triples f' such that for some plan (steps, fixed) of an edge f
+    of H, H - f embeds into G with f mapped onto f'.  fixed holds
+    the positions of f's vertices in the plan's order; f's other vertices
+    are wildcards over the unused vertices."""
+    pairs, wholes, seen = {}, set(), set()
+    full = (1 << G.n) - 1
+    link = _Links(incidence(G.n, G.edges))
+    for steps, fixed in plans:
+        for phi, image in _embeddings(steps, link):
+            ends = sorted(phi[j] for j in fixed)
+            spare = full & ~image
+            if len(ends) == 3:
+                a, b, c = ends
+                pairs[a, b] = pairs.get((a, b), 0) | 1 << c
+            elif len(ends) == 2:
+                key = tuple(ends)
+                pairs[key] = pairs.get(key, 0) | spare
+            elif len(ends) == 1:
+                # f = {a, x, y} for any two spare x, y: mark y at each (a, x)
+                a = ends[0]
+                if (a, image) in seen:
+                    continue
+                seen.add((a, image))
+                m = spare
+                while m:
+                    low = m & -m
+                    m ^= low
+                    x = low.bit_length() - 1
+                    key = (a, x) if a < x else (x, a)
+                    pairs[key] = pairs.get(key, 0) | spare
+            else:
+                wholes.add(spare)
+    return TripleMasks(pairs, frozenset(wholes))
+
+
+class ForbiddenTriples:
+    """The forbidden triples of one 3-graph H: for an H-free 3-graph G,
+    of(G) is the TripleMasks of the triples e with G + e containing H.
+
+    Any copy of H in G + e uses e, so of(G) is the set of images of f over
+    the embeddings of H - f into G, for one edge f of H per orbit of H's
+    automorphisms.  An H with no edges is contained in every G on at least
+    H.n vertices, so then every triple is forbidden; an H on more vertices
+    than G forbids none.
+    """
+
+    def __init__(self, H):
+        if H.k != 3:
+            raise ValueError("forbidden triples are for 3-graphs")
+        self.H, self.plans = H, []
+        covered = set()
+        for f in H.edges:
+            if f in covered:
+                continue
+            order, steps = _plan(H.n, [e for e in H.edges if e != f])
+            plan = (steps, tuple(i for i, u in enumerate(order) if u in f))
+            self.plans.append(plan)
+            covered.add(f)
+            # the images of f in H itself that are edges form f's orbit; at
+            # most 8! maps to try keeps this cheap, a larger H keeps every edge
+            if H.n <= 8:
+                orbit = _edge_images([plan], H)
+                covered.update(e for e in H.edges if e in orbit)
+
+    def of(self, G):
+        if G.k != 3:
+            raise ValueError("forbidden triples are for 3-graphs")
+        if self.H.n > G.n:
+            return TripleMasks({}, frozenset())
+        if not self.H.edges:
+            return TripleMasks({}, frozenset({(1 << G.n) - 1}))
+        return _edge_images(self.plans, G)

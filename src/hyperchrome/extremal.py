@@ -3,18 +3,22 @@ edge-ordering embedding, and witness verification for m_H(r) bounds.
 
 turan_ex and ramsey are thin callers of one level search and one cache
 driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
-by edge count: each candidate gets one core.canonical_form call
-(individualization-refinement), and the first candidate seen in each class is
-its representative.  It checks the budget: the deadline before each
-candidate, the node cap after each whole level (a level's representatives
-are its nodes).  ramsey's independence-number calls check the same deadline
-and a node cap of their own.  Budget-limited outcomes are labeled
-lower_bound and carry the best witness found.  _cached owns the cache
-policy: records are keyed by canonical_form(H), only an exact record whose
-witness revalidates is served, one that fails revalidation is evicted, and
-one that cannot be revalidated within budget is kept but not served.  A key
-is the edge list of a copy of H, so a key written by any other canonical
-labelling can only match H's own class and needs no version.
+by edge count.  Level m + 1 holds the one-edge extensions of level m's
+representatives: a parent G is H-free, so a copy of H in G + e must use e,
+and containment.ForbiddenTriples finds all such triples e of G at once,
+from the embeddings of H minus one edge into G.  Each other child gets one
+core.canonical_form call (individualization-refinement), and the first
+child seen in each class is its representative.  The search checks the
+budget: the deadline before each parent and before each candidate, the node
+cap after each whole level (a level's representatives are its nodes).
+ramsey's independence-number calls check the same deadline and a node cap
+of their own.  Budget-limited outcomes are labeled lower_bound and carry the
+best witness found.  _cached owns the cache policy: records are keyed by
+canonical_form(H), only an exact record whose witness revalidates is
+served, one that fails revalidation is evicted, and one that cannot be
+revalidated within budget is kept but not served.  A key is the edge list
+of a copy of H, so a key written by any other canonical labelling can only
+match H's own class and needs no version.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,8 @@ from time import monotonic
 
 from . import exact
 from .cache import ResultRecord
-from .containment import Embedding, contains, embedding_ok, is_free
+from .containment import (Embedding, ForbiddenTriples, contains,
+                          embedding_ok, is_free)
 from .core import Hypergraph, canonical_form, incidence, pair_support
 
 
@@ -163,10 +168,15 @@ def embed_by_edge_order(G, H, ord):
 def _hfree_level_reps(n, H, over):
     """Iterator over levels of H-free graphs on n labeled vertices up to
     isomorphism: yields (edge_count, representatives), from the empty graph
-    at level 0.  over(k) charges k nodes and says whether the budget is spent;
-    it is called with k = 0 before each candidate and with k = the number of
-    representatives after each level.  Once it says so, yields
-    (edge_count, None) for the unfinished level and stops."""
+    at level 0.  A parent's children are its one-edge extensions by the
+    triples outside its containment.ForbiddenTriples, in lexicographic order;
+    the first child seen in each canonical-form class represents it.
+    over(k) charges k nodes and says whether the budget is spent; it is
+    called with k = 0 before each parent and before each candidate triple
+    not in the parent, and with k = the number of representatives after
+    each level.  Once it says so, yields (edge_count, None) for the
+    unfinished level and stops."""
+    forbidden = ForbiddenTriples(H)
     count, level = 0, [Hypergraph(n, 3, ())]
     while level:
         yield count, level
@@ -176,15 +186,18 @@ def _hfree_level_reps(n, H, over):
             return
         nxt = {}
         for G in level:
-            present = G.edge_set()
+            if over(0):
+                yield count, None
+                return
+            present, banned = G.edge_set(), forbidden.of(G)
             for e in combinations(range(n), 3):
                 if e in present:
                     continue
                 if over(0):
                     yield count, None
                     return
-                cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
-                if contains(cand, H) is None:
+                if e not in banned:
+                    cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                     nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
 
@@ -234,7 +247,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     def valid(rec):
         w = rec.witness
         return w.n == n and w.k == 3 and len(w.edges) == rec.value \
-            and is_free(w, H)
+            and contains(w, H) is None
 
     def search(over):
         # level 0, the empty graph, always comes first

@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's search code: colorings and subsets by
-full enumeration, containment by raw injection scans, chains by sequence
-enumeration against the definitional validator, canonical forms by
-backtracking over every vertex relabeling, low-support pruning one edge at a
-time, local-lemma resampling by rescanning every edge after each step, the
-exact kernels by plain recursive backtracking with no pruning beyond
-infeasibility and the trivial bound.
+full enumeration, containment by raw injection scans, the first embedding by
+recursive backtracking, chains by sequence enumeration against the
+definitional validator, canonical forms by backtracking over every vertex
+relabeling, low-support pruning one edge at a time, local-lemma resampling
+by rescanning every edge after each step, the exact kernels by plain
+recursive backtracking with no pruning beyond infeasibility and the trivial
+bound, the H-free level search by one containment test per candidate.
 """
 
 import itertools
@@ -15,8 +16,10 @@ from time import monotonic
 
 from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
 from hyperchrome.coloring import ColoringFailure
-from hyperchrome.core import (Coloring, Hypergraph, incidence, is_ordered_chain,
-                              is_proper, pair_support, pairs_at)
+from hyperchrome.containment import Embedding
+from hyperchrome.core import (Coloring, Hypergraph, canonical_form, incidence,
+                              is_ordered_chain, is_proper, pair_support,
+                              pairs_at)
 
 
 def all_colorings(n, k):
@@ -59,6 +62,89 @@ def brute_contains(G, H):
     return False
 
 
+def _recursive_h_order(H):
+    # next vertex = most edges into the placed set, ties by higher degree,
+    # then lower index
+    at = incidence(H.n, H.edges)
+    placed = []
+    placed_set = set()
+    remaining = set(range(H.n))
+    while remaining:
+        def score(u):
+            touching = sum(1 for e in at[u]
+                           if any(w in placed_set for w in e if w != u))
+            return (-touching, -len(at[u]), u)
+        u = min(remaining, key=score)
+        placed.append(u)
+        placed_set.add(u)
+        remaining.remove(u)
+    return placed
+
+
+def reference_contains(G, H):
+    """containment.contains by recursive backtracking over partial vertex
+    maps, one call per H-vertex, in the same vertex order with degree and
+    pair co-edge pruning; its first embedding must be contains's."""
+    if G.k != H.k:
+        raise ValueError("uniformity mismatch")
+    if H.n > G.n:
+        return None
+    g_degs = G.degrees()
+    h_degs = H.degrees()
+    g_support = pair_support(G.edges)
+    h_support = pair_support(H.edges)
+    gset = G.edge_set()
+    order = _recursive_h_order(H)
+    pos_of = {u: i for i, u in enumerate(order)}
+    # for the vertex at position i: H-edges completed exactly when it is placed,
+    # and H-pairs (with an earlier vertex) whose pair support we can prune on
+    completed = [[] for _ in range(H.n)]
+    pair_checks = [[] for _ in range(H.n)]
+    for e in H.edges:
+        last = max(e, key=lambda u: pos_of[u])
+        completed[pos_of[last]].append(e)
+    for p in h_support:
+        u, w = p
+        later = u if pos_of[u] > pos_of[w] else w
+        pair_checks[pos_of[later]].append((p, h_support[p]))
+
+    vmap = {}
+    used = set()
+
+    def place(i):
+        if i == H.n:
+            return True
+        u = order[i]
+        for g in range(G.n):
+            if g in used or g_degs[g] < h_degs[u]:
+                continue
+            vmap[u] = g
+            ok = True
+            for p, need in pair_checks[i]:
+                img = tuple(sorted((vmap[p[0]], vmap[p[1]])))
+                if g_support.get(img, 0) < need:
+                    ok = False
+                    break
+            if ok:
+                for e in completed[i]:
+                    if tuple(sorted(vmap[w] for w in e)) not in gset:
+                        ok = False
+                        break
+            if ok:
+                used.add(g)
+                if place(i + 1):
+                    return True
+                used.remove(g)
+            del vmap[u]
+        return False
+
+    if not place(0):
+        return None
+    vm = tuple(sorted(vmap.items()))
+    em = tuple((e, tuple(sorted(vmap[w] for w in e))) for e in H.edges)
+    return Embedding(vm, em)
+
+
 def brute_longest_chain(G, ordv):
     """Longest ordered chain by enumerating edge sequences and checking the
     full definition through is_ordered_chain."""
@@ -94,6 +180,33 @@ def brute_turan_ex(n, H):
         if contains(Hypergraph(n, 3, edges), H) is None:
             best = len(edges)
     return best
+
+
+def reference_hfree_level_reps(n, H, over):
+    """extremal._hfree_level_reps with one contains(G + e, H) call per
+    candidate triple e, in place of the parent's forbidden triples."""
+    from hyperchrome.containment import contains
+
+    count, level = 0, [Hypergraph(n, 3, ())]
+    while level:
+        yield count, level
+        count += 1
+        if over(len(level)):
+            yield count, None
+            return
+        nxt = {}
+        for G in level:
+            present = G.edge_set()
+            for e in itertools.combinations(range(n), 3):
+                if e in present:
+                    continue
+                if over(0):
+                    yield count, None
+                    return
+                cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
+                if contains(cand, H) is None:
+                    nxt.setdefault(canonical_form(cand), cand)
+        level = list(nxt.values())
 
 
 def one_at_a_time_prune(G, t):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperchrome import _kernels
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome.core import (Coloring, Hypergraph, VertexOrder,
                               is_ordered_chain, is_proper, new_hypergraph)
+from hyperchrome.exact import SearchBudget
 
 from oracles import rescan_lll_color
 
@@ -451,6 +453,23 @@ class TestIndependentRemoval:
         G = matching(30)
         res = col.independent_removal_color(G, 3, seed=2)
         assert is_proper(G, res)[0]
+
+    def test_exact_searches_share_one_deadline(self, monkeypatch):
+        # K5 at r = 3 runs two exact independent-set searches; both must get
+        # the deadline of the call, not a fresh max_millis window each
+        real = _kernels.mis_search
+        deadlines = []
+
+        def recording(n, edges, max_nodes=0, deadline=0.0):
+            deadlines.append(deadline)
+            return real(n, edges, max_nodes, deadline)
+
+        monkeypatch.setattr(_kernels, "mis_search", recording)
+        G, budget = cons.complete(5), SearchBudget(max_millis=60_000)
+        res = col.independent_removal_color(G, 3, seed=1, budget=budget)
+        assert is_proper(G, res)[0]
+        assert len(deadlines) == 2 and len(set(deadlines)) == 1
+        assert deadlines[0] > 0
 
 
 class TestE288Extract:

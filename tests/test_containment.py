@@ -1,13 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperchrome import constructions as cons
+from hyperchrome import containment
 from hyperchrome.containment import contains, embedding_ok, is_free
 from hyperchrome.core import Hypergraph, induced, new_hypergraph
 
-from oracles import brute_contains
+from oracles import brute_contains, reference_contains
 
 
 class TestExamples:
@@ -60,6 +68,56 @@ class TestOracleEquivalence:
             assert (emb is not None) == brute_contains(G, H)
             if emb is not None:
                 assert embedding_ok(G, H, emb)
+
+
+def uniform_graphs(k, n_max, m_max):
+    """Random k-graphs on k-1..n_max vertices with at most m_max edges."""
+    def on(n):
+        pool = list(combinations(range(n), k))
+        if not pool:
+            return st.just(Hypergraph(n, k, ()))
+        return st.lists(st.sampled_from(pool), unique=True, max_size=m_max).map(
+            lambda edges: Hypergraph(n, k, tuple(sorted(edges))))
+    return st.integers(k - 1, n_max).flatmap(on)
+
+
+@st.composite
+def host_and_pattern(draw):
+    k = draw(st.sampled_from([2, 3, 3, 4]))
+    return draw(uniform_graphs(k, 9, 30)), draw(uniform_graphs(k, 6, 6))
+
+
+class TestAgainstRecursiveSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(host_and_pattern())
+    def test_same_first_embedding(self, pair):
+        # the explicit-stack search must return the recursive search's
+        # embedding, not just some embedding: the CLI goldens print it
+        G, H = pair
+        assert contains(G, H) == reference_contains(G, H)
+
+    def test_deep_pattern_in_child_process(self):
+        # one search level per vertex of H: a recursive search ran out of
+        # stack on a 500-edge matching; here M has 1667 edges, 5001 vertices
+        script = (
+            "import time\n"
+            "from hyperchrome.containment import contains\n"
+            "from hyperchrome.core import Hypergraph\n"
+            "M = Hypergraph(5001, 3, tuple((3 * i, 3 * i + 1, 3 * i + 2)\n"
+            "                              for i in range(1667)))\n"
+            "started = time.monotonic()\n"
+            "emb = contains(M, M)\n"
+            "identity = emb.vertex_map == tuple((v, v) for v in range(5001))\n"
+            "print(identity, time.monotonic() - started)\n")
+        src = str(Path(containment.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        identity, seconds = proc.stdout.split()
+        assert identity == "True"
+        assert float(seconds) < 10.0
 
 
 class TestProperties:

@@ -15,12 +15,14 @@ from hyperchrome import _kernels
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
-from hyperchrome.containment import embedding_ok, is_free
+from hyperchrome.containment import (ForbiddenTriples, contains,
+                                     embedding_ok, is_free)
 from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
                               new_hypergraph)
 from hyperchrome.exact import SearchBudget, independence_number
 
-from oracles import brute_canonical_form, brute_turan_ex, one_at_a_time_prune
+from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
+                     reference_hfree_level_reps)
 
 LP = cons.named("linear_pair")
 
@@ -308,6 +310,75 @@ def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
     assert (rec.value, rec.status) == (5, "exact")
     assert len(deadlines) > 1 and len(set(deadlines)) == 1
     assert deadlines[0] > 0
+
+
+# patterns for the forbidden triples: one orbit of edges (K4, C3), two
+# (K4 minus an edge), wildcards on one and two vertices of an edge (LP, P2),
+# an isolated vertex, a whole edge apart, no edges at all, no edges on more
+# vertices than the 3..8 vertex hosts
+FORBIDDING = {
+    "K4": K4, "K4-": cons.named("k4_minus"), "LP": LP, "P2": P2,
+    "C3": cons.loose_cycle(3), "LP+isolated": Hypergraph(5, 3, LP.edges),
+    "edge+P2": Hypergraph(8, 3, ((0, 1, 2), (3, 4, 5), (5, 6, 7))),
+    "edgeless": Hypergraph(3, 3, ()), "edgeless9": Hypergraph(9, 3, ()),
+}
+
+
+class TestForbiddenTriples:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(FORBIDDING)), st.integers(3, 8),
+           st.randoms(use_true_random=False))
+    def test_equal_to_containment_per_triple(self, name, n, rng):
+        # a random H-free G: the triples of a random prefix that keep it so
+        H = FORBIDDING[name]
+        triples = list(combinations(range(n), 3))
+        rng.shuffle(triples)
+        edges = set()
+        for e in triples[:rng.randrange(len(triples) + 1)]:
+            if contains(Hypergraph(n, 3, tuple(sorted(edges | {e}))), H) is None:
+                edges.add(e)
+        G = Hypergraph(n, 3, tuple(sorted(edges)))
+        forbidden = ForbiddenTriples(H).of(G)
+        for e in combinations(range(n), 3):
+            grown = Hypergraph(n, 3, tuple(sorted(edges | {e})))
+            assert (e in forbidden) == (contains(grown, H) is not None), e
+
+    def test_wildcards_are_not_enumerated(self):
+        # P2 - f is one edge and f's other two vertices are wildcards: any of
+        # the C(2997, 2) unused pairs, which must not be walked one by one
+        G = Hypergraph(3000, 3, ((0, 1, 2),))
+        started = time.monotonic()
+        forbidden = ForbiddenTriples(P2).of(G)
+        assert time.monotonic() - started < 0.5
+        assert (0, 5, 6) in forbidden and (2, 2998, 2999) in forbidden
+        assert (0, 1, 5) not in forbidden and (5, 6, 7) not in forbidden
+        assert (0, 1, 2) not in forbidden
+
+
+@pytest.mark.parametrize("n, name", [
+    (5, "K4"), (7, "LP"), (6, "P2"), (6, "C3"), (5, "C3"), (6, "LP+isolated"),
+    (5, "edgeless"), (5, "edgeless9"),
+])
+def test_level_search_matches_reference(n, name):
+    # same levels, representatives and node charges; the deadline is also
+    # checked once before each parent's forbidden triples
+    H = FORBIDDING[name]
+
+    def run(search):
+        charges = []
+
+        def over(k):
+            charges.append(k)
+            return False
+
+        levels = [(count, [encode_graph(R) for R in reps])
+                  for count, reps in search(n, H, over)]
+        return levels, [k for k in charges if k], charges.count(0)
+
+    (levels, charged, checks), want = (run(ext._hfree_level_reps),
+                                       run(reference_hfree_level_reps))
+    assert (levels, charged) == want[:2]
+    assert checks == want[2] + sum(len(reps) for _, reps in levels)
 
 
 class TestRamsey:
