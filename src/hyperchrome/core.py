@@ -7,7 +7,8 @@ duplicate-free tuples.  All objects here are immutable and safe to share.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from operator import itemgetter, lt
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,24 @@ def new_hypergraph(n, k, edges):
 
     Edges may be given in any order and orientation; duplicates collapse.
     Raises ValueError for a repeated vertex inside an edge, a vertex index
-    outside 0..n-1, or an edge whose size differs from k.
+    outside 0..n-1, or an edge whose size differs from k, naming the first
+    bad edge in input order.
+
+    Input that already meets the invariants (as parse_hypergraph gives on a
+    normalized file) is checked in bulk, column by column, and kept as it
+    is; any other input is normalized edge by edge, with the same messages.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if k < 2:
         raise ValueError("uniformity must be at least 2")
+    edges = list(edges)
+    try:
+        kept = _normalized(n, k, edges)
+    except TypeError:
+        kept = None
+    if kept is not None:
+        return Hypergraph(n, k, kept)
     normalized = set()
     for e in edges:
         t = tuple(sorted(e))
@@ -64,6 +77,25 @@ def new_hypergraph(n, k, edges):
             raise ValueError(f"edge {t} uses a vertex outside 0..{n - 1}")
         normalized.add(t)
     return Hypergraph(n, k, tuple(sorted(normalized)))
+
+
+def _normalized(n, k, edges):
+    """The edges as a tuple of tuples if every edge has size k, is strictly
+    increasing and lies in 0..n-1, and the edge list is strictly increasing;
+    None otherwise.  Each test is a C-level pass over a column or the list."""
+    edges = tuple(map(tuple, edges))
+    if not edges:
+        return edges
+    if set(map(len, edges)) != {k}:
+        return None
+    for j in range(1, k):
+        if not all(map(lt, map(itemgetter(j - 1), edges), map(itemgetter(j), edges))):
+            return None
+    if min(map(itemgetter(0), edges)) < 0 or max(map(itemgetter(-1), edges)) >= n:
+        return None
+    if not all(map(lt, edges, islice(edges, 1, None))):
+        return None
+    return edges
 
 
 def pairs_at(n, edges):

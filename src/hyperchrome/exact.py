@@ -78,7 +78,8 @@ def chromatic_coloring(G, budget=UNLIMITED):
     EXHAUSTED.
 
     The node cap applies per colorability call; the wall-clock cap spans the
-    whole computation.  Any 3-graph is n-colorable, so this terminates.
+    whole computation, and no new k is started once it has passed.  Any
+    3-graph is n-colorable, so this terminates.
     """
     deadline = budget.deadline()
     k = 1
@@ -86,6 +87,8 @@ def chromatic_coloring(G, budget=UNLIMITED):
         res = k_colorable(G, k, budget, _deadline=deadline)
         if res is not None:
             return res
+        if deadline and monotonic() > deadline:
+            return EXHAUSTED
         k += 1
 
 

@@ -7,7 +7,8 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the H-free level search by one containment test per candidate.
+bound, the H-free level search by one containment test per candidate, and
+HypergraphFile text and edge lists by one Python step per line and per edge.
 """
 
 import itertools
@@ -433,3 +434,65 @@ def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
 
     dfs(0, 0, 0)
     return (EXHAUSTED, best) if exhausted else (FOUND, best)
+
+
+def reference_new_hypergraph(n, k, edges):
+    # new_hypergraph normalizing every edge, with no bulk check first
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if k < 2:
+        raise ValueError("uniformity must be at least 2")
+    normalized = set()
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != k:
+            raise ValueError(f"edge {t} has size {len(t)}, expected {k}")
+        if len(set(t)) != k:
+            raise ValueError(f"edge {t} repeats a vertex")
+        if t[0] < 0 or t[-1] >= n:
+            raise ValueError(f"edge {t} uses a vertex outside 0..{n - 1}")
+        normalized.add(t)
+    return Hypergraph(n, k, tuple(sorted(normalized)))
+
+
+def reference_parse_hypergraph(text):
+    # parse_hypergraph reading every line on its own
+    header = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise ValueError(f"line {lineno}: duplicate header")
+            if len(fields) != 5 or fields[1] != "h":
+                raise ValueError(f"line {lineno}: header must be 'p h <k> <n> <m>'")
+            header = (int(fields[2]), int(fields[3]), int(fields[4]))
+        elif fields[0] == "e":
+            if header is None:
+                raise ValueError(f"line {lineno}: edge before header")
+            try:
+                verts = [int(x) for x in fields[1:]]
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad vertex index") from None
+            if any(v < 1 for v in verts):
+                raise ValueError(f"line {lineno}: vertex indices are 1-based")
+            edges.append(tuple(v - 1 for v in verts))
+        else:
+            raise ValueError(f"line {lineno}: unknown line type {fields[0]!r}")
+    if header is None:
+        raise ValueError("missing 'p h' header")
+    k, n, m = header
+    if len(edges) != m:
+        raise ValueError(f"header promises {m} edges, found {len(edges)}")
+    return reference_new_hypergraph(n, k, edges)
+
+
+def reference_serialize_hypergraph(G):
+    # serialize_hypergraph calling str() on every incidence
+    lines = [f"p h {G.k} {G.n} {len(G.edges)}"]
+    for e in G.edges:
+        lines.append("e " + " ".join(str(v + 1) for v in e))
+    return "\n".join(lines) + "\n"

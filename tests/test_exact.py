@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hyperchrome import _kernels, exact
 from hyperchrome import constructions as cons
 from hyperchrome.core import Hypergraph, is_proper, new_hypergraph
 from hyperchrome.exact import (EXHAUSTED, SearchBudget, chromatic_number,
@@ -114,6 +115,25 @@ class TestBudget:
         # 1 ms is far too little for K_13 at k = 6
         res = chromatic_number(cons.complete(13), SearchBudget(max_millis=1))
         assert res is EXHAUSTED or res == 7
+
+    def test_no_new_k_after_deadline(self, monkeypatch):
+        # every k takes a second on a fake clock, so the 1 ms deadline has
+        # passed once k = 1 is refuted; k = 2 and 3 must not be started
+        now = [0.0]
+        monkeypatch.setattr(exact, "monotonic", lambda: now[0])
+        real = _kernels.kcolor_search
+        tried = []
+
+        def slow(n, edges, k, order, max_nodes=0, deadline=0.0):
+            tried.append(k)
+            now[0] += 1.0
+            return real(n, edges, k, order, max_nodes)
+
+        monkeypatch.setattr(_kernels, "kcolor_search", slow)
+        res = chromatic_number(cons.complete(5), SearchBudget(max_millis=1))
+        assert res is EXHAUSTED and tried == [1]
+        now[0], tried[:] = 0.0, []
+        assert chromatic_number(cons.complete(5)) == 3 and tried == [1, 2, 3]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
