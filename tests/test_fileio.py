@@ -7,8 +7,8 @@ around every shape the line reader treats on its own: comments, blank
 lines, junk, a second header, odd separators and line breaks inside lines,
 odd token spellings and counts, vertex 0 or past n, and duplicate,
 unsorted and reversed edges.  Blocks of 1 to 5 lines put block boundaries
-in and around those lines; files a few thousand lines long exercise the
-real block size.
+in and around those lines; files longer than one block exercise the real
+block size.
 """
 
 import os
