@@ -1,34 +1,16 @@
-"""Kernel backend selection.
+"""The two exact search kernels, ``kcolor_search`` and ``mis_search``.
 
-Two search kernels, ``kcolor_search`` and ``mis_search``, exist twice: the
-compiled extension ``_native`` (built from ``_native.pyx`` when Cython is
-present at build time) and the pure-Python twins in ``pure``.  The extension
-runs when it is built and the instance fits its 64-bit bitsets (n <= 64);
-otherwise the pure twin runs.  Both return identical results.
+They live in ``pure``.  Callers reach them through this package's
+attributes, so that a tracer or a test can substitute them in one place.
 """
 
 from . import pure
-from .pure import FOUND, NONE, EXHAUSTED
+from .pure import EXHAUSTED, FOUND, NONE, kcolor_search, mis_search
 
-try:
-    from . import _native
-except ImportError:
-    _native = None
-
-_NATIVE_MAX_N = 64
+# read only by perfbench/; goes at its next declared change (ROADMAP item 1)
+_native = None
 
 
-def _mod(n):
-    return _native if _native is not None and n <= _NATIVE_MAX_N else pure
-
-
+# read only by perfbench/; goes at its next declared change (ROADMAP item 1)
 def backend_name(n=0):
-    return "pure" if _mod(n) is pure else "native"
-
-
-def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
-    return _mod(n).kcolor_search(n, list(edges), k, list(order), max_nodes, deadline)
-
-
-def mis_search(n, edges, max_nodes=0, deadline=0.0):
-    return _mod(n).mis_search(n, list(edges), max_nodes, deadline)
+    return "pure"

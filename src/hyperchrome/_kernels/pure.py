@@ -1,8 +1,4 @@
-"""Pure-Python search kernels: exact k-coloring and maximum independent set.
-
-The compiled twin in ``_native.pyx`` implements the same two algorithms step
-for step; results must be bit-identical for equal inputs (budget-by-wall-clock
-aside).  These run whenever the extension is not built or n > 64.
+"""The search kernels: exact k-coloring and maximum independent set.
 
 Both searches run on an explicit stack, so their depth is bounded by memory,
 not by the interpreter's recursion limit.  A search node is counted when it

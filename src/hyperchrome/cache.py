@@ -66,22 +66,23 @@ class ResultCache:
         records = {}
         if not self.path or not os.path.exists(self.path):
             return records
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+        with open(self.path, "rb") as fh:
+            lines = fh.read().splitlines()  # the line ends text mode splits at
+        for raw in lines:
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
-                try:
-                    kind, key, param, value, status, witness = line.split("\t")
-                    if kind not in ("ex", "ramsey"):
-                        raise ValueError(kind)
-                    if status not in ("exact", "lower_bound"):
-                        raise ValueError(status)
-                    rec = ResultRecord(kind, key, int(param), int(value),
-                                       status, decode_graph(witness))
-                except (ValueError, IndexError):
-                    continue  # corrupt line: evict by not loading it
-                records[(rec.kind, rec.key, rec.param)] = rec
+                kind, key, param, value, status, witness = line.split("\t")
+                if kind not in ("ex", "ramsey"):
+                    raise ValueError(kind)
+                if status not in ("exact", "lower_bound"):
+                    raise ValueError(status)
+                rec = ResultRecord(kind, key, int(param), int(value),
+                                   status, decode_graph(witness))
+            except (ValueError, IndexError):
+                continue  # corrupt line: evict by not loading it
+            records[(rec.kind, rec.key, rec.param)] = rec
         return records
 
     def get(self, kind, key, param):

@@ -82,11 +82,14 @@ class Command:
 
 
 def _read_graph(path):
-    if path and path != "-":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if path and path != "-":
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"bad hypergraph file: {exc}") from None
     try:
         return parse_hypergraph(text), hashlib.sha256(text.encode()).hexdigest()
     except ValueError as exc:

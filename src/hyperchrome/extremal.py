@@ -69,28 +69,36 @@ def find_edge_ordering(H):
                 return j, pair, fresh[0]
         return None
 
+    # Whether an ordering can be completed depends only on the set of edges
+    # used so far: the covered vertices and the pairs available as anchors
+    # are both functions of it.  So a used-edge mask from which the search
+    # backed out is dead for every later path and start edge.  The search
+    # stays exponential (2^(m-3) masks on {0,1,2}, {2,3,4}, {0,1,4} plus
+    # {0,1,i}), but no longer tries every order of interchangeable edges.
+    dead = set()
     for first in range(m):
         # depth-first on an explicit stack; each position tries the unused
         # edges by increasing index, so the first ordering found is the same
         # as a recursive search's
         order, anchors, covered = [first], [], set(edges[first])
-        used = {first}
+        mask = 1 << first  # the used edges
         start = 0  # the first index to try at position len(order)
         while len(order) < m:
             for idx in range(start, m):
-                a = None if idx in used else anchor(idx, order, covered)
-                if a is not None:
+                a = None if mask >> idx & 1 else anchor(idx, order, covered)
+                if a is not None and (mask | 1 << idx) not in dead:
                     order.append(idx)
                     anchors.append(a)
-                    used.add(idx)
+                    mask |= 1 << idx
                     covered.add(a[2])
                     start = 0
                     break
             else:
+                dead.add(mask)
                 if not anchors:
                     break  # no ordering starts with this edge
                 last = order.pop()  # backtrack, then try the next index
-                used.remove(last)
+                mask ^= 1 << last
                 covered.remove(anchors.pop()[2])
                 start = last + 1
         if len(order) == m:

@@ -7,8 +7,9 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the H-free level search by one containment test per candidate, and
-HypergraphFile text and edge lists by one Python step per line and per edge.
+bound, the H-free level search by one containment test per candidate,
+HypergraphFile text and edge lists by one Python step per line and per edge,
+and edge orderings by trying every interleaving of interchangeable edges.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from time import monotonic
 from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
 from hyperchrome.coloring import ColoringFailure
 from hyperchrome.containment import Embedding
+from hyperchrome.extremal import EdgeOrdering
 from hyperchrome.core import (Coloring, Hypergraph, canonical_form, incidence,
                               is_ordered_chain, is_proper, pair_support,
                               pairs_at)
@@ -144,6 +146,56 @@ def reference_contains(G, H):
     vm = tuple(sorted(vmap.items()))
     em = tuple((e, tuple(sorted(vmap[w] for w in e))) for e in H.edges)
     return Embedding(vm, em)
+
+
+def reference_find_edge_ordering(H):
+    """find_edge_ordering without its memo of dead used-edge sets: every
+    interleaving of interchangeable edges is tried again."""
+    t = H.n
+    edges = list(H.edges)
+    m = len(edges)
+    if len({v for e in edges for v in e}) < t:
+        return None
+
+    def anchor(idx, order, covered):
+        e = edges[idx]
+        fresh = [v for v in e if v not in covered]
+        if len(fresh) != 1:
+            return None
+        pair = tuple(v for v in e if v != fresh[0])
+        for j, prev_idx in enumerate(order):
+            prev = edges[prev_idx]
+            if pair[0] in prev and pair[1] in prev:
+                return j, pair, fresh[0]
+        return None
+
+    for first in range(m):
+        # depth-first on an explicit stack; each position tries the unused
+        # edges by increasing index, so the first ordering found is the same
+        # as a recursive search's
+        order, anchors, covered = [first], [], set(edges[first])
+        used = {first}
+        start = 0  # the first index to try at position len(order)
+        while len(order) < m:
+            for idx in range(start, m):
+                a = None if idx in used else anchor(idx, order, covered)
+                if a is not None:
+                    order.append(idx)
+                    anchors.append(a)
+                    used.add(idx)
+                    covered.add(a[2])
+                    start = 0
+                    break
+            else:
+                if not anchors:
+                    break  # no ordering starts with this edge
+                last = order.pop()  # backtrack, then try the next index
+                used.remove(last)
+                covered.remove(anchors.pop()[2])
+                start = last + 1
+        if len(order) == m:
+            return EdgeOrdering(tuple(edges[i] for i in order), tuple(anchors))
+    return None
 
 
 def brute_longest_chain(G, ordv):
@@ -332,8 +384,7 @@ _TIME_CHECK_MASK = 4095
 def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     """Backtracking k-colorability along a fixed vertex order, recursively
     and without pruning beyond infeasibility: the reference that
-    _kernels.pure.kcolor_search and its native twin must match, node caps
-    included.
+    _kernels.pure.kcolor_search must match, node caps included.
 
     Symmetry broken by capping the vertex at position p to colors 0..min(p, k-1).
     A color c is infeasible at v iff some edge holds v plus two vertices
@@ -381,8 +432,8 @@ def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
 
 def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
     """Maximum independent set by include/exclude branch and bound, with the
-    plain bound: the reference that _kernels.pure.mis_search and its native
-    twin must match, node caps included.
+    plain bound: the reference that _kernels.pure.mis_search must match,
+    node caps included.
 
     Vertices are considered in index order, include branch first; the bound
     is |current| + |remaining|.  Independence means containing no full edge.

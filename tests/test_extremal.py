@@ -22,7 +22,7 @@ from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
-                     reference_hfree_level_reps)
+                     reference_find_edge_ordering, reference_hfree_level_reps)
 
 LP = cons.named("linear_pair")
 
@@ -78,6 +78,37 @@ class TestFindEdgeOrdering:
             assert j < i and set(pair) <= set(eo.order[j])
             assert eo.order[i] == tuple(sorted(pair + (fresh,)))
             assert all(fresh not in e for e in eo.order[:i])
+
+    def test_interchangeable_edges_not_reordered(self):
+        # {0,1,2}, {2,3,4}, {0,1,4} plus {0,1,i} for i = 5..m+1: covered, but
+        # with no ordering; without the dead-set memo the search tries every
+        # order of the edges at the pair 0,1 (~40 s at m = 11)
+        m = 11
+        H = new_hypergraph(m + 2, 3, [(0, 1, 2), (2, 3, 4), (0, 1, 4)]
+                           + [(0, 1, i) for i in range(5, m + 2)])
+        started = time.monotonic()
+        assert ext.find_edge_ordering(H) is None
+        assert time.monotonic() - started < 1.0
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_same_ordering_as_reference(self, seed):
+        # an orderable H on m + 2 vertices, some of whose edges are then
+        # replaced by random triples, under a random relabelling
+        rng = random.Random(seed)
+        m = rng.randrange(1, 8)
+        edges = [tuple(range(3))]
+        for fresh in range(3, m + 2):
+            a, b = rng.sample(rng.choice(edges), 2)
+            edges.append((a, b, fresh))
+        for i in rng.sample(range(m), rng.randrange(m + 1)):
+            edges[i] = tuple(rng.sample(range(m + 2), 3))
+        perm = rng.sample(range(m + 2), m + 2)
+        relabelled = {tuple(sorted(perm[v] for v in e)) for e in edges}
+        if len(relabelled) < m:
+            return  # a replacement repeated an edge
+        H = new_hypergraph(m + 2, 3, relabelled)
+        assert ext.find_edge_ordering(H) == reference_find_edge_ordering(H)
 
 
 class TestPruneLowSupport:
@@ -458,6 +489,8 @@ class TestCache:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("garbage line without tabs\n")
             fh.write("ex\tbroken\tnot_an_int\t1\texact\t3:3:\n")
+        with open(path, "ab") as fh:
+            fh.write(b"junk\xff\n")
         fresh = ResultCache(path)
         assert len(fresh.records) == 1
 

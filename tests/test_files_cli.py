@@ -248,6 +248,13 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO("not a graph"))
         assert cli.main(["chi"]) == 2
 
+    def test_non_utf8_file_exit2(self, tmp_path, capsys):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(b"\xff\xfe\n")
+        assert cli.main(["chi", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad hypergraph file: 'utf-8' codec")
+
     def test_gen_bad_params_exit(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert cli.main(["gen", "complete", "--n", "1"]) == 1

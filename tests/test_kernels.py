@@ -1,21 +1,14 @@
-"""The kernels against the plain backtracking references, pure vs native
-equivalence, the twins' shared surface, and the dispatch.
+"""The kernels against the plain backtracking references, and the package's
+re-export of them.
 
 The pruned kernels search a subset of the references' trees in the same
 order, so they return exactly the references' results, also under every node
-cap under which a reference finishes.  The two backends implement the same
-algorithms step for step, so everything they return (including tie-breaking
-and exhaustion-by-node-count) must be bit-identical.  The surface test reads
-``_native.pyx`` as text, so it runs without Cython or a C compiler.
+cap under which a reference finishes.
 """
 
-import ast
-import inspect
 import math
 import random
-import re
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,16 +19,6 @@ from hyperchrome._kernels import pure
 from hyperchrome import constructions as cons
 
 from oracles import reference_kcolor_search, reference_mis_search
-
-try:
-    from hyperchrome._kernels import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None,
-                                  reason="native kernel not built")
-
-PYX = Path(inspect.getfile(pure)).with_name("_native.pyx")
 
 
 def random_instance(seed):
@@ -64,39 +47,6 @@ def least_finishing_cap(search, limit=300):
         else:
             hi = mid
     return lo if lo <= limit else None
-
-
-def pyx_signatures():
-    """name -> ((param, default), ...) of every top-level def in _native.pyx."""
-    out = {}
-    for name, params in re.findall(r"^def (\w+)\((.*?)\):", PYX.read_text(),
-                                   re.M | re.S):
-        out[name] = tuple(
-            (decl.split()[-1], ast.literal_eval(default) if eq else None)
-            for decl, eq, default in (p.strip().partition("=")
-                                      for p in params.split(",")))
-    return out
-
-
-def pure_signatures():
-    return {name: tuple((p.name, None if p.default is p.empty else p.default)
-                        for p in inspect.signature(fn).parameters.values())
-            for name, fn in vars(pure).items()
-            if inspect.isfunction(fn) and fn.__module__ == pure.__name__
-            and not name.startswith("_")}
-
-
-class TestTwinSurface:
-    def test_pyx_defines_exactly_the_pure_kernels(self):
-        assert sorted(pure_signatures()) == ["kcolor_search", "mis_search"]
-        assert pyx_signatures() == pure_signatures()
-
-    def test_pyx_statuses_match_pure(self):
-        consts = dict(re.findall(r"^(FOUND|NONE|EXHAUSTED) = (\d+)$",
-                                 PYX.read_text(), re.M))
-        assert {k: int(v) for k, v in consts.items()} == \
-            {"FOUND": pure.FOUND, "NONE": pure.NONE,
-             "EXHAUSTED": pure.EXHAUSTED}
 
 
 class TestAgainstReference:
@@ -155,36 +105,6 @@ class TestPruning:
             lambda cap: pure.mis_search(G.n, edges, cap)) == pruned
         assert least_finishing_cap(
             lambda cap: reference_mis_search(G.n, edges, cap)) == plain
-
-
-@needs_native
-class TestBackendEquivalence:
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(0, 300))
-    @settings(max_examples=200, deadline=None)
-    def test_kcolor(self, seed, k, cap):
-        n, edges, order = random_instance(seed)
-        assert pure.kcolor_search(n, edges, k, order, max_nodes=cap) == \
-            _native.kcolor_search(n, edges, k, order, max_nodes=cap)
-
-    @given(st.integers(0, 10_000), st.integers(0, 300))
-    @settings(max_examples=200, deadline=None)
-    def test_mis(self, seed, cap):
-        n, edges, _ = random_instance(seed)
-        assert pure.mis_search(n, edges, max_nodes=cap) == \
-            _native.mis_search(n, edges, max_nodes=cap)
-
-    @given(st.integers(0, 5_000), st.integers(1, 6), st.integers(1, 2_000))
-    @settings(max_examples=60, deadline=None)
-    def test_budget_exhaustion_identical(self, seed, k, cap):
-        # up to the 64-vertex limit of the native bitsets
-        rng = random.Random(seed)
-        n = rng.choice([15, 40, 63, 64])
-        G = cons.random_3graph(n, rng.randrange(0, 3 * n), seed)
-        edges, order = list(G.edges), rng.sample(range(n), n)
-        assert pure.kcolor_search(n, edges, k, order, max_nodes=cap) == \
-            _native.kcolor_search(n, edges, k, order, max_nodes=cap)
-        assert pure.mis_search(n, edges, max_nodes=cap) == \
-            _native.mis_search(n, edges, max_nodes=cap)
 
 
 class TestKernelAgainstRichPaths:
