@@ -336,7 +336,7 @@ def balance(H):
     return Balance(best, best_sub, whole == best)
 
 
-def canonical_form(G):
+def canonical_form(G, automorphisms=None):
     """Canonical byte encoding: equal encodings iff isomorphic hypergraphs.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
@@ -355,6 +355,11 @@ def canonical_form(G):
     automorphism.  The search then returns to the level where the two
     paths part, and it skips every vertex in the orbit of one already tried
     under the automorphisms found so far that fix the current path.
+
+    automorphisms, when a list, receives generators of Aut(G), each a dict
+    v -> g(v) over its moved points only: the automorphisms the search
+    found, then the transpositions of consecutive isolated vertices.  The
+    encoding is the same with or without it.
     """
     n, k = G.n, G.k
     at = incidence(n, G.edges)
@@ -427,6 +432,13 @@ def canonical_form(G):
 
     colour = [0] * a
     search(colour, _equitable(colour, others), [])
+    if automorphisms is not None:
+        for g in gens:
+            automorphisms.append({active[v]: active[w]
+                                  for v, w in enumerate(g) if v != w})
+        isolated = [v for v in range(n) if not at[v]]
+        automorphisms.extend({u: v, v: u}
+                             for u, v in zip(isolated, isolated[1:]))
     body = "/".join(",".join(str(v) for v in e) for e in best[0])
     return f"{n}:{k}|{body}".encode()
 

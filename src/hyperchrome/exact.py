@@ -73,15 +73,16 @@ def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     return EXHAUSTED
 
 
-def chromatic_coloring(G, budget=UNLIMITED):
+def chromatic_coloring(G, budget=UNLIMITED, _deadline=None):
     """A proper coloring with the least palette, trying k = 1, 2, ..., or
     EXHAUSTED.
 
     The node cap applies per colorability call; the wall-clock cap spans the
     whole computation, and no new k is started once it has passed.  Any
-    3-graph is n-colorable, so this terminates.
+    3-graph is n-colorable, so this terminates.  _deadline is as in
+    k_colorable.
     """
-    deadline = budget.deadline()
+    deadline = budget.deadline() if _deadline is None else _deadline
     k = 1
     while True:
         res = k_colorable(G, k, budget, _deadline=deadline)
@@ -92,9 +93,9 @@ def chromatic_coloring(G, budget=UNLIMITED):
         k += 1
 
 
-def chromatic_number(G, budget=UNLIMITED):
+def chromatic_number(G, budget=UNLIMITED, _deadline=None):
     """Least k admitting a proper k-coloring, or EXHAUSTED."""
-    res = chromatic_coloring(G, budget)
+    res = chromatic_coloring(G, budget, _deadline)
     return res if res is EXHAUSTED else res.palette
 
 

@@ -6,9 +6,13 @@ driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
 by edge count.  Level m + 1 holds the one-edge extensions of level m's
 representatives: a parent G is H-free, so a copy of H in G + e must use e,
 and containment.ForbiddenTriples finds all such triples e of G at once,
-from the embeddings of H minus one edge into G.  Each other child gets one
-core.canonical_form call (individualization-refinement), and the first
-child seen in each class is its representative.  The search checks the
+from the embeddings of H minus one edge into G.  Each representative keeps
+the automorphism generators of its core.canonical_form call
+(individualization-refinement), and a candidate that one of them maps onto
+a smaller triple is skipped (orbit pruning; McKay, "Isomorph-free
+exhaustive generation", 1998).  Each other child gets one canonical form,
+and the first child seen in each class is its representative, the same one
+as with no candidate skipped.  The search checks the
 budget: the deadline before each parent and before each candidate, the node
 cap after each whole level (a level's representatives are its nodes).
 ramsey's independence-number calls check the same deadline and a node cap
@@ -179,21 +183,32 @@ def _hfree_level_reps(n, H, over):
     at level 0.  A parent's children are its one-edge extensions by the
     triples outside its containment.ForbiddenTriples, in lexicographic order;
     the first child seen in each canonical-form class represents it.
+
+    Each representative keeps the automorphism generators its canonical
+    form found.  A candidate triple e that one of them maps onto a smaller
+    triple g(e) is skipped, with no canonical form: the edges and the
+    forbidden triples of the parent are invariant under g, so g(e) is an
+    earlier candidate of the same parent with an isomorphic child.  The
+    first child of each class is never skipped, so the levels and their
+    representatives are those of trying every candidate.
+
     over(k) charges k nodes and says whether the budget is spent; it is
     called with k = 0 before each parent and before each candidate triple
     not in the parent, and with k = the number of representatives after
     each level.  Once it says so, yields (edge_count, None) for the
     unfinished level and stops."""
     forbidden = ForbiddenTriples(H)
-    count, level = 0, [Hypergraph(n, 3, ())]
+    # the empty graph's automorphisms, as canonical_form gives them
+    swaps = [{u: u + 1, u + 1: u} for u in range(n - 1)]
+    count, level = 0, [(Hypergraph(n, 3, ()), swaps)]
     while level:
-        yield count, level
+        yield count, [G for G, _ in level]
         count += 1
         if over(len(level)):
             yield count, None
             return
         nxt = {}
-        for G in level:
+        for G, auts in level:
             if over(0):
                 yield count, None
                 return
@@ -204,9 +219,11 @@ def _hfree_level_reps(n, H, over):
                 if over(0):
                     yield count, None
                     return
-                if e not in banned:
-                    cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
-                    nxt.setdefault(canonical_form(cand), cand)
+                if e in banned or any(sorted(map(g.get, e, e)) < list(e)
+                                      for g in auts):
+                    continue
+                cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
+                nxt.setdefault(canonical_form(cand, found), (cand, found))
         level = list(nxt.values())
 
 
@@ -327,7 +344,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
 class WitnessReport:
     """Outcome of checking one (G, H, r) witness for an m_H(r) upper bound."""
 
-    h_free: bool
+    h_free: object       # bool, or None when the freeness test was exhausted
     chi: object          # int, or None when the solver was exhausted
     chi_exceeds_r: object  # bool, or None when unknown
     edge_count: int
@@ -337,9 +354,16 @@ class WitnessReport:
 
 def verify_witness(G, H, r, budget=exact.UNLIMITED):
     """Check that G is H-free with chromatic number above r; a success implies
-    m_H(r) <= |E(G)|."""
-    free = is_free(G, H)
-    chi = exact.chromatic_number(G, budget)
+    m_H(r) <= |E(G)|.
+
+    The H-freeness test and the chromatic number share the budget's one
+    wall-clock deadline; the node cap applies to the chromatic number only.
+    A freeness test cut short gives an exhausted report with h_free None."""
+    deadline = budget.deadline()
+    free = is_free(G, H, deadline)
+    if free is exact.EXHAUSTED:
+        return WitnessReport(None, None, None, len(G.edges), None, "exhausted")
+    chi = exact.chromatic_number(G, budget, deadline)
     if chi is exact.EXHAUSTED:
         return WitnessReport(free, None, None, len(G.edges), None, "exhausted")
     exceeds = chi > r

@@ -7,7 +7,8 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the H-free level search by one containment test per candidate,
+bound, the H-free level search by one containment test per candidate or
+by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
 and edge orderings by trying every interleaving of interchangeable edges.
 """
@@ -258,6 +259,38 @@ def reference_hfree_level_reps(n, H, over):
                     return
                 cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                 if contains(cand, H) is None:
+                    nxt.setdefault(canonical_form(cand), cand)
+        level = list(nxt.values())
+
+
+def reference_forbidden_level_reps(n, H, over):
+    """extremal._hfree_level_reps with one canonical form per candidate
+    triple outside the parent's forbidden triples: no candidate is skipped
+    by the parent's automorphisms."""
+    from hyperchrome.containment import ForbiddenTriples
+
+    forbidden = ForbiddenTriples(H)
+    count, level = 0, [Hypergraph(n, 3, ())]
+    while level:
+        yield count, level
+        count += 1
+        if over(len(level)):
+            yield count, None
+            return
+        nxt = {}
+        for G in level:
+            if over(0):
+                yield count, None
+                return
+            present, banned = G.edge_set(), forbidden.of(G)
+            for e in itertools.combinations(range(n), 3):
+                if e in present:
+                    continue
+                if over(0):
+                    yield count, None
+                    return
+                if e not in banned:
+                    cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                     nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
 

@@ -408,6 +408,52 @@ class TestCanonicalForm:
         assert proc.returncode == 0, proc.stderr[-500:]
 
 
+def group_order(n, gens):
+    """The order of the permutation group on 0..n-1 that the moved-point
+    maps gens generate, by closing the identity under them."""
+    perms = [tuple(g.get(v, v) for v in range(n)) for g in gens]
+    seen = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(g[v] for v in p) for p in frontier
+                    for g in perms} - seen
+        seen |= frontier
+    return len(seen)
+
+
+def brute_automorphism_count(G):
+    edges = G.edge_set()
+    return sum({tuple(sorted(p[v] for v in e)) for e in edges} == edges
+               for p in permutations(range(G.n)))
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("G", [
+        cons.named("fano"), cons.complete(7), cons.gq(2), cons.loose_cycle(6),
+        matching(20), Hypergraph(12, 3, ((0, 1, 2), (2, 3, 4))),
+        Hypergraph(5, 3, ()),
+    ], ids=["fano", "complete7", "gq2", "loose_cycle6", "matching20",
+            "isolated_path", "edgeless"])
+    def test_maps_are_automorphisms(self, G):
+        found = []
+        assert canonical_form(G, found) == canonical_form(G)
+        edges = G.edge_set()
+        for g in found:
+            # a permutation of its moved points, stored without fixed points
+            assert sorted(g) == sorted(g.values())
+            assert all(0 <= v < G.n and g[v] != v for v in g)
+            assert {tuple(sorted(g.get(v, v) for v in e))
+                    for e in edges} == edges
+
+    def test_generate_the_whole_group(self):
+        # isolated vertices included: small_graph leaves many
+        for seed in range(400):
+            G = small_graph(seed, n_max=6)
+            found = []
+            key = canonical_form(G, found)
+            assert key == canonical_form(G)
+            assert group_order(G.n, found) == brute_automorphism_count(G), G
+
+
 class TestVertexOrder:
     def test_inverse(self):
         o = VertexOrder((2, 0, 1))

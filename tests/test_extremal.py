@@ -22,7 +22,9 @@ from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
-                     reference_find_edge_ordering, reference_hfree_level_reps)
+                     reference_find_edge_ordering,
+                     reference_forbidden_level_reps,
+                     reference_hfree_level_reps)
 
 LP = cons.named("linear_pair")
 
@@ -307,9 +309,9 @@ def test_deadline_stops_mid_level(search, monkeypatch):
     calls = {"done": 0, "late": 0}
     passed = lambda: calls["done"] >= 3
 
-    def counting(G):
+    def counting(G, *args):
         calls["late"] += passed()
-        out = real(G)
+        out = real(G, *args)
         calls["done"] += 1
         return out
 
@@ -412,6 +414,39 @@ def test_level_search_matches_reference(n, name):
     assert checks == want[2] + sum(len(reps) for _, reps in levels)
 
 
+def _levels_and_charges(search, n, H):
+    charges = []
+
+    def over(k):
+        charges.append(k)
+        return False
+
+    levels = [(count, [R.edges for R in reps])
+              for count, reps in search(n, H, over)]
+    return levels, [k for k in charges if k]
+
+
+@pytest.mark.parametrize("n, name", [
+    (n, name) for name in ("K4", "LP", "P2", "K4-", "fano", "C3")
+    for n in range(3, 7)] + [(7, "LP"), (7, "P2")])
+def test_orbit_pruning_keeps_representatives(n, name):
+    # skipping the candidates that a parent automorphism maps lower leaves
+    # every level, representative and node charge as one canonical form
+    # per candidate gives them
+    H = cons.named("fano") if name == "fano" else FORBIDDING[name]
+    assert _levels_and_charges(ext._hfree_level_reps, n, H) == \
+        _levels_and_charges(reference_forbidden_level_reps, n, H)
+
+
+@pytest.mark.parametrize("n, classes", [(5, 34), (6, 2136)])
+def test_level_search_counts_every_class(n, classes):
+    # sunflower7 has 7 vertices, so every 3-graph on n <= 6 is free of it
+    # and the levels hold all isomorphism classes (OEIS A000665)
+    levels = ext._hfree_level_reps(n, cons.named("sunflower7"),
+                                   lambda k: False)
+    assert sum(len(reps) for _, reps in levels) == classes
+
+
 class TestRamsey:
     def test_single_edge(self):
         H = new_hypergraph(3, 3, [(0, 1, 2)])
@@ -462,6 +497,20 @@ class TestVerifyWitness:
         wr = ext.verify_witness(cons.complete(9), LP, 2,
                                 SearchBudget(max_nodes=2))
         assert wr.status == "exhausted" and wr.chi is None
+
+    def test_deadline_bounds_the_freeness_test(self):
+        # finding the first K4 in this graph takes ~0.6 s of link masks;
+        # the freeness test must stop at the 10 ms deadline, not finish first
+        rng = random.Random(0)
+        edges = set()
+        while len(edges) < 20_000:
+            edges.add(tuple(sorted(rng.sample(range(200), 3))))
+        G = Hypergraph(200, 3, tuple(sorted(edges)))
+        started = time.monotonic()
+        wr = ext.verify_witness(G, K4, 2, SearchBudget(max_millis=10))
+        assert time.monotonic() - started < 0.5
+        assert wr.status == "exhausted" and wr.h_free is None
+        assert wr.chi is None and wr.edge_count == 20_000
 
 
 class TestCache:
