@@ -185,27 +185,23 @@ def _run(name, cmd, args):
     return out.code
 
 
+# gen families, in --help order: name -> (args, seed) -> Hypergraph
+FAMILIES = {
+    "complete": lambda a, seed: cons.complete(a.n),
+    "loose-cycle": lambda a, seed: cons.loose_cycle(a.l),
+    "loose-path": lambda a, seed: cons.loose_path(a.l),
+    "partition": lambda a, seed: cons.partition_example(a.r, a.t),
+    "gq": lambda a, seed: cons.gq(a.q),
+    "fq-blowup": lambda a, seed: cons.fq_blowup(cons.BlowupSpec(a.n, a.tau, seed)),
+    "random": lambda a, seed: cons.random_3graph(a.n, a.m, seed),
+    "hypertree": lambda a, seed: cons.random_hypertree(a.e, seed),
+    **{name.replace("_", "-"): lambda a, seed, name=name: cons.named(name)
+       for name in cons.NAMED},
+}
+
+
 def _gen(args):
-    name = args.family
-    seed = _seed(args)
-    if name == "complete":
-        G = cons.complete(args.n)
-    elif name == "loose-cycle":
-        G = cons.loose_cycle(args.l)
-    elif name == "loose-path":
-        G = cons.loose_path(args.l)
-    elif name == "partition":
-        G = cons.partition_example(args.r, args.t)
-    elif name == "gq":
-        G = cons.gq(args.q)
-    elif name == "fq-blowup":
-        G = cons.fq_blowup(cons.BlowupSpec(args.n, args.tau, seed))
-    elif name == "random":
-        G = cons.random_3graph(args.n, args.m, seed)
-    elif name == "hypertree":
-        G = cons.random_hypertree(args.e, seed)
-    else:
-        G = cons.named(name.replace("-", "_"))
+    G = FAMILIES[args.family](args, _seed(args))
     sys.stdout.write(serialize_hypergraph(G))
     return 0
 
@@ -413,10 +409,7 @@ def build_parser():
     sub = top.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="write a generated hypergraph to stdout")
-    g.add_argument("family", choices=[
-        "complete", "loose-cycle", "loose-path", "partition", "gq",
-        "fq-blowup", "random", "hypertree", "k4", "k4-minus", "linear-pair",
-        "neighborhood5", "sunflower7", "fano"])
+    g.add_argument("family", choices=list(FAMILIES))
     g.add_argument("--n", type=int, default=0)
     g.add_argument("--m", type=int, default=0)
     g.add_argument("--l", type=int, default=3)

@@ -53,7 +53,8 @@ def loose_path(l):
 _FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6),
                (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
 
-_NAMED = {
+# the named 3-graphs, name -> (n, edges); `gen` offers each with - for _
+NAMED = {
     "k4": (4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
     "k4_minus": (4, ((0, 1, 2), (0, 1, 3), (0, 2, 3))),
     "linear_pair": (4, ((0, 1, 2), (0, 1, 3))),
@@ -66,7 +67,7 @@ _NAMED = {
 def named(name):
     """One of: k4, k4_minus, linear_pair, neighborhood5, sunflower7, fano."""
     try:
-        n, edges = _NAMED[name]
+        n, edges = NAMED[name]
     except KeyError:
         raise ValueError(f"unknown named hypergraph {name!r}") from None
     return new_hypergraph(n, 3, edges)

@@ -11,11 +11,12 @@ vertices by increasing index.  The candidates for the next vertex are an AND
 of bitmasks over V(G) (Ullmann, "An algorithm for subgraph isomorphism",
 1976): the unused vertices of high enough degree and, for each pattern edge
 holding the vertex and some placed ones, the link of their images, that is
-the vertices of the G-edges holding all of those images.  Once an edge's
-other vertices are all placed, its link is exactly the vertices completing
-it.  Each constraint is necessary, so the search meets the valid maps in
-lexicographic order along the vertex order.  Vertices in no pattern edge
-are wildcards: any unused vertices will do.
+the vertices of the G-edges holding all of those images (core.Links).
+Once an edge's other vertices are all placed, its link is exactly the
+vertices completing it.  Each constraint is necessary, so the search meets
+the valid maps in lexicographic order along the vertex order.  Vertices in
+no pattern edge are wildcards: any unused vertices will do.  H's edge
+orbits come from core.canonical_form; this module builds no index.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from time import monotonic
 
-from .core import incidence
+from .core import Links, canonical_form, incidence
 from .exact import EXHAUSTED
 
 
@@ -109,29 +110,6 @@ def _plan(n, edges):
     return order, steps
 
 
-class _Links(dict):
-    """The link masks of a graph on len(at) vertices, built on first use:
-    self[key] is the mask of the vertices of the edges holding every vertex
-    of key, a tuple of vertices or a bare vertex (itemgetter of one position
-    returns it).  Masks are kept while they fit in 2**27 bits (16 MB)."""
-
-    def __init__(self, at):
-        super().__init__()
-        self.at, self.room = at, (1 << 27) // max(len(at), 1)
-
-    def __missing__(self, key):
-        first, *rest = key if isinstance(key, tuple) else (key,)
-        mask = 0
-        for e in self.at[first]:
-            if all(v in e for v in rest):
-                for w in e:
-                    mask |= 1 << w
-        if self.room:
-            self.room -= 1
-            self[key] = mask
-        return mask
-
-
 def _embeddings(steps, link, deadline=0.0):
     """Yield (phi, image) for every injective map phi of a plan's vertices
     into the vertices of link's graph that keeps their edges, in
@@ -192,7 +170,7 @@ def contains(G, H, deadline=0.0):
     if H.n > G.n:
         return None
     order, steps = _plan(H.n, H.edges)
-    link = _Links(incidence(G.n, G.edges))
+    link = Links(G.n, G.edges)
     first = next(_embeddings(steps, link, deadline), None)
     if first is None or first is EXHAUSTED:
         return first
@@ -240,7 +218,7 @@ def _edge_images(plans, G):
     are wildcards over the unused vertices."""
     pairs, wholes, seen = {}, set(), set()
     full = (1 << G.n) - 1
-    link = _Links(incidence(G.n, G.edges))
+    link = Links(G.n, G.edges)
     for steps, fixed in plans:
         for phi, image in _embeddings(steps, link):
             ends = sorted(phi[j] for j in fixed)
@@ -275,7 +253,9 @@ class ForbiddenTriples:
 
     Any copy of H in G + e uses e, so of(G) is the set of images of f over
     the embeddings of H - f into G, for one edge f of H per orbit of H's
-    automorphisms.  An H with no edges is contained in every G on at least
+    automorphisms, the first in edge order.  The orbit of f is its closure
+    under the generators of Aut(H) that core.canonical_form returns, for H
+    of any size.  An H with no edges is contained in every G on at least
     H.n vertices, so then every triple is forbidden; an H on more vertices
     than G forbids none.
     """
@@ -284,7 +264,8 @@ class ForbiddenTriples:
         if H.k != 3:
             raise ValueError("forbidden triples are for 3-graphs")
         self.H, self.plans = H, []
-        covered = set()
+        gens, covered = [], set()
+        canonical_form(H, gens)
         for f in H.edges:
             if f in covered:
                 continue
@@ -292,11 +273,11 @@ class ForbiddenTriples:
             plan = (steps, tuple(i for i, u in enumerate(order) if u in f))
             self.plans.append(plan)
             covered.add(f)
-            # the images of f in H itself that are edges form f's orbit; at
-            # most 8! maps to try keeps this cheap, a larger H keeps every edge
-            if H.n <= 8:
-                orbit = _edge_images([plan], H)
-                covered.update(e for e in H.edges if e in orbit)
+            orbit = [f]
+            for e in orbit:  # grows while it is walked
+                images = {tuple(sorted(map(g.get, e, e))) for g in gens}
+                orbit += images - covered
+                covered |= images
 
     def of(self, G):
         if G.k != 3:

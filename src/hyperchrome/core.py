@@ -1,7 +1,8 @@
 """Hypergraph representation, structural predicates and exact structural quantities.
 
 Vertices are 0-based integers below ``n``; edges are stored as sorted,
-duplicate-free tuples.  All objects here are immutable and safe to share.
+duplicate-free tuples.  All objects here are immutable and safe to share,
+except a Links index, which fills itself as it is read.
 """
 
 from collections import Counter
@@ -123,6 +124,30 @@ def pair_support(edges):
     """Vertex pair -> number of edges holding it.  Pairs keep the vertex
     order of their edge, so sorted edges give sorted pairs."""
     return Counter(p for e in edges for p in combinations(e, 2))
+
+
+class Links(dict):
+    """The link masks of an edge list on 0..n-1, built on first use from
+    at, its incidence: self[key] is the mask of the vertices of the edges
+    holding every vertex of key, a tuple of vertices or a bare vertex
+    (itemgetter of one position returns it).  Masks are kept while they fit
+    in 2**27 bits (16 MB)."""
+
+    def __init__(self, n, edges):
+        super().__init__()
+        self.at, self.room = incidence(n, edges), (1 << 27) // max(n, 1)
+
+    def __missing__(self, key):
+        first, *rest = key if isinstance(key, tuple) else (key,)
+        mask = 0
+        for e in self.at[first]:
+            if all(v in e for v in rest):
+                for w in e:
+                    mask |= 1 << w
+        if self.room:
+            self.room -= 1
+            self[key] = mask
+        return mask
 
 
 def degree_order(G):
@@ -264,13 +289,7 @@ def is_ordered_chain(G, chain, ord):
 
 def is_linear(G):
     """True iff every pair of edges shares at most one vertex."""
-    pair_seen = set()
-    for e in G.edges:
-        for p in combinations(e, 2):
-            if p in pair_seen:
-                return False
-            pair_seen.add(p)
-    return True
+    return max(pair_support(G.edges).values(), default=0) <= 1
 
 
 def is_hyperforest(G):

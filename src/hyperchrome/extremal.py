@@ -33,7 +33,7 @@ from . import exact
 from .cache import ResultRecord
 from .containment import (Embedding, ForbiddenTriples, contains,
                           embedding_ok, is_free)
-from .core import Hypergraph, canonical_form, incidence, pair_support
+from .core import Hypergraph, Links, canonical_form, pair_support
 
 
 @dataclass(frozen=True)
@@ -132,47 +132,34 @@ def prune_low_support(G, t):
 def embed_by_edge_order(G, H, ord):
     """Grow an embedding of H into G edge by edge along a valid EdgeOrdering.
 
-    Prunes G first; when the pruned graph keeps an edge the growth never
-    fails (each anchored pair supports >= t-2 edges while the partial image
-    uses fewer), which happens whenever |E(G)| > (t-3) * C(n,2).
+    Prunes G first.  The first edge of the ordering lands on the first edge
+    of the pruned graph.  Each later edge holds an anchored pair {a, b} of
+    an earlier edge and a fresh vertex; with {u, v} the image of {a, b},
+    the paper's step "there is e in E(G') - E(H) which contains v and u"
+    is a lookup in the link of {u, v} (core.Links): the fresh vertex goes
+    to its lowest vertex outside the image.  When the pruned graph keeps
+    an edge the growth never fails (each anchored pair supports >= t-2
+    edges while the partial image uses fewer), which happens whenever
+    |E(G)| > (t-3) * C(n,2).
     """
-    t = H.n
-    pruned = prune_low_support(G, t)
+    if G.k != H.k:
+        raise ValueError("uniformity mismatch")
+    pruned = prune_low_support(G, H.n)
     if not pruned.edges:
         return None
-    at = incidence(pruned.n, pruned.edges)
-
-    first = pruned.edges[0]
-    vmap = {}
-    for hv, gv in zip(ord.order[0], first):
-        vmap[hv] = gv
-    used_edges = {first}
-    emap = {ord.order[0]: first}
-    for i in range(1, len(ord.order)):
-        j, pair, fresh = ord.anchors[i - 1]
-        img_pair = tuple(sorted((vmap[pair[0]], vmap[pair[1]])))
-        target = None
-        image_verts = set(vmap.values())
-        for e in at[img_pair[0]]:
-            if img_pair[1] not in e or e in used_edges:
-                continue
-            third = next(v for v in e if v not in img_pair)
-            if third in image_verts:
-                continue
-            target = e
-            break
-        if target is None:
+    link = Links(pruned.n, pruned.edges)
+    vmap = dict(zip(ord.order[0], pruned.edges[0]))
+    image = sum(1 << v for v in pruned.edges[0])
+    for _, (a, b), fresh in ord.anchors:
+        free = link[vmap[a], vmap[b]] & ~image
+        if not free:
             return None
-        third = next(v for v in target if v not in img_pair)
-        vmap[fresh] = third
-        used_edges.add(target)
-        emap[ord.order[i]] = target
-    # vertices of H outside every edge cannot be reached by the growth; the
-    # size condition |V| = |E| + 2 rules them out whenever an ordering exists
-    if len(vmap) != H.n:
-        return None
+        vmap[fresh] = (free & -free).bit_length() - 1
+        image |= 1 << vmap[fresh]
+    # a vertex of H in no edge is never placed and fails the revalidation;
+    # the size condition |V| = |E| + 2 rules it out whenever an ordering exists
     vm = tuple(sorted(vmap.items()))
-    em = tuple((e, emap[e]) for e in H.edges)
+    em = tuple((e, tuple(sorted(vmap[v] for v in e))) for e in H.edges)
     emb = Embedding(vm, em)
     return emb if embedding_ok(G, H, emb) else None
 

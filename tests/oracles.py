@@ -10,7 +10,9 @@ recursive backtracking with no pruning beyond infeasibility and the trivial
 bound, the H-free level search by one containment test per candidate or
 by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
-and edge orderings by trying every interleaving of interchangeable edges.
+edge orderings by trying every interleaving of interchangeable edges, the
+edge orbits of a pattern by embedding it less one edge into itself, and the
+edge-ordering embedding by scanning incidence lists for each anchored pair.
 """
 
 import itertools
@@ -19,8 +21,8 @@ from time import monotonic
 
 from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
 from hyperchrome.coloring import ColoringFailure
-from hyperchrome.containment import Embedding
-from hyperchrome.extremal import EdgeOrdering
+from hyperchrome.containment import Embedding, embedding_ok
+from hyperchrome.extremal import EdgeOrdering, prune_low_support
 from hyperchrome.core import (Coloring, Hypergraph, canonical_form, incidence,
                               is_ordered_chain, is_proper, pair_support,
                               pairs_at)
@@ -197,6 +199,71 @@ def reference_find_edge_ordering(H):
         if len(order) == m:
             return EdgeOrdering(tuple(edges[i] for i in order), tuple(anchors))
     return None
+
+
+def reference_forbidden_plans(H):
+    """ForbiddenTriples(H).plans with the orbit of an edge f taken as the
+    edges of H that are images of f over the embeddings of H - f into H
+    itself.  Only an H on at most 8 vertices is searched so; a larger H
+    keeps a plan for every edge."""
+    from hyperchrome.containment import _edge_images, _plan
+
+    plans, covered = [], set()
+    for f in H.edges:
+        if f in covered:
+            continue
+        order, steps = _plan(H.n, [e for e in H.edges if e != f])
+        plan = (steps, tuple(i for i, u in enumerate(order) if u in f))
+        plans.append(plan)
+        covered.add(f)
+        if H.n <= 8:
+            orbit = _edge_images([plan], H)
+            covered.update(e for e in H.edges if e in orbit)
+    return plans
+
+
+def reference_embed_by_edge_order(G, H, ord):
+    """extremal.embed_by_edge_order growing each edge by a scan of the
+    incidence list of the lower image of its anchored pair: the first edge
+    through the pair that is not yet used and whose third vertex is not
+    yet an image."""
+    t = H.n
+    pruned = prune_low_support(G, t)
+    if not pruned.edges:
+        return None
+    at = incidence(pruned.n, pruned.edges)
+
+    first = pruned.edges[0]
+    vmap = {}
+    for hv, gv in zip(ord.order[0], first):
+        vmap[hv] = gv
+    used_edges = {first}
+    emap = {ord.order[0]: first}
+    for i in range(1, len(ord.order)):
+        j, pair, fresh = ord.anchors[i - 1]
+        img_pair = tuple(sorted((vmap[pair[0]], vmap[pair[1]])))
+        target = None
+        image_verts = set(vmap.values())
+        for e in at[img_pair[0]]:
+            if img_pair[1] not in e or e in used_edges:
+                continue
+            third = next(v for v in e if v not in img_pair)
+            if third in image_verts:
+                continue
+            target = e
+            break
+        if target is None:
+            return None
+        third = next(v for v in target if v not in img_pair)
+        vmap[fresh] = third
+        used_edges.add(target)
+        emap[ord.order[i]] = target
+    if len(vmap) != H.n:
+        return None
+    vm = tuple(sorted(vmap.items()))
+    em = tuple((e, emap[e]) for e in H.edges)
+    emb = Embedding(vm, em)
+    return emb if embedding_ok(G, H, emb) else None
 
 
 def brute_longest_chain(G, ordv):

@@ -33,6 +33,7 @@ GRAPHS = {
     # |V| = |E| + 2, yet no edge meets an earlier one in a pair plus a
     # fresh vertex after the first: find_edge_ordering gives None
     "noorder": Hypergraph(5, 3, ((0, 1, 2), (0, 3, 4), (1, 3, 4))),
+    "gq3": cons.gq(3),  # 4-uniform
 }
 
 # (case id, command line with {graph} placeholders, graph fed on stdin)
@@ -114,6 +115,8 @@ CASES = [
     ("embed-order-no-embedding", "embed-order --in {fano} --h {lp}", None),
     ("embed-order-no-ordering", "embed-order --in {k6} --h {noorder}", None),
     ("embed-order-bad-size", "embed-order --in {k5} --h {k4}", None),
+    ("embed-order-uniformity-mismatch", "embed-order --in {gq3} --h {lp}",
+     None),
 ]
 
 SUBCOMMANDS = ["gen", "chi", "alpha", "kcolor", "color", "contains", "free",
@@ -612,6 +615,8 @@ EXPECTED = {
         (1,
          '{"error": "need |V| = |E| + 2, got |V|=4, |E|=4", "status": '
          '"failure"}\n'),
+    'embed-order-uniformity-mismatch':
+        (1, '{"error": "uniformity mismatch", "status": "failure"}\n'),
 }
 
 EXPECTED_QUIET = {
@@ -721,6 +726,8 @@ EXPECTED_QUIET = {
         (1,
          '{"error": "need |V| = |E| + 2, got |V|=4, |E|=4", "status": '
          '"failure"}\n'),
+    'embed-order-uniformity-mismatch':
+        (1, '{"error": "uniformity mismatch", "status": "failure"}\n'),
 }
 
 HELP = {

@@ -22,9 +22,10 @@ from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
+                     reference_embed_by_edge_order,
                      reference_find_edge_ordering,
                      reference_forbidden_level_reps,
-                     reference_hfree_level_reps)
+                     reference_forbidden_plans, reference_hfree_level_reps)
 
 LP = cons.named("linear_pair")
 
@@ -185,6 +186,31 @@ class TestEmbedByEdgeOrder:
                                    5000 + i)
             emb = ext.embed_by_edge_order(G, LP, eo)
             assert emb is not None and embedding_ok(G, LP, emb)
+
+    def test_uniformity_mismatch(self):
+        eo = ext.find_edge_ordering(LP)
+        with pytest.raises(ValueError, match="uniformity mismatch"):
+            ext.embed_by_edge_order(cons.gq(3), LP, eo)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_same_embedding_as_reference(self, seed):
+        # an H grown edge by edge from a pair of an earlier edge and a fresh
+        # vertex, under a random relabelling, in a random G of any density
+        rng = random.Random(seed)
+        m = rng.randrange(1, 8)
+        edges = [tuple(range(3))]
+        for fresh in range(3, m + 2):
+            a, b = sorted(rng.sample(rng.choice(edges), 2))
+            edges.append((a, b, fresh))
+        perm = rng.sample(range(m + 2), m + 2)
+        H = new_hypergraph(m + 2, 3, [[perm[v] for v in e] for e in edges])
+        eo = ext.find_edge_ordering(H)
+        assert eo is not None
+        n = rng.randrange(3, 14)
+        G = cons.random_3graph(n, rng.randrange(math.comb(n, 3) + 1), seed)
+        assert ext.embed_by_edge_order(G, H, eo) == \
+            reference_embed_by_edge_order(G, H, eo)
 
 
 class TestTuranEx:
@@ -386,6 +412,52 @@ class TestForbiddenTriples:
         assert (0, 5, 6) in forbidden and (2, 2998, 2999) in forbidden
         assert (0, 1, 5) not in forbidden and (5, 6, 7) not in forbidden
         assert (0, 1, 2) not in forbidden
+
+
+def _probed(plans):
+    # itemgetters compare by identity: compare what they return from a probe
+    probe = [f"position {i}" for i in range(64)]
+    return [([(d, [get(probe) for get in links]) for d, links in steps], fixed)
+            for steps, fixed in plans]
+
+
+@pytest.mark.parametrize("H", list(FORBIDDING.values())
+                         + [cons.named(name) for name in cons.NAMED]
+                         + [cons.loose_cycle(3), cons.loose_cycle(4),
+                            cons.loose_path(2), cons.loose_path(3)])
+def test_plans_match_self_embedding_orbits(H):
+    # on at most 8 vertices the orbits from canonical_form's generators are
+    # those of embedding H less an edge into H itself
+    assert H.n <= 8 or not H.edges
+    assert _probed(ForbiddenTriples(H).plans) == \
+        _probed(reference_forbidden_plans(H))
+
+
+@pytest.mark.parametrize("H, before, after", [
+    (cons.loose_cycle(5), 5, 1), (cons.loose_path(4), 4, 2),
+    (cons.gq(2), 15, 1)], ids=["C5", "P4", "gq2"])
+def test_one_plan_per_orbit_past_eight_vertices(H, before, after):
+    # the self-embedding orbits stopped at 8 vertices and kept a plan per
+    # edge beyond; one plan per orbit marks the same triples
+    from hyperchrome.containment import _edge_images
+
+    plans = reference_forbidden_plans(H)
+    forbidden = ForbiddenTriples(H)
+    assert (len(plans), len(forbidden.plans)) == (before, after)
+    n = H.n + 1
+    for seed in range(3):
+        rng = random.Random(seed)
+        perm = rng.sample(range(n), n)
+        f = rng.choice(H.edges)
+        near = {tuple(sorted(perm[v] for v in e)) for e in H.edges if e != f}
+        near |= set(rng.sample(list(combinations(range(n), 3)), 3))
+        near = Hypergraph(n, 3, tuple(sorted(near)))
+        # near holds a copy of H less f, so the image of f is forbidden
+        assert tuple(sorted(perm[v] for v in f)) in forbidden.of(near)
+        for G in (near, cons.random_3graph(n, n, seed)):
+            want, got = _edge_images(plans, G), forbidden.of(G)
+            assert all((e in got) == (e in want)
+                       for e in combinations(range(n), 3))
 
 
 @pytest.mark.parametrize("n, name", [
