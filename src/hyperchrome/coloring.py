@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from time import monotonic
 
 from . import exact
-from .core import Coloring, OrderedChain, incidence, induced, pairs_at
+from .core import Coloring, OrderedChain, induced
 from .constructions import mix_seed, named
 
 # rational upper bound on Euler's number, error < 1e-18; thresholds compare
@@ -62,21 +62,27 @@ def greedy_pluhar(G, ord, palette_cap=None):
     Each vertex takes the minimal color that does not complete a
     monochromatic edge.  With `palette_cap` set, returns a GreedyFailure at
     the first vertex that would need a color >= cap, carrying its cap-many
-    witness edges.
+    witness edges.  The witness for a color c is the first edge at the
+    vertex, in edge order, whose two other vertices share color c.
     """
     if G.k != 3:
         raise ValueError("greedy coloring handles 3-graphs")
-    n = G.n
-    pairs = pairs_at(n, G.edges)
+    n, at = G.n, G.at
     colors = [-1] * n
     witness = [()] * n
     top = -1
     for v in ord.order:
         blocking = {}
-        for a, b in pairs[v]:
+        for e in at[v]:
+            a, b, c = e
+            # (a, b) becomes the pair of e's vertices other than v
+            if a == v:
+                a = c
+            elif b == v:
+                b = c
             ca = colors[a]
             if ca >= 0 and ca == colors[b] and ca not in blocking:
-                blocking[ca] = tuple(sorted((v, a, b)))
+                blocking[ca] = e
         c = 0
         while c in blocking:
             c += 1
@@ -210,7 +216,7 @@ def lll_color(G, r, seed, max_resamples=None, check=True):
         max_resamples = 1000 * len(G.edges)
     rng = random.Random(seed)
     colors = [rng.randrange(r) for _ in range(G.n)]
-    at = incidence(G.n, G.edges)
+    at = G.at
     # collected in edge order, so already a heap
     mono = [e for e in G.edges
             if colors[e[0]] == colors[e[1]] == colors[e[2]]]
@@ -331,7 +337,7 @@ def dyadic_classes(G, r):
 
 def _greedy_independent(sub):
     # min-degree-first greedy independent set on an induced subgraph
-    at = incidence(sub.n, sub.edges)
+    at = sub.at
     chosen = set()
     for v in sorted(range(sub.n), key=lambda v: (len(at[v]), v)):
         if not any(all(u in chosen or u == v for u in e) for e in at[v]):

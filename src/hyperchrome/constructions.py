@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
-from .core import Hypergraph, incidence, new_hypergraph
+from .core import Hypergraph, new_hypergraph
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -153,7 +153,7 @@ def gq(q):
 def gq_axiom_holds(G):
     """Generalized-quadrangle axiom: for every vertex p off a line L there is
     exactly one line through p meeting L."""
-    at = incidence(G.n, G.edges)
+    at = G.at
     for p in range(G.n):
         for line in G.edges:
             if p in line:

@@ -170,7 +170,7 @@ def contains(G, H, deadline=0.0):
     if H.n > G.n:
         return None
     order, steps = _plan(H.n, H.edges)
-    link = Links(G.n, G.edges)
+    link = Links(G)
     first = next(_embeddings(steps, link, deadline), None)
     if first is None or first is EXHAUSTED:
         return first
@@ -218,7 +218,7 @@ def _edge_images(plans, G):
     are wildcards over the unused vertices."""
     pairs, wholes, seen = {}, set(), set()
     full = (1 << G.n) - 1
-    link = Links(G.n, G.edges)
+    link = Links(G)
     for steps, fixed in plans:
         for phi, image in _embeddings(steps, link):
             ends = sorted(phi[j] for j in fixed)

@@ -2,12 +2,14 @@
 
 Vertices are 0-based integers below ``n``; edges are stored as sorted,
 duplicate-free tuples.  All objects here are immutable and safe to share,
-except a Links index, which fills itself as it is read.
+except two indexes that fill themselves as they are read: a Hypergraph's
+incidence list, built once on first use, and a Links index.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter, lt
 
@@ -19,26 +21,30 @@ class Hypergraph:
     Invariants: every edge has exactly k distinct vertices below n, each edge
     tuple is sorted, and the edge list is sorted and duplicate-free.
     Construct through :func:`new_hypergraph`, which normalizes input.
+
+    ``at``, the incidence list, is a memo: built by :func:`incidence` on
+    first read and kept in the instance ``__dict__``, so ``==``, ``hash``
+    and ``repr`` still see only (n, k, edges).  Never modify it.
     """
 
     n: int
     k: int
     edges: tuple
 
+    @cached_property
+    def at(self):
+        return incidence(self.n, self.edges)
+
     def degree(self, v):
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
-        return sum(1 for e in self.edges if v in e)
+        return len(self.at[v])
 
     def max_degree(self):
-        return max(self.degrees(), default=0)
+        return max(map(len, self.at), default=0)
 
     def degrees(self):
-        degs = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                degs[v] += 1
-        return degs
+        return list(map(len, self.at))
 
     def edge_set(self):
         return set(self.edges)
@@ -127,23 +133,45 @@ def pair_support(edges):
 
 
 class Links(dict):
-    """The link masks of an edge list on 0..n-1, built on first use from
-    at, its incidence: self[key] is the mask of the vertices of the edges
-    holding every vertex of key, a tuple of vertices or a bare vertex
-    (itemgetter of one position returns it).  Masks are kept while they fit
-    in 2**27 bits (16 MB)."""
+    """The link masks of a hypergraph G, built on first use from G.at:
+    self[key] is the mask of the vertices of the edges holding every vertex
+    of key, a tuple of vertices or a bare vertex (itemgetter of one position
+    returns it).  Masks are kept while they fit in 2**27 bits (16 MB).
 
-    def __init__(self, n, edges):
+    A pair key (first, x) fills every (first, y) mask in one pass over
+    at[first], and first joins filled, so a later pair key at first that is
+    missing has mask 0.  When the whole batch does not fit, only the
+    queried mask is kept."""
+
+    def __init__(self, G):
         super().__init__()
-        self.at, self.room = incidence(n, edges), (1 << 27) // max(n, 1)
+        self.at, self.room = G.at, (1 << 27) // max(G.n, 1)
+        self.filled = set()
 
     def __missing__(self, key):
         first, *rest = key if isinstance(key, tuple) else (key,)
-        mask = 0
-        for e in self.at[first]:
-            if all(v in e for v in rest):
+        if len(rest) == 1:
+            if first in self.filled:
+                return 0
+            masks = {}  # y -> mask of (first, y)
+            for e in self.at[first]:
+                bits = 0
                 for w in e:
-                    mask |= 1 << w
+                    bits |= 1 << w
+                for w in e:
+                    masks[w] = masks.get(w, 0) | bits
+            mask = masks.get(rest[0], 0)
+            if len(masks) <= self.room:
+                self.room -= len(masks)
+                self.update(((first, y), m) for y, m in masks.items())
+                self.filled.add(first)
+                return mask
+        else:
+            mask = 0
+            for e in self.at[first]:
+                if all(v in e for v in rest):
+                    for w in e:
+                        mask |= 1 << w
         if self.room:
             self.room -= 1
             self[key] = mask
@@ -380,8 +408,7 @@ def canonical_form(G, automorphisms=None):
     found, then the transpositions of consecutive isolated vertices.  The
     encoding is the same with or without it.
     """
-    n, k = G.n, G.k
-    at = incidence(n, G.edges)
+    n, k, at = G.n, G.k, G.at
     # isolated vertices drop out: they would take labels a..n-1, in no edge
     active = [v for v in range(n) if at[v]]
     index = {v: i for i, v in enumerate(active)}

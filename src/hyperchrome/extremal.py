@@ -147,7 +147,7 @@ def embed_by_edge_order(G, H, ord):
     pruned = prune_low_support(G, H.n)
     if not pruned.edges:
         return None
-    link = Links(pruned.n, pruned.edges)
+    link = Links(pruned)
     vmap = dict(zip(ord.order[0], pruned.edges[0]))
     image = sum(1 << v for v in pruned.edges[0])
     for _, (a, b), fresh in ord.anchors:

@@ -11,8 +11,10 @@ bound, the H-free level search by one containment test per candidate or
 by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
 edge orderings by trying every interleaving of interchangeable edges, the
-edge orbits of a pattern by embedding it less one edge into itself, and the
-edge-ordering embedding by scanning incidence lists for each anchored pair.
+edge orbits of a pattern by embedding it less one edge into itself, the
+edge-ordering embedding by scanning incidence lists for each anchored pair,
+greedy witnesses from per-vertex pair lists, and link masks by one walk of
+an incidence list per key.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import random
 from time import monotonic
 
 from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
-from hyperchrome.coloring import ColoringFailure
+from hyperchrome.coloring import ColoringFailure, GreedyFailure, GreedyTrace
 from hyperchrome.containment import Embedding, embedding_ok
 from hyperchrome.extremal import EdgeOrdering, prune_low_support
 from hyperchrome.core import (Coloring, Hypergraph, canonical_form, incidence,
@@ -395,6 +397,57 @@ def scan_greedy_independent(G):
                    for e in G.edges):
             chosen.add(v)
     return chosen
+
+
+def reference_greedy_pluhar(G, ord, palette_cap=None):
+    """coloring.greedy_pluhar over pairs_at: each vertex reads the other two
+    vertices of its edges from a pair list, and a witness edge is rebuilt
+    by sorting the vertex with its pair."""
+    n = G.n
+    pairs = pairs_at(n, G.edges)
+    colors = [-1] * n
+    witness = [()] * n
+    top = -1
+    for v in ord.order:
+        blocking = {}
+        for a, b in pairs[v]:
+            ca = colors[a]
+            if ca >= 0 and ca == colors[b] and ca not in blocking:
+                blocking[ca] = tuple(sorted((v, a, b)))
+        c = 0
+        while c in blocking:
+            c += 1
+        if palette_cap is not None and c >= palette_cap:
+            return GreedyFailure(
+                vertex=v,
+                cap=palette_cap,
+                witnesses=tuple(blocking[i] for i in range(palette_cap)),
+                prefix_witness=tuple(witness),
+            )
+        colors[v] = c
+        witness[v] = tuple(blocking[i] for i in range(c))
+        top = max(top, c)
+    palette = max(top + 1, 1) if n else 1
+    return GreedyTrace(Coloring(tuple(colors), palette), tuple(witness))
+
+
+class PerKeyLinks(dict):
+    """core.Links with one walk of an incidence list per missing key, every
+    mask kept: the reference that every Links mask must equal."""
+
+    def __init__(self, G):
+        super().__init__()
+        self.at = incidence(G.n, G.edges)
+
+    def __missing__(self, key):
+        first, *rest = key if isinstance(key, tuple) else (key,)
+        mask = 0
+        for e in self.at[first]:
+            if all(v in e for v in rest):
+                for w in e:
+                    mask |= 1 << w
+        self[key] = mask
+        return mask
 
 
 def rescan_lll_color(G, r, seed, max_resamples=None):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from hyperchrome import _kernels
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
+from hyperchrome import containment, core, extremal
 from hyperchrome.core import (Coloring, Hypergraph, VertexOrder,
                               is_ordered_chain, is_proper, new_hypergraph)
 from hyperchrome.exact import SearchBudget
 
-from oracles import rescan_lll_color
+from oracles import reference_greedy_pluhar, rescan_lll_color
 
 
 def matching(edges=5):
@@ -80,6 +81,14 @@ class TestGreedy:
                                 palette_cap=2)
         assert isinstance(res, col.GreedyFailure)
         assert res.vertex == 4 and len(res.witnesses) == 2
+
+    @given(small_3graphs(), st.integers(0, 2 ** 32),
+           st.sampled_from([None, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_list_reference(self, G, seed, cap):
+        ordv = random_order(G.n, seed)
+        assert col.greedy_pluhar(G, ordv, palette_cap=cap) == \
+            reference_greedy_pluhar(G, ordv, palette_cap=cap)
 
 
 class TestExtractChain:
@@ -265,6 +274,35 @@ class TestLllColor:
         res = col.lll_color(G, r, seed)
         assert isinstance(res, Coloring) and is_proper(G, res)[0]
         assert res == rescan_lll_color(G, r, seed)
+
+    @given(small_3graphs(), st.integers(1, 4), st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    def test_same_on_fresh_and_indexed_graph(self, G, r, seed):
+        col.lll_color(G, r, seed + 1, check=False)  # builds G's index
+        fresh = Hypergraph(G.n, G.k, G.edges)
+        assert "at" in vars(G) and "at" not in vars(fresh)
+        assert col.lll_color(fresh, r, seed, check=False) == \
+            col.lll_color(G, r, seed, check=False)
+
+
+class TestOneIndexPerGraph:
+    def test_incidence_built_once(self, monkeypatch):
+        # every module that holds core.incidence counts, wherever it is called
+        real, calls = core.incidence, []
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        for mod in (core, col, cons, containment, extremal):
+            if getattr(mod, "incidence", None) is real:
+                monkeypatch.setattr(mod, "incidence", counting)
+        G = cons.random_3graph(60, 300, 7)
+        assert col.lll_check(G, 20).ok
+        for seed in range(3):
+            assert is_proper(G, col.lll_color(G, 20, seed))[0]
+        col.greedy_pluhar(G, VertexOrder.identity(G.n))
+        assert calls == [60]
 
 
 class TestSmallBigSplit:

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from hyperchrome import constructions as cons
 from hyperchrome.coloring import _greedy_independent
-from hyperchrome.core import (Coloring, Hypergraph, VertexOrder, balance,
-                              canonical_form, degree_order, incidence, induced,
+from hyperchrome.core import (Coloring, Hypergraph, Links, VertexOrder,
+                              balance, canonical_form, degree_order,
+                              incidence, induced,
                               is_hyperforest, is_linear, is_ordered_chain,
                               is_proper, new_hypergraph, pair_support)
 
-from oracles import (all_colorings, brute_canonical_form,
+from oracles import (PerKeyLinks, all_colorings, brute_canonical_form,
                      scan_greedy_independent)
 
 
@@ -72,6 +73,17 @@ class TestDegree:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             cons.complete(4).degree(4)
+
+
+class TestIncidenceMemo:
+    def test_memo_leaves_eq_hash_repr(self):
+        G, H = cons.named("fano"), cons.named("fano")
+        before = repr(G), hash(G)
+        G.max_degree()
+        assert "at" in vars(G) and "at" not in vars(H)
+        assert G.at == incidence(G.n, G.edges) and G.at is G.at
+        assert G == H and hash(G) == hash(H) == before[1]
+        assert repr(G) == repr(H) == before[0]
 
 
 def uniform_graphs(k):
@@ -130,6 +142,41 @@ class TestIndexLayer:
     @settings(max_examples=150, deadline=None)
     def test_greedy_independent_matches_scan(self, G):
         assert _greedy_independent(G) == scan_greedy_independent(G)
+
+    @given(any_graph.filter(lambda G: G.n > 0), st.integers(0, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_links_match_per_key_reference(self, G, room, data):
+        # bare vertices, pairs and triples, repeats allowed; a small room
+        # also takes the path where a pair batch does not fit
+        vertex = st.integers(0, G.n - 1)
+        keys = data.draw(st.lists(vertex | st.tuples(vertex, vertex)
+                                  | st.tuples(vertex, vertex, vertex),
+                                  max_size=30))
+        link, ref = Links(G), PerKeyLinks(G)
+        link.room = min(link.room, room)
+        for key in keys:
+            assert link[key] == ref[key]
+
+    def test_links_walk_each_list_once_for_pairs(self):
+        class Walked(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        G = cons.random_3graph(30, 200, 5)
+        keys = list(permutations(range(G.n), 2))
+        random.Random(5).shuffle(keys)
+        walks = {}
+        for index in (Links, PerKeyLinks):
+            link, ref = index(G), PerKeyLinks(G)
+            link.at = [Walked(edges) for edges in link.at]
+            for key in keys + keys:
+                assert link[key] == ref[key]
+            walks[index] = max(edges.walks for edges in link.at)
+        # the per-key reference shows that the count sees repeated walks
+        assert walks == {Links: 1, PerKeyLinks: G.n - 1}
 
 
 class TestInduced:
