@@ -1,25 +1,32 @@
 """The search kernels: exact k-coloring and maximum independent set.
 
+Callers reach them through this module's attributes, so that a tracer or a
+test can substitute them in one place.
+
 Both searches run on an explicit stack, so their depth is bounded by memory,
 not by the interpreter's recursion limit.  A search node is counted when it
-is entered; ``max_nodes`` caps that count.  Every pruning rule below only
-skips subtrees that hold no better answer, so the tree is a subset of the
-plain backtracking tree, visited in the same order: the answers equal the
-plain search's, and a node cap under which the plain search finishes is
-never hit.
-
-Statuses: 0 = found/exact, 1 = definitive none, 2 = budget exhausted.
+is entered; ``max_nodes`` caps that count, and a search that hits the cap or
+its deadline returns EXHAUSTED.  Every pruning rule below only skips
+subtrees that hold no better answer, so the tree is a subset of the plain
+backtracking tree, visited in the same order: the answers equal the plain
+search's, and a node cap under which the plain search finishes is never hit.
 """
 
+import sys
 from time import monotonic
 
-from ..core import pairs_at
-
-FOUND = 0
-NONE = 1
-EXHAUSTED = 2
+from .core import EXHAUSTED, Coloring, pairs_at
 
 _TIME_CHECK_MASK = 4095
+
+# read only by perfbench/; goes at its next declared change (ROADMAP item 1)
+_native = None
+pure = sys.modules[__name__]
+
+
+# read only by perfbench/; goes at its next declared change (ROADMAP item 1)
+def backend_name(n=0):
+    return "pure"
 
 
 def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
@@ -32,11 +39,13 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     colored c.  Forward checking keeps, per (vertex, color), the count of
     such edges: coloring v with c bans c at b for every edge {v, a, b} with
     a colored c and b uncolored, and a child in which some uncolored vertex
-    has all k colors banned is not entered.  Returns (status, colors-or-None):
-    the lexicographically least proper k-coloring along the order.
+    has all k colors banned is not entered.  Returns the lexicographically
+    least proper k-coloring along the order as a Coloring with palette k,
+    None if there is none, or EXHAUSTED.
     """
+    palette = k
     if n == 0:
-        return FOUND, []
+        return Coloring((), palette)
     k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
     pairs = pairs_at(n, edges)
     colors = [-1] * n
@@ -85,7 +94,7 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
             tried[p] = -1
             p -= 1
             if p < 0:
-                return NONE, None
+                return None
             colors[order[p]] = -1
             _unban(logs[p], tried[p], k, bans, nbanned)
             continue
@@ -95,12 +104,12 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
         used[p + 1] = used[p] if c < used[p] else c + 1
         nodes += 1
         if max_nodes and nodes > max_nodes:
-            return EXHAUSTED, None
+            return EXHAUSTED
         if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-            return EXHAUSTED, None
+            return EXHAUSTED
         p += 1
         if p == n:
-            return FOUND, colors
+            return Coloring(tuple(colors), palette)
 
 
 def _unban(log, c, k, bans, nbanned):
@@ -118,11 +127,11 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
     carries the chosen set and the dead set: later vertices that some edge
     rules out because its other vertices are all chosen.  The bound is
     |chosen| + |remaining vertices not dead|.  Independence means containing
-    no full edge.  Returns (status, best-vertex-list): the first maximum set
-    in include-first order, or on exhaustion the best found so far.
+    no full edge.  Returns the first maximum set in include-first order as a
+    frozenset, or EXHAUSTED.
     """
     if n == 0:
-        return FOUND, []
+        return frozenset()
     masks_at = [[] for _ in range(n)]
     for e in edges:
         mask = 0
@@ -139,9 +148,9 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
         idx, chosen, count, dead = stack.pop()
         nodes += 1
         if max_nodes and nodes > max_nodes:
-            return EXHAUSTED, _members(best_mask, n)
+            return EXHAUSTED
         if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-            return EXHAUSTED, _members(best_mask, n)
+            return EXHAUSTED
         if count + ((full >> idx << idx) & ~dead).bit_count() <= best_size:
             continue
         if idx == n:
@@ -159,8 +168,4 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
                 new_dead |= rest
         else:
             stack.append((idx + 1, with_v, count + 1, new_dead))
-    return FOUND, _members(best_mask, n)
-
-
-def _members(mask, n):
-    return [i for i in range(n) if (mask >> i) & 1]
+    return frozenset(i for i in range(n) if best_mask >> i & 1)

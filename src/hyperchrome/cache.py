@@ -55,7 +55,7 @@ class ResultCache:
     replaces the file atomically.  Records other writers stored since this
     cache was loaded survive, and one they evicted stays evicted.  The lock
     sits on its own file because ``os.replace`` gives the cache file a new
-    inode at every write.  Without a path the records live in memory only.
+    inode at every write.
     """
 
     def __init__(self, path):
@@ -64,7 +64,7 @@ class ResultCache:
 
     def _load(self):
         records = {}
-        if not self.path or not os.path.exists(self.path):
+        if not os.path.exists(self.path):
             return records
         with open(self.path, "rb") as fh:
             lines = fh.read().splitlines()  # the line ends text mode splits at
@@ -97,9 +97,6 @@ class ResultCache:
 
     def _update(self, slot, rec):
         """Store rec at slot (None: drop the slot) in the latest file."""
-        if not self.path:
-            self._apply(self.records, slot, rec)
-            return
         with open(self.path + ".lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when lock closes
             self.records = self._load()

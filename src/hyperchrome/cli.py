@@ -260,7 +260,7 @@ def _color(job):
         if not col.lll_check(G, args.r).ok:
             return Outcome("failure", {"failure": "lll-check"},
                            "lll-check failed", 1, params=params)
-        result = col.lll_color(G, args.r, seed)
+        result = col.lll_color(G, args.r, seed, check=False)
     elif args.algo == "layered":
         if args.theta is None or args.per_layer is None:
             raise UsageError("--algo layered needs --theta and --per-layer")

@@ -373,8 +373,8 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
                 break
             return ColoringFailure("palette-exhausted",
                                    {"remaining_vertices": cur.n})
-        _, big = small_big_split(cur, r_now)
-        if not big:
+        dc = dyadic_classes(cur, r_now)
+        if not dc.classes:
             # everything left is low degree: deg <= r^2/(12e) <= r^2/(3e),
             # so the lemma's condition holds by construction
             res = lll_color(cur, r_now, mix_seed(seed, 1 + removals), check=False)
@@ -383,7 +383,6 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
             for local, v in enumerate(verts):
                 colors[v] = res.colors[local]
             break
-        dc = dyadic_classes(cur, r_now)
 
         def incident(entry):
             _, members = entry

@@ -24,8 +24,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from time import monotonic
 
-from .core import Links, canonical_form, incidence
-from .exact import EXHAUSTED
+from .core import EXHAUSTED, Links, canonical_form, incidence
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,12 @@ def embedding_ok(G, H, emb):
     return True
 
 
-def _h_order(n, edges):
-    """The vertices of an edge list on 0..n-1 in search order: next is the
-    vertex with the most edges into the placed set, ties by higher degree,
-    then lower index.  Vertices in no edge come last, by index."""
-    at = incidence(n, edges)
+def _h_order(at, edges):
+    """The vertices of an edge list in search order, given its incidence
+    list at: next is the vertex with the most edges into the placed set,
+    ties by higher degree, then lower index.  Vertices in no edge come last,
+    by index."""
+    n = len(at)
     touching = [0] * n
     hits = dict.fromkeys(edges, 0)  # placed vertices per edge
     placed = [False] * n
@@ -99,7 +99,7 @@ def _plan(n, edges):
     vertices that some edge holds together with order[i], an itemgetter of
     their positions."""
     at = incidence(n, edges)
-    order = [u for u in _h_order(n, edges) if at[u]]
+    order = [u for u in _h_order(at, edges) if at[u]]
     pos = {u: i for i, u in enumerate(order)}
     steps = []
     for i, u in enumerate(order):

@@ -3,7 +3,8 @@
 Vertices are 0-based integers below ``n``; edges are stored as sorted,
 duplicate-free tuples.  All objects here are immutable and safe to share,
 except two indexes that fill themselves as they are read: a Hypergraph's
-incidence list, built once on first use, and a Links index.
+incidence list, built once on first use, and a Links index.  EXHAUSTED is
+the result of every budgeted search whose budget ran out.
 """
 
 from collections import Counter
@@ -12,6 +13,22 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter, lt
+
+
+class _Exhausted:
+    # one instance, also after copy and pickle, so `is EXHAUSTED` holds
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "EXHAUSTED"
+
+
+EXHAUSTED = _Exhausted()
 
 
 @dataclass(frozen=True)

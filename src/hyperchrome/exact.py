@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from time import monotonic
 
 from . import _kernels
-from .core import Coloring, degree_order
+from .core import EXHAUSTED, degree_order
 
 
 @dataclass(frozen=True)
@@ -28,21 +28,6 @@ class SearchBudget:
 
 
 UNLIMITED = SearchBudget()
-
-
-class _Exhausted:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EXHAUSTED"
-
-
-EXHAUSTED = _Exhausted()
 
 
 def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
@@ -64,13 +49,8 @@ def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     if G.k != 3:
         raise ValueError("k_colorable handles 3-graphs")
     deadline = budget.deadline() if _deadline is None else _deadline
-    status, colors = _kernels.kcolor_search(
+    return _kernels.kcolor_search(
         G.n, G.edges, k, degree_order(G), budget.max_nodes, deadline)
-    if status == _kernels.FOUND:
-        return Coloring(tuple(colors), k)
-    if status == _kernels.NONE:
-        return None
-    return EXHAUSTED
 
 
 def chromatic_coloring(G, budget=UNLIMITED, _deadline=None):
@@ -108,11 +88,7 @@ def max_independent_set(G, budget=UNLIMITED, _deadline=None):
     all chosen.  _deadline is as in k_colorable.
     """
     deadline = budget.deadline() if _deadline is None else _deadline
-    status, best = _kernels.mis_search(
-        G.n, G.edges, budget.max_nodes, deadline)
-    if status == _kernels.EXHAUSTED:
-        return EXHAUSTED
-    return frozenset(best)
+    return _kernels.mis_search(G.n, G.edges, budget.max_nodes, deadline)
 
 
 def independence_number(G, budget=UNLIMITED, _deadline=None):

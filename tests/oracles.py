@@ -21,13 +21,12 @@ import itertools
 import random
 from time import monotonic
 
-from hyperchrome._kernels.pure import EXHAUSTED, FOUND, NONE
 from hyperchrome.coloring import ColoringFailure, GreedyFailure, GreedyTrace
 from hyperchrome.containment import Embedding, embedding_ok
 from hyperchrome.extremal import EdgeOrdering, prune_low_support
-from hyperchrome.core import (Coloring, Hypergraph, canonical_form, incidence,
-                              is_ordered_chain, is_proper, pair_support,
-                              pairs_at)
+from hyperchrome.core import (EXHAUSTED, Coloring, Hypergraph, canonical_form,
+                              incidence, is_ordered_chain, is_proper,
+                              pair_support, pairs_at)
 
 
 def all_colorings(n, k):
@@ -537,14 +536,14 @@ _TIME_CHECK_MASK = 4095
 def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     """Backtracking k-colorability along a fixed vertex order, recursively
     and without pruning beyond infeasibility: the reference that
-    _kernels.pure.kcolor_search must match, node caps included.
+    _kernels.kcolor_search must match, node caps included.
 
     Symmetry broken by capping the vertex at position p to colors 0..min(p, k-1).
     A color c is infeasible at v iff some edge holds v plus two vertices
-    already colored c.  Returns (status, colors-or-None).
+    already colored c.  Returns a Coloring with palette k, None or EXHAUSTED.
     """
     if n == 0:
-        return FOUND, []
+        return Coloring((), k)
     pairs = pairs_at(n, edges)
     colors = [-1] * n
     nodes = 0
@@ -579,21 +578,21 @@ def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
         return False
 
     if dfs(0):
-        return FOUND, colors
-    return (EXHAUSTED, None) if exhausted else (NONE, None)
+        return Coloring(tuple(colors), k)
+    return EXHAUSTED if exhausted else None
 
 
 def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
     """Maximum independent set by include/exclude branch and bound, with the
-    plain bound: the reference that _kernels.pure.mis_search must match,
+    plain bound: the reference that _kernels.mis_search must match,
     node caps included.
 
     Vertices are considered in index order, include branch first; the bound
     is |current| + |remaining|.  Independence means containing no full edge.
-    Returns (status, best-vertex-list); on exhaustion the best found so far.
+    Returns the maximum set as a frozenset, or EXHAUSTED.
     """
     if n == 0:
-        return FOUND, []
+        return frozenset()
     masks_at = [[] for _ in range(n)]
     for e in edges:
         mask = 0
@@ -637,7 +636,7 @@ def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
         dfs(idx + 1, chosen_mask, count)
 
     dfs(0, 0, 0)
-    return (EXHAUSTED, best) if exhausted else (FOUND, best)
+    return EXHAUSTED if exhausted else frozenset(best)
 
 
 def reference_new_hypergraph(n, k, edges):

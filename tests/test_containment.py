@@ -150,3 +150,18 @@ class TestProperties:
         H = new_hypergraph(3, 3, [])
         assert contains(cons.complete(4), H) is not None
         assert contains(Hypergraph(2, 3, ()), H) is None
+
+    def test_plan_builds_the_pattern_incidence_once(self, monkeypatch):
+        calls = []
+        incidence = containment.incidence
+
+        def counted(n, edges):
+            calls.append(n)
+            return incidence(n, edges)
+
+        monkeypatch.setattr(containment, "incidence", counted)
+        assert contains(cons.complete(8), cons.complete(4)) is not None
+        assert calls == [4]
+        calls.clear()
+        containment.ForbiddenTriples(cons.complete(4))
+        assert calls == [4]

@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
-from hyperchrome import _kernels, exact
+import hyperchrome
+from hyperchrome import _kernels, core, exact
 from hyperchrome import constructions as cons
 from hyperchrome.core import Hypergraph, is_proper, new_hypergraph
 from hyperchrome.exact import (EXHAUSTED, SearchBudget, chromatic_number,
@@ -99,6 +102,12 @@ class TestInvariants:
 
 
 class TestBudget:
+    def test_one_exhausted_sentinel(self):
+        assert EXHAUSTED is core.EXHAUSTED is hyperchrome.EXHAUSTED
+        assert pickle.loads(pickle.dumps(EXHAUSTED)) is EXHAUSTED
+        assert copy.deepcopy(EXHAUSTED) is EXHAUSTED
+        assert repr(EXHAUSTED) == "EXHAUSTED"
+
     def test_kcolor_exhaustion(self):
         assert k_colorable(cons.complete(9), 4,
                            SearchBudget(max_nodes=3)) is EXHAUSTED

@@ -273,6 +273,20 @@ class TestCli:
         assert code == 0 and json.loads(out)["result"] == {"chi": 3}
         assert calls == [1, 2, 3]
 
+    def test_color_lll_checks_the_lemma_once(self, monkeypatch, capsys):
+        calls = []
+        lll_check = cli.col.lll_check
+
+        def counted(G, r):
+            calls.append(r)
+            return lll_check(G, r)
+
+        monkeypatch.setattr(cli.col, "lll_check", counted)
+        code, _ = run_cli(["color", "--algo", "lll", "--r", "9"],
+                          stdin_text=serialize_hypergraph(cons.named("fano")),
+                          monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and calls == [9]
+
     @pytest.mark.parametrize("argv", [
         ["gen", "fano"],
         ["gen", "random", "--n", "8", "--m", "4"],

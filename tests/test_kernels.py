@@ -1,5 +1,4 @@
-"""The kernels against the plain backtracking references, and the package's
-re-export of them.
+"""The kernels against the plain backtracking references.
 
 The pruned kernels search a subset of the references' trees in the same
 order, so they return exactly the references' results, also under every node
@@ -15,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchrome import _kernels
-from hyperchrome._kernels import pure
 from hyperchrome import constructions as cons
+from hyperchrome.core import EXHAUSTED, Coloring
 
 from oracles import reference_kcolor_search, reference_mis_search
 
@@ -42,7 +41,7 @@ def least_finishing_cap(search, limit=300):
     lo, hi = 1, limit + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if search(mid)[0] == pure.EXHAUSTED:
+        if search(mid) is EXHAUSTED:
             lo = mid + 1
         else:
             hi = mid
@@ -55,30 +54,30 @@ class TestAgainstReference:
     def test_kcolor(self, seed, k):
         n, edges, order = random_instance(seed)
         want = reference_kcolor_search(n, edges, k, order)
-        assert pure.kcolor_search(n, edges, k, order) == want
+        assert _kernels.kcolor_search(n, edges, k, order) == want
         first = least_finishing_cap(
             lambda cap: reference_kcolor_search(n, edges, k, order, cap))
         if first is not None:
             for cap in range(first, 301):
-                assert pure.kcolor_search(n, edges, k, order, cap) == want
+                assert _kernels.kcolor_search(n, edges, k, order, cap) == want
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_mis(self, seed):
         n, edges, _ = random_instance(seed)
         want = reference_mis_search(n, edges)
-        assert pure.mis_search(n, edges) == want
+        assert _kernels.mis_search(n, edges) == want
         first = least_finishing_cap(
             lambda cap: reference_mis_search(n, edges, cap))
         if first is not None:
             for cap in range(first, 301):
-                assert pure.mis_search(n, edges, cap) == want
+                assert _kernels.mis_search(n, edges, cap) == want
 
     def test_first_use_coloring_on_k7(self):
         # the least coloring along the order: pairs of vertices per color
-        assert pure.kcolor_search(7, list(combinations(range(7), 3)), 4,
-                                  list(range(7))) == \
-            (pure.FOUND, [0, 0, 1, 1, 2, 2, 3])
+        assert _kernels.kcolor_search(7, list(combinations(range(7), 3)), 4,
+                                      list(range(7))) == \
+            Coloring((0, 0, 1, 1, 2, 2, 3), 4)
 
 
 class TestPruning:
@@ -89,7 +88,7 @@ class TestPruning:
     def test_kcolor_complete(self, n, k, pruned, plain):
         edges, order = list(combinations(range(n), 3)), list(range(n))
         assert least_finishing_cap(
-            lambda cap: pure.kcolor_search(n, edges, k, order, cap),
+            lambda cap: _kernels.kcolor_search(n, edges, k, order, cap),
             limit=1000) == pruned
         assert least_finishing_cap(
             lambda cap: reference_kcolor_search(n, edges, k, order, cap),
@@ -102,7 +101,7 @@ class TestPruning:
     def test_mis(self, name, G, pruned, plain):
         edges = list(G.edges)
         assert least_finishing_cap(
-            lambda cap: pure.mis_search(G.n, edges, cap)) == pruned
+            lambda cap: _kernels.mis_search(G.n, edges, cap)) == pruned
         assert least_finishing_cap(
             lambda cap: reference_mis_search(G.n, edges, cap)) == plain
 
@@ -110,5 +109,5 @@ class TestPruning:
 class TestKernelAgainstRichPaths:
     def test_dispatch_large_n_uses_pure(self):
         assert _kernels.backend_name(500) == "pure"
-        status, best = _kernels.mis_search(100, [(0, 1, 2)])
-        assert status == _kernels.FOUND and len(best) == 99
+        best = _kernels.mis_search(100, [(0, 1, 2)])
+        assert len(best) == 99
