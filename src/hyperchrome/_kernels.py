@@ -6,7 +6,8 @@ test can substitute them in one place.
 Both searches run on an explicit stack, so their depth is bounded by memory,
 not by the interpreter's recursion limit.  A search node is counted when it
 is entered; ``max_nodes`` caps that count, and a search that hits the cap or
-its deadline returns EXHAUSTED.  Every pruning rule below only skips
+its deadline returns EXHAUSTED; so does one whose deadline passes while it
+builds its tables from the edges.  Every pruning rule below only skips
 subtrees that hold no better answer, so the tree is a subset of the plain
 backtracking tree, visited in the same order: the answers equal the plain
 search's, and a node cap under which the plain search finishes is never hit.
@@ -29,6 +30,15 @@ def backend_name(n=0):
     return "pure"
 
 
+def _clocked(edges, deadline):
+    """The edges in order; after every _TIME_CHECK_MASK + 1 of them, raises
+    TimeoutError if the deadline has passed."""
+    for i, e in enumerate(edges, 1):
+        yield e
+        if not i & _TIME_CHECK_MASK and monotonic() > deadline:
+            raise TimeoutError
+
+
 def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     """Backtracking k-colorability along a fixed vertex order.
 
@@ -47,7 +57,10 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     if n == 0:
         return Coloring((), palette)
     k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
-    pairs = pairs_at(n, edges)
+    try:
+        pairs = pairs_at(n, _clocked(edges, deadline) if deadline else edges)
+    except TimeoutError:
+        return EXHAUSTED
     colors = [-1] * n
     bans = [0] * (n * k)   # bans[u*k + c]: edges banning c at uncolored u
     nbanned = [0] * n      # colors with a nonzero ban count, per vertex
@@ -133,12 +146,15 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
     if n == 0:
         return frozenset()
     masks_at = [[] for _ in range(n)]
-    for e in edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        for v in e:
-            masks_at[v].append(mask)
+    try:
+        for e in _clocked(edges, deadline) if deadline else edges:
+            mask = 0
+            for v in e:
+                mask |= 1 << v
+            for v in e:
+                masks_at[v].append(mask)
+    except TimeoutError:
+        return EXHAUSTED
     full = (1 << n) - 1
     best_size = -1
     best_mask = 0

@@ -16,20 +16,16 @@ concurrent writers lose no records.
 
 import fcntl
 import os
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import Hypergraph, new_hypergraph
+from .core import new_hypergraph
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    kind: str       # "ex" | "ramsey"
-    key: str        # canonical encoding of H
-    param: int      # n for ex, t for ramsey
-    value: int
-    status: str     # "exact" | "lower_bound"
-    witness: Hypergraph
+class ResultRecord(namedtuple("ResultRecord",
+                              "kind key param value status witness")):
+    # kind "ex" | "ramsey"; key the canonical encoding of H; param n for
+    # ex, t for ramsey; status "exact" | "lower_bound"; witness a Hypergraph
+    __slots__ = ()
 
 
 def encode_graph(G):
@@ -116,6 +112,7 @@ class ResultCache:
         return True
 
     def _write(self):
+        import tempfile
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
         try:

@@ -25,17 +25,16 @@ command and seed, except for the wall_ms field.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from time import monotonic
 
-from . import coloring as col
+# The solvers import exact, coloring and extremal when they run, so that a
+# subcommand loads only the modules it uses; what stays here is what gen
+# and every report need.
 from . import constructions as cons
-from . import exact, extremal
 from .cache import ResultCache, encode_graph
 from .containment import Embedding, contains, embedding_ok
 from .core import (Coloring, VertexOrder, balance, degree_order,
@@ -51,37 +50,32 @@ class UsageError(Exception):
 
 # What a solve function gets: the parsed arguments, the graphs read from --in
 # and --h (None when the command takes no such input), and the resolved seed
-# (None for unseeded commands), budget and cache (None when not cached).
+# (None for unseeded commands), budget (None when not budgeted) and cache
+# (None when not cached).
 Job = namedtuple("Job", "args G H seed budget cache")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(namedtuple("Outcome", "status result quiet code certificate params",
+                         defaults=(0, None, None))):
     """The command-specific part of a run report."""
 
-    status: str
-    result: object
-    quiet: str          # the --quiet summary line
-    code: int = 0       # exit code
-    certificate: dict = None
-    params: dict = field(default_factory=dict)
+    # quiet: the --quiet summary line; code: the exit code; params: None
+    # when the command has none
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(namedtuple("Command", "help solve infile pattern seeded budgeted "
+                         "cached options",
+                         defaults=(True, False, False, False, False, ()))):
     """One report subcommand: what it reads, its extra arguments, its solver."""
 
-    help: str
-    solve: object       # Job -> Outcome
-    infile: bool = True
-    pattern: bool = False
-    seeded: bool = False
-    budgeted: bool = False
-    cached: bool = False
-    options: tuple = ()  # (flag, add_argument keywords), after the common ones
+    # solve: Job -> Outcome; options: (flag, add_argument keywords) pairs,
+    # added after the common ones
+    __slots__ = ()
 
 
 def _read_graph(path):
+    import hashlib
     try:
         if path and path != "-":
             with open(path, encoding="utf-8") as fh:
@@ -97,8 +91,8 @@ def _read_graph(path):
 
 
 def _budget(args):
-    return exact.SearchBudget(max_nodes=getattr(args, "budget_nodes", 0) or 0,
-                              max_millis=getattr(args, "budget_ms", 0) or 0)
+    from .exact import SearchBudget
+    return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
 def _seed(args):
@@ -157,13 +151,13 @@ def _run(name, cmd, args):
     G, digest = _read_graph(args.infile) if cmd.infile else (None, None)
     H, h_digest = _read_graph(args.pattern) if cmd.pattern else (None, None)
     seed = _seed(args) if cmd.seeded else None
-    budget = _budget(args)
+    budget = _budget(args) if cmd.budgeted else None
     cache = _cache(args) if cmd.cached else None
     out = cmd.solve(Job(args, G, H, seed, budget, cache))
     if out.certificate is not None and not _certified(out.certificate, G, H):
         print(f"error: certificate check failed ({name})", file=sys.stderr)
         return 1
-    params = out.params
+    params = out.params or {}
     if G is None:
         G, digest = H, h_digest  # the pattern is the input
     elif H is not None:
@@ -217,6 +211,7 @@ def _embedding_cert(emb):
 
 
 def _chi(job):
+    from . import exact
     witness = exact.chromatic_coloring(job.G, job.budget)
     if witness is exact.EXHAUSTED:
         return Outcome("exhausted", None, "chi exhausted", 1)
@@ -226,6 +221,7 @@ def _chi(job):
 
 
 def _alpha(job):
+    from . import exact
     best = exact.max_independent_set(job.G, job.budget)
     if best is exact.EXHAUSTED:
         return Outcome("exhausted", None, "alpha exhausted", 1)
@@ -235,6 +231,7 @@ def _alpha(job):
 
 
 def _kcolor(job):
+    from . import exact
     k = job.args.k
     params = {"k": k}
     res = exact.k_colorable(job.G, k, job.budget)
@@ -248,6 +245,7 @@ def _kcolor(job):
 
 
 def _color(job):
+    from . import coloring as col
     args, G, seed = job.args, job.G, job.seed
     params = {"algo": args.algo}
     if args.algo == "greedy":
@@ -295,6 +293,7 @@ def _containment(name):
 
 
 def _chain(job):
+    from . import coloring as col
     G, order = job.G, _order(job.G, job.args.order, job.seed)
     trace = col.greedy_pluhar(G, order)
     used = trace.coloring.used()
@@ -307,6 +306,7 @@ def _chain(job):
 
 
 def _ex(job):
+    from . import extremal
     n = job.args.n
     rec = extremal.turan_ex(n, job.H, job.budget, job.cache)
     cert = {"type": "extremal-witness", "witness": encode_graph(rec.witness)}
@@ -316,6 +316,7 @@ def _ex(job):
 
 
 def _ramsey(job):
+    from . import extremal
     t, n_max = job.args.t, job.args.n_max
     rec = extremal.ramsey(job.H, t, n_max, job.budget, job.cache)
     cert = {"type": "ramsey-witness", "witness": encode_graph(rec.witness)}
@@ -343,6 +344,7 @@ def _hyperforest(job):
 
 
 def _witness(job):
+    from . import extremal
     r = job.args.r
     wr = extremal.verify_witness(job.G, job.H, r, job.budget)
     result = {"h_free": wr.h_free, "chi": wr.chi,
@@ -355,6 +357,7 @@ def _witness(job):
 
 
 def _embed_order(job):
+    from . import extremal
     ordering = extremal.find_edge_ordering(job.H)
     if ordering is None:
         return Outcome("exact", {"ordering": None}, "no edge ordering", 1)

@@ -8,7 +8,7 @@ is reserved for violated call contracts.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from time import monotonic
@@ -26,34 +26,28 @@ E_UPPER = Fraction(2718281828459045236, 10 ** 18)
 SMALL_DEGREE_COEFF = Fraction(1, 12) / E_UPPER
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(namedtuple("GreedyTrace", "coloring witness")):
     """Greedy coloring plus, per vertex and per color below its own, one
     witness edge whose two other vertices are earlier and share that color."""
 
-    coloring: Coloring
-    witness: tuple  # witness[v] = tuple of edges, index c -> edge for color c
+    # witness[v] = tuple of edges, index c -> edge for color c
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GreedyFailure:
+class GreedyFailure(namedtuple("GreedyFailure",
+                               "vertex cap witnesses prefix_witness")):
     """Greedy hit the palette cap: `vertex` would need color >= cap, with one
     witness edge per blocked color 0..cap-1.  `prefix_witness` carries the
     witnesses of the vertices placed before the failure, which the chain
     extraction walks through."""
 
-    vertex: int
-    cap: int
-    witnesses: tuple
-    prefix_witness: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ColoringFailure:
+class ColoringFailure(namedtuple("ColoringFailure", "stage detail")):
     """Structured failure of a coloring procedure."""
 
-    stage: str
-    detail: dict
+    __slots__ = ()
 
 
 def greedy_pluhar(G, ord, palette_cap=None):
@@ -169,15 +163,12 @@ def chain_or_independent(G, ord, r, t):
     return frozenset(classes[best])
 
 
-@dataclass(frozen=True)
-class LllReport:
+class LllReport(namedtuple("LllReport", "ok max_degree p d ep_bound")):
     """Bookkeeping for the symmetric local lemma on monochromatic-edge events."""
 
-    ok: bool
-    max_degree: int
-    p: Fraction     # 1/r^2, probability one edge goes monochromatic
-    d: int          # dependency count 3*(max_degree - 1) + 1
-    ep_bound: float  # e * p * (d + 1)
+    # p = 1/r^2 (a Fraction), probability one edge goes monochromatic;
+    # d = 3*(max_degree - 1) + 1, the dependency count; ep_bound = e*p*(d+1)
+    __slots__ = ()
 
 
 def lll_check(G, r):
@@ -249,14 +240,12 @@ def small_big_split(G, r):
     return small, big
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(namedtuple("LayerDecomposition",
+                                    "layers threshold core")):
     """Layers L_i = V_i \\ V_{i+1} of the iterated high-degree peeling, plus
     the residual core when peeling reaches a nonempty fixpoint."""
 
-    layers: tuple
-    threshold: object
-    core: frozenset
+    __slots__ = ()
 
 
 def peel_layers(G, theta):
@@ -308,13 +297,12 @@ def layered_color(G, theta, per_layer, seed, check=True):
     return Coloring(tuple(colors), palette)
 
 
-@dataclass(frozen=True)
-class DyadicClasses:
+class DyadicClasses(namedtuple("DyadicClasses", "classes base_threshold")):
     """Dyadic degree classes over V_big: v in class k iff
     2^k * c * r^2 <= deg(v) < 2^(k+1) * c * r^2."""
 
-    classes: tuple  # ((k, frozenset), ...) sorted by k, empty classes omitted
-    base_threshold: Fraction
+    # classes = ((k, frozenset), ...) sorted by k, empty classes omitted
+    __slots__ = ()
 
 
 def dyadic_classes(G, r):

@@ -5,7 +5,7 @@ reproduce identical outputs bit for bit.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb, isqrt
 
@@ -164,19 +164,17 @@ def gq_axiom_holds(G):
     return True
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(namedtuple("BlowupSpec", "m tau seed")):
     """Parameters of the random grid blow-up of one edge."""
 
-    m: int
-    tau: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau < 1:
+    def __new__(cls, m, tau, seed):
+        if tau < 1:
             raise ValueError("tau must be >= 1")
-        if self.m < self.tau ** 2 + 2 * self.tau:
+        if m < tau ** 2 + 2 * tau:
             raise ValueError("vertex count must be at least tau^2 + 2*tau")
+        return super().__new__(cls, m, tau, seed)
 
 
 def fq_blowup(spec):

@@ -19,7 +19,7 @@ no pattern edge are wildcards: any unused vertices will do.  H's edge
 orbits come from core.canonical_form; this module builds no index.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from time import monotonic
@@ -27,13 +27,12 @@ from time import monotonic
 from .core import EXHAUSTED, Links, canonical_form, incidence
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(namedtuple("Embedding", "vertex_map edge_map")):
     """vertex_map: H-vertex -> G-vertex (injective, total on V(H));
     edge_map: H-edge -> its image edge in G."""
 
-    vertex_map: tuple  # ((h_vertex, g_vertex), ...)
-    edge_map: tuple    # ((h_edge, g_edge), ...)
+    # vertex_map = ((h_vertex, g_vertex), ...), edge_map = ((h_edge, g_edge), ...)
+    __slots__ = ()
 
     def vertex_dict(self):
         return dict(self.vertex_map)
@@ -192,15 +191,13 @@ def is_free(G, H, deadline=0.0):
     return found if found is EXHAUSTED else found is None
 
 
-@dataclass(frozen=True)
-class TripleMasks:
+class TripleMasks(namedtuple("TripleMasks", "pairs wholes")):
     """A set of vertex triples held as bitmasks: a triple {a, b, c} is in it
     when c is in pairs[(a, b)], b in pairs[(a, c)] or a in pairs[(b, c)]
     (pairs keyed with the lower vertex first), or when some mask in wholes
     holds all three."""
 
-    pairs: dict
-    wholes: frozenset
+    __slots__ = ()
 
     def __contains__(self, e):
         a, b, c = sorted(e)

@@ -7,9 +7,7 @@ incidence list, built once on first use, and a Links index.  EXHAUSTED is
 the result of every budgeted search whose budget ran out.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter, lt
@@ -31,8 +29,7 @@ class _Exhausted:
 EXHAUSTED = _Exhausted()
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(namedtuple("Hypergraph", "n k edges")):
     """A k-uniform hypergraph on vertices 0..n-1.
 
     Invariants: every edge has exactly k distinct vertices below n, each edge
@@ -40,13 +37,10 @@ class Hypergraph:
     Construct through :func:`new_hypergraph`, which normalizes input.
 
     ``at``, the incidence list, is a memo: built by :func:`incidence` on
-    first read and kept in the instance ``__dict__``, so ``==``, ``hash``
-    and ``repr`` still see only (n, k, edges).  Never modify it.
+    first read and kept in the ``__dict__`` of this tuple subclass (it has
+    no ``__slots__``), so ``==``, ``hash`` and ``repr`` still see only the
+    tuple (n, k, edges).  Never modify it.
     """
-
-    n: int
-    k: int
-    edges: tuple
 
     @cached_property
     def at(self):
@@ -218,19 +212,18 @@ def induced(G, S):
     return Hypergraph(len(verts), G.k, tuple(sorted(set(kept)))), verts
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "colors palette")):
     """A total map vertex -> color index (0-based) with a fixed palette size."""
 
-    colors: tuple
-    palette: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.palette < 0:
+    def __new__(cls, colors, palette):
+        if palette < 0:
             raise ValueError("palette must be nonnegative")
-        for c in self.colors:
-            if not (0 <= c < self.palette):
-                raise ValueError(f"color {c} outside palette of {self.palette}")
+        for c in colors:
+            if not (0 <= c < palette):
+                raise ValueError(f"color {c} outside palette of {palette}")
+        return super().__new__(cls, colors, palette)
 
     def color_classes(self):
         classes = [[] for _ in range(self.palette)]
@@ -268,21 +261,22 @@ def is_independent(G, vertices):
     return not any(chosen.issuperset(e) for e in G.edges)
 
 
-@dataclass(frozen=True)
-class VertexOrder:
+class VertexOrder(namedtuple("VertexOrder", "order position")):
     """A linear order on 0..n-1: order[i] = vertex at position i, position = inverse."""
 
-    order: tuple
-    position: tuple = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(n)):
+    def __new__(cls, order):
+        n = len(order)
+        if sorted(order) != list(range(n)):
             raise ValueError("order is not a permutation of 0..n-1")
         pos = [0] * n
-        for i, v in enumerate(self.order):
+        for i, v in enumerate(order):
             pos[v] = i
-        object.__setattr__(self, "position", tuple(pos))
+        return super().__new__(cls, order, tuple(pos))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the order
+        return (self.order,)
 
     @classmethod
     def identity(cls, n):
@@ -293,12 +287,11 @@ class VertexOrder:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class OrderedChain:
+class OrderedChain(namedtuple("OrderedChain", "chain")):
     """Edges g_1..g_r with |g_i ∩ g_j| = 1 for |i-j| = 1 and 0 otherwise,
     monotone under an associated vertex order."""
 
-    chain: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.chain)
@@ -362,13 +355,10 @@ def is_hyperforest(G):
     return True
 
 
-@dataclass(frozen=True)
-class Balance:
+class Balance(namedtuple("Balance", "value witness is_balanced")):
     """Exact maximum of (e'-1)/(v'-3) over edge subsets with >= 2 edges."""
 
-    value: Fraction
-    witness: tuple
-    is_balanced: bool
+    __slots__ = ()
 
 
 def balance(H):
@@ -378,6 +368,7 @@ def balance(H):
     lower the ratio, so the maximum over subgraphs is attained there).
     Exact rationals throughout.  Raises ValueError below 2 edges.
     """
+    from fractions import Fraction
     if H.k != 3:
         raise ValueError("balance is defined for 3-graphs")
     m = len(H.edges)

@@ -5,23 +5,22 @@ A search either completes (definitive answer) or reports EXHAUSTED when the
 budget runs out; exhaustion is a result, never an exception.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from time import monotonic
 
 from . import _kernels
 from .core import EXHAUSTED, degree_order
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(namedtuple("SearchBudget", "max_nodes max_millis")):
     """Caps for exhaustive searches; 0 means unlimited."""
 
-    max_nodes: int = 0
-    max_millis: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_nodes < 0 or self.max_millis < 0:
+    def __new__(cls, max_nodes=0, max_millis=0):
+        if max_nodes < 0 or max_millis < 0:
             raise ValueError("budget caps must be nonnegative")
+        return super().__new__(cls, max_nodes, max_millis)
 
     def deadline(self):
         return monotonic() + self.max_millis / 1000.0 if self.max_millis else 0.0

@@ -25,7 +25,7 @@ of a copy of H, so a key written by any other canonical labelling can only
 match H's own class and needs no version.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from time import monotonic
 
@@ -36,13 +36,12 @@ from .containment import (Embedding, ForbiddenTriples, contains,
 from .core import Hypergraph, Links, canonical_form, pair_support
 
 
-@dataclass(frozen=True)
-class EdgeOrdering:
+class EdgeOrdering(namedtuple("EdgeOrdering", "order anchors")):
     """Edges h_1..h_{t-2} with, for each i > 1, an anchor (j, pair, fresh):
     pair lies inside h_j (j < i) and fresh appears in no earlier edge."""
 
-    order: tuple
-    anchors: tuple  # anchors[i-1] = (j, (a, b), c) for edge order[i]
+    # anchors[i-1] = (j, (a, b), c) for edge order[i]
+    __slots__ = ()
 
 
 def find_edge_ordering(H):
@@ -327,16 +326,14 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     return _cached("ramsey", H, t, budget, deadline, cache, valid, search)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(namedtuple("WitnessReport", "h_free chi chi_exceeds_r "
+                               "edge_count implied_bound status")):
     """Outcome of checking one (G, H, r) witness for an m_H(r) upper bound."""
 
-    h_free: object       # bool, or None when the freeness test was exhausted
-    chi: object          # int, or None when the solver was exhausted
-    chi_exceeds_r: object  # bool, or None when unknown
-    edge_count: int
-    implied_bound: object  # |E(G)| when h_free and chi > r, else None
-    status: str          # "exact" | "exhausted"
+    # h_free, chi and chi_exceeds_r are None when their search was exhausted;
+    # implied_bound is |E(G)| when h_free and chi > r, else None; status is
+    # "exact" | "exhausted"
+    __slots__ = ()
 
 
 def verify_witness(G, H, r, budget=exact.UNLIMITED):

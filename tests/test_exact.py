@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -143,6 +144,16 @@ class TestBudget:
         assert res is EXHAUSTED and tried == [1]
         now[0], tried[:] = 0.0, []
         assert chromatic_number(cons.complete(5)) == 3 and tried == [1, 2, 3]
+
+    def test_table_build_honours_deadline(self):
+        # the kernels' tables for 3e5 edges take ~0.3 s to build; the clock
+        # is read while they are built, so a 1 ms budget stops it early
+        G = cons.random_3graph(3000, 300_000, 1)
+        G.at  # built before the clock starts
+        for solve in (chromatic_number, independence_number):
+            started = time.monotonic()
+            assert solve(G, SearchBudget(max_millis=1)) is EXHAUSTED
+            assert time.monotonic() - started < 0.15, solve.__name__
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

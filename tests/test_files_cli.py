@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperchrome import cli
+from hyperchrome import cli, coloring
 from hyperchrome import constructions as cons
 from hyperchrome import exact
 from hyperchrome.core import Coloring, is_proper, new_hypergraph
@@ -275,13 +275,13 @@ class TestCli:
 
     def test_color_lll_checks_the_lemma_once(self, monkeypatch, capsys):
         calls = []
-        lll_check = cli.col.lll_check
+        lll_check = coloring.lll_check
 
         def counted(G, r):
             calls.append(r)
             return lll_check(G, r)
 
-        monkeypatch.setattr(cli.col, "lll_check", counted)
+        monkeypatch.setattr(coloring, "lll_check", counted)
         code, _ = run_cli(["color", "--algo", "lll", "--r", "9"],
                           stdin_text=serialize_hypergraph(cons.named("fano")),
                           monkeypatch=monkeypatch, capsys=capsys)
@@ -365,3 +365,33 @@ class TestLargeInput:
         else:
             chosen = {v - 1 for v in cert["vertices"]}
             assert len(chosen) == 4999 and not {0, 1, 2} <= chosen
+
+
+class TestStartUp:
+    """A subcommand loads only the modules it runs, and no module loads
+    dataclasses: each question to the command line is a fresh process."""
+
+    OPTIONAL = ["dataclasses", "hyperchrome._kernels", "hyperchrome.coloring",
+                "hyperchrome.exact", "hyperchrome.extremal"]
+
+    def loaded(self, argv):
+        """The OPTIONAL modules a child running argv has loaded, compiled
+        from source as when no bytecode is written."""
+        script = ("import json, sys; from hyperchrome import cli; "
+                  f"code = cli.main({argv!r}); "
+                  f"print(json.dumps([m for m in {self.OPTIONAL!r} "
+                  "if m in sys.modules]), file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(child_env(), PYTHONDONTWRITEBYTECODE="1"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stderr)
+
+    def test_gen_loads_no_solver(self):
+        assert self.loaded(["gen", "fano"]) == []
+
+    def test_chi_loads_exact_only(self, tmp_path):
+        path = tmp_path / "fano.hg"
+        path.write_text(serialize_hypergraph(cons.named("fano")))
+        assert self.loaded(["chi", "--in", str(path), "--quiet"]) == [
+            "hyperchrome._kernels", "hyperchrome.exact"]
