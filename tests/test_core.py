@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -84,6 +85,7 @@ class TestIncidenceMemo:
         assert G.at == incidence(G.n, G.edges) and G.at is G.at
         assert G == H and hash(G) == hash(H) == before[1]
         assert repr(G) == repr(H) == before[0]
+        assert copy.deepcopy(G).at == G.at  # the memo travels with a copy
 
 
 def uniform_graphs(k):
@@ -505,6 +507,7 @@ class TestVertexOrder:
     def test_inverse(self):
         o = VertexOrder((2, 0, 1))
         assert o.position == (1, 2, 0)
+        assert VertexOrder(order=(2, 0, 1)) == o and o.n == 3
 
     def test_not_permutation(self):
         with pytest.raises(ValueError):
