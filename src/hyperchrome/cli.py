@@ -136,8 +136,7 @@ def _certified(cert, G, H):
         vmap = {int(h) - 1: g - 1 for h, g in cert["vertex_map"].items()}
         if set(vmap) != set(range(H.n)):
             return False
-        edge_map = tuple((e, tuple(sorted(vmap[v] for v in e))) for e in H.edges)
-        return embedding_ok(G, H, Embedding(tuple(sorted(vmap.items())), edge_map))
+        return embedding_ok(G, H, Embedding.of(H, vmap))
     if kind == "chain":
         chain = [[v - 1 for v in e] for e in cert["edges"]]
         order = VertexOrder(tuple(v - 1 for v in cert["order"]))

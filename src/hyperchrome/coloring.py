@@ -252,16 +252,17 @@ def peel_layers(G, theta):
     """Iterate V_{i+1} = {v in V_i : deg in G[V_i] >= theta} to exhaustion.
 
     When every vertex of some nonempty V_i keeps degree >= theta, iteration
-    stops and V_i is reported as the residual core.
+    stops and V_i is reported as the residual core.  A vertex's degree in
+    G[V_i] is the number of its edges in G.at that lie inside V_i.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
+    at = G.at
     layers = []
     current = frozenset(range(G.n))
     while current:
-        sub, verts = induced(G, current)
-        degs = sub.degrees()
-        nxt = frozenset(verts[i] for i in range(len(verts)) if degs[i] >= theta)
+        nxt = frozenset(v for v in current
+                        if sum(map(current.issuperset, at[v])) >= theta)
         if nxt == current:
             return LayerDecomposition(tuple(layers), theta, current)
         layers.append(current - nxt)
@@ -310,15 +311,11 @@ def dyadic_classes(G, r):
     if r < 1:
         raise ValueError("palette must be at least 1")
     base = SMALL_DEGREE_COEFF * r * r
-    degs = G.degrees()
     buckets = {}
-    for v in range(G.n):
-        if degs[v] <= base:
-            continue
-        k = 0
-        while not ((2 ** k) * base <= degs[v] < (2 ** (k + 1)) * base):
-            k += 1
-        buckets.setdefault(k, []).append(v)
+    for v, deg in enumerate(G.degrees()):
+        if deg > base:
+            # deg / base >= 1: the band is the floor of its base-2 logarithm
+            buckets.setdefault(int(deg / base).bit_length() - 1, []).append(v)
     classes = tuple((k, frozenset(buckets[k])) for k in sorted(buckets))
     return DyadicClasses(classes, base)
 
@@ -342,57 +339,48 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
     min-degree-first otherwise) with one fresh color, remove it and decrement
     the palette.  The remaining low-degree graph goes to lll_color with the
     palette that is left.  The budget's wall-clock cap spans the whole call;
-    its node cap applies to each exact search.
+    its node cap applies to each exact search.  Each round induces the
+    remaining graph once, and the chosen class from G itself.
     """
     if G.k != 3:
         raise ValueError("handles 3-graphs")
     deadline = budget.deadline()
-    total = r
     colors = [-1] * G.n
     alive = set(range(G.n))
-    removals = 0
-    r_now = r
-    while True:
+    for fresh in reversed(range(r)):  # fresh + 1 colors are left
         if deadline and monotonic() > deadline:
             return ColoringFailure("budget-exhausted", {"stage": "removal"})
         cur, verts = induced(G, alive)
-        if r_now <= 0:
-            if cur.n == 0:
-                break
-            return ColoringFailure("palette-exhausted",
-                                   {"remaining_vertices": cur.n})
-        dc = dyadic_classes(cur, r_now)
+        dc = dyadic_classes(cur, fresh + 1)
         if not dc.classes:
             # everything left is low degree: deg <= r^2/(12e) <= r^2/(3e),
             # so the lemma's condition holds by construction
-            res = lll_color(cur, r_now, mix_seed(seed, 1 + removals), check=False)
+            res = lll_color(cur, fresh + 1, mix_seed(seed, r - fresh), check=False)
             if isinstance(res, ColoringFailure):
                 return ColoringFailure("resample-cap", res.detail)
             for local, v in enumerate(verts):
                 colors[v] = res.colors[local]
-            break
-
-        def incident(entry):
-            _, members = entry
-            return sum(1 for e in cur.edges if any(v in members for v in e))
-
-        k, members = max(dc.classes, key=lambda kv: (incident(kv), -kv[0]))
-        cls_sub, cls_verts = induced(cur, members)
-        chosen_local = None
+            return Coloring(tuple(colors), r)
+        at = cur.at  # the edges at a class: the union of its members' lists
+        _, members = max(dc.classes, key=lambda kv: (
+            len(set().union(*map(at.__getitem__, kv[1]))), -kv[0]))
+        cls_sub, cls_verts = induced(G, map(verts.__getitem__, members))
+        chosen = exact.EXHAUSTED
         if cls_sub.n <= 24:
-            res = exact.max_independent_set(cls_sub, budget,
-                                            _deadline=deadline)
-            if res is not exact.EXHAUSTED:
-                chosen_local = set(res)
-        if chosen_local is None:
-            chosen_local = _greedy_independent(cls_sub)
-        fresh = total - 1 - removals
-        for local in chosen_local:
-            colors[verts[cls_verts[local]]] = fresh
-        alive -= {verts[cls_verts[local]] for local in chosen_local}
-        removals += 1
-        r_now -= 1
-    return Coloring(tuple(colors), total)
+            chosen = exact.max_independent_set(cls_sub, budget,
+                                               _deadline=deadline)
+        if chosen is exact.EXHAUSTED:
+            chosen = _greedy_independent(cls_sub)
+        chosen = {cls_verts[i] for i in chosen}
+        for v in chosen:
+            colors[v] = fresh
+        alive -= chosen
+    if deadline and monotonic() > deadline:
+        return ColoringFailure("budget-exhausted", {"stage": "removal"})
+    if alive:
+        return ColoringFailure("palette-exhausted",
+                               {"remaining_vertices": len(alive)})
+    return Coloring(tuple(colors), r)
 
 
 class SunflowerViolation(ValueError):

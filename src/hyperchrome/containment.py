@@ -34,6 +34,13 @@ class Embedding(namedtuple("Embedding", "vertex_map edge_map")):
     # vertex_map = ((h_vertex, g_vertex), ...), edge_map = ((h_edge, g_edge), ...)
     __slots__ = ()
 
+    @classmethod
+    def of(cls, H, vmap):
+        """The embedding of H given by a dict vmap: H-vertex -> G-vertex."""
+        return cls(tuple(sorted(vmap.items())),
+                   tuple((e, tuple(sorted(map(vmap.__getitem__, e))))
+                         for e in H.edges))
+
     def vertex_dict(self):
         return dict(self.vertex_map)
 
@@ -179,9 +186,7 @@ def contains(G, H, deadline=0.0):
     for u in range(H.n):
         if u not in vmap:
             vmap[u] = next(spare)
-    vm = tuple(sorted(vmap.items()))
-    em = tuple((e, tuple(sorted(vmap[w] for w in e))) for e in H.edges)
-    return Embedding(vm, em)
+    return Embedding.of(H, vmap)
 
 
 def is_free(G, H, deadline=0.0):

@@ -199,17 +199,19 @@ def induced(G, S):
     """Induced subgraph on the vertex set S, relabeled to 0..|S|-1.
 
     Returns (H, vertices) where vertices is the sorted tuple of original
-    vertex ids; new label i corresponds to vertices[i].
+    vertex ids; new label i corresponds to vertices[i].  Reads G.at: an
+    edge inside S is kept once, at its least vertex.  The lists are in edge
+    order and the relabelling is monotone, so the edges come out sorted.
     """
-    verts = tuple(sorted(set(S)))
+    vset = set(S)
+    verts = tuple(sorted(vset))
     for v in verts:
         if not (0 <= v < G.n):
             raise ValueError(f"vertex {v} not in graph")
-    index = {v: i for i, v in enumerate(verts)}
-    vset = set(verts)
-    kept = [tuple(sorted(index[v] for v in e)) for e in G.edges
-            if all(v in vset for v in e)]
-    return Hypergraph(len(verts), G.k, tuple(sorted(set(kept)))), verts
+    index, at = {v: i for i, v in enumerate(verts)}, G.at
+    kept = tuple(tuple(map(index.__getitem__, e)) for v in verts
+                 for e in at[v] if e[0] == v and vset.issuperset(e))
+    return Hypergraph(len(verts), G.k, kept), verts
 
 
 class Coloring(namedtuple("Coloring", "colors palette")):
@@ -384,11 +386,8 @@ def balance(H):
             val = Fraction(size - 1, len(covered) - 3)
             if best is None or val > best:
                 best, best_sub = val, sub
-    whole_covered = set()
-    for e in H.edges:
-        whole_covered.update(e)
-    whole = Fraction(m - 1, len(whole_covered) - 3)
-    return Balance(best, best_sub, whole == best)
+    # the last subset is the whole edge set, so val is its ratio
+    return Balance(best, best_sub, val == best)
 
 
 def canonical_form(G, automorphisms=None):

@@ -157,9 +157,7 @@ def embed_by_edge_order(G, H, ord):
         image |= 1 << vmap[fresh]
     # a vertex of H in no edge is never placed and fails the revalidation;
     # the size condition |V| = |E| + 2 rules it out whenever an ordering exists
-    vm = tuple(sorted(vmap.items()))
-    em = tuple((e, tuple(sorted(vmap[v] for v in e))) for e in H.edges)
-    emb = Embedding(vm, em)
+    emb = Embedding.of(H, vmap)
     return emb if embedding_ok(G, H, emb) else None
 
 
@@ -184,9 +182,9 @@ def _hfree_level_reps(n, H, over):
     each level.  Once it says so, yields (edge_count, None) for the
     unfinished level and stops."""
     forbidden = ForbiddenTriples(H)
-    # the empty graph's automorphisms, as canonical_form gives them
-    swaps = [{u: u + 1, u + 1: u} for u in range(n - 1)]
-    count, level = 0, [(Hypergraph(n, 3, ()), swaps)]
+    empty, gens = Hypergraph(n, 3, ()), []
+    canonical_form(empty, gens)
+    count, level = 0, [(empty, gens)]
     while level:
         yield count, [G for G, _ in level]
         count += 1

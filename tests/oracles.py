@@ -13,8 +13,11 @@ HypergraphFile text and edge lists by one Python step per line and per edge,
 edge orderings by trying every interleaving of interchangeable edges, the
 edge orbits of a pattern by embedding it less one edge into itself, the
 edge-ordering embedding by scanning incidence lists for each anchored pair,
-greedy witnesses from per-vertex pair lists, and link masks by one walk of
-an incidence list per key.
+greedy witnesses from per-vertex pair lists, link masks by one walk of an
+incidence list per key, induced subgraphs by a scan of every edge, layer
+peeling and independent-set removal by inducing a relabelled graph every
+round, dyadic degree bands by rational comparisons, and balance by a second
+pass over the whole edge set.
 """
 
 import itertools
@@ -699,3 +702,146 @@ def reference_serialize_hypergraph(G):
     for e in G.edges:
         lines.append("e " + " ".join(str(v + 1) for v in e))
     return "\n".join(lines) + "\n"
+
+
+def reference_induced(G, S):
+    """core.induced by testing every edge of G against S and sorting what
+    is kept: the reference that the incidence-list walk must match."""
+    verts = tuple(sorted(set(S)))
+    for v in verts:
+        if not (0 <= v < G.n):
+            raise ValueError(f"vertex {v} not in graph")
+    index = {v: i for i, v in enumerate(verts)}
+    vset = set(verts)
+    kept = [tuple(sorted(index[v] for v in e)) for e in G.edges
+            if all(v in vset for v in e)]
+    return Hypergraph(len(verts), G.k, tuple(sorted(set(kept)))), verts
+
+
+def reference_peel_layers(G, theta):
+    """coloring.peel_layers reading degrees from an induced, relabelled
+    graph built every round."""
+    from hyperchrome.coloring import LayerDecomposition
+
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    layers = []
+    current = frozenset(range(G.n))
+    while current:
+        sub, verts = reference_induced(G, current)
+        degs = sub.degrees()
+        nxt = frozenset(verts[i] for i in range(len(verts)) if degs[i] >= theta)
+        if nxt == current:
+            return LayerDecomposition(tuple(layers), theta, current)
+        layers.append(current - nxt)
+        current = nxt
+    return LayerDecomposition(tuple(layers), theta, frozenset())
+
+
+def reference_dyadic_classes(G, r):
+    """coloring.dyadic_classes finding each band by comparing the degree
+    with 2^k * c * r^2 for k = 0, 1, ... in exact rationals."""
+    from hyperchrome.coloring import SMALL_DEGREE_COEFF, DyadicClasses
+
+    if r < 1:
+        raise ValueError("palette must be at least 1")
+    base = SMALL_DEGREE_COEFF * r * r
+    degs = G.degrees()
+    buckets = {}
+    for v in range(G.n):
+        if degs[v] <= base:
+            continue
+        k = 0
+        while not ((2 ** k) * base <= degs[v] < (2 ** (k + 1)) * base):
+            k += 1
+        buckets.setdefault(k, []).append(v)
+    classes = tuple((k, frozenset(buckets[k])) for k in sorted(buckets))
+    return DyadicClasses(classes, base)
+
+
+def reference_independent_removal_color(G, r, seed, budget=None):
+    """coloring.independent_removal_color inducing the whole remainder
+    from every edge of G each round, counting a class's incident edges by
+    a scan of the remainder's edges, and inducing the class from the
+    remainder through a second label map."""
+    from hyperchrome import exact
+    from hyperchrome.coloring import _greedy_independent, lll_color
+    from hyperchrome.constructions import mix_seed
+
+    budget = exact.UNLIMITED if budget is None else budget
+    if G.k != 3:
+        raise ValueError("handles 3-graphs")
+    deadline = budget.deadline()
+    total = r
+    colors = [-1] * G.n
+    alive = set(range(G.n))
+    removals = 0
+    r_now = r
+    while True:
+        if deadline and monotonic() > deadline:
+            return ColoringFailure("budget-exhausted", {"stage": "removal"})
+        cur, verts = reference_induced(G, alive)
+        if r_now <= 0:
+            if cur.n == 0:
+                break
+            return ColoringFailure("palette-exhausted",
+                                   {"remaining_vertices": cur.n})
+        dc = reference_dyadic_classes(cur, r_now)
+        if not dc.classes:
+            res = lll_color(cur, r_now, mix_seed(seed, 1 + removals), check=False)
+            if isinstance(res, ColoringFailure):
+                return ColoringFailure("resample-cap", res.detail)
+            for local, v in enumerate(verts):
+                colors[v] = res.colors[local]
+            break
+
+        def incident(entry):
+            _, members = entry
+            return sum(1 for e in cur.edges if any(v in members for v in e))
+
+        k, members = max(dc.classes, key=lambda kv: (incident(kv), -kv[0]))
+        cls_sub, cls_verts = reference_induced(cur, members)
+        chosen_local = None
+        if cls_sub.n <= 24:
+            res = exact.max_independent_set(cls_sub, budget,
+                                            _deadline=deadline)
+            if res is not exact.EXHAUSTED:
+                chosen_local = set(res)
+        if chosen_local is None:
+            chosen_local = _greedy_independent(cls_sub)
+        fresh = total - 1 - removals
+        for local in chosen_local:
+            colors[verts[cls_verts[local]]] = fresh
+        alive -= {verts[cls_verts[local]] for local in chosen_local}
+        removals += 1
+        r_now -= 1
+    return Coloring(tuple(colors), total)
+
+
+def reference_balance(H):
+    """core.balance reading is_balanced from a second pass over the whole
+    edge set."""
+    from fractions import Fraction
+
+    from hyperchrome.core import Balance
+
+    if H.k != 3:
+        raise ValueError("balance is defined for 3-graphs")
+    m = len(H.edges)
+    if m < 2:
+        raise ValueError("balance needs at least 2 edges")
+    best = None
+    best_sub = None
+    for size in range(2, m + 1):
+        for sub in itertools.combinations(H.edges, size):
+            covered = set()
+            for e in sub:
+                covered.update(e)
+            val = Fraction(size - 1, len(covered) - 3)
+            if best is None or val > best:
+                best, best_sub = val, sub
+    whole_covered = set()
+    for e in H.edges:
+        whole_covered.update(e)
+    whole = Fraction(m - 1, len(whole_covered) - 3)
+    return Balance(best, best_sub, whole == best)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from hyperchrome.core import (Coloring, Hypergraph, VertexOrder,
                               is_ordered_chain, is_proper, new_hypergraph)
 from hyperchrome.exact import SearchBudget
 
-from oracles import reference_greedy_pluhar, rescan_lll_color
+from oracles import (reference_dyadic_classes, reference_greedy_pluhar,
+                     reference_independent_removal_color, reference_induced,
+                     reference_peel_layers, rescan_lll_color)
 
 
 def matching(edges=5):
@@ -110,6 +113,14 @@ class TestExtractChain:
         ordv = VertexOrder.identity(4)
         with pytest.raises(ValueError):
             col.extract_chain(G, ordv, col.greedy_pluhar(G, ordv))
+
+    def test_witness_edge_not_in_graph(self):
+        G = new_hypergraph(4, 3, [(0, 1, 2)])
+        ordv = VertexOrder.identity(4)
+        tr = col.greedy_pluhar(G, ordv)
+        forged = tr._replace(witness=((), (), ((0, 1, 3),), ()))
+        with pytest.raises(ValueError, match="witness edge not in graph"):
+            col.extract_chain(G, ordv, forged)
 
     def test_trace_mismatch(self):
         ordv = VertexOrder.identity(5)
@@ -439,6 +450,13 @@ class TestLayeredColor:
         res = col.layered_color(G, 1, 1, seed=0)
         assert res.used() == 1
 
+    def test_resample_cap_names_its_layer(self):
+        # one color cannot make the edge proper: 1000 resamples, then failure
+        G = new_hypergraph(3, 3, [(0, 1, 2)])
+        res = col.layered_color(G, 2, 1, seed=0, check=False)
+        assert res == col.ColoringFailure(
+            "resample-cap", {"layer": 0, "resamples": 1000, "edge": (0, 1, 2)})
+
 
 class TestDyadicClasses:
     def test_matching_r2(self):
@@ -508,6 +526,100 @@ class TestIndependentRemoval:
         assert is_proper(G, res)[0]
         assert len(deadlines) == 2 and len(set(deadlines)) == 1
         assert deadlines[0] > 0
+
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(col, "monotonic", lambda: float("inf"))
+        res = col.independent_removal_color(cons.complete(5), 3, seed=1,
+                                            budget=SearchBudget(max_millis=1))
+        assert res == col.ColoringFailure("budget-exhausted",
+                                          {"stage": "removal"})
+
+    def test_deadline_checked_after_the_last_color(self, monkeypatch):
+        # K5 at r = 2 runs out of colors; a deadline that passes during the
+        # second round is seen before the palette is found exhausted
+        reads = []
+
+        def clock():  # past the deadline from the third read on
+            reads.append(1)
+            return float("inf") if len(reads) > 2 else 0.0
+
+        monkeypatch.setattr(col, "monotonic", clock)
+        res = col.independent_removal_color(cons.complete(5), 2, seed=1,
+                                            budget=SearchBudget(max_millis=1))
+        assert res.stage == "budget-exhausted" and len(reads) == 3
+        res = col.independent_removal_color(cons.complete(5), 2, seed=1)
+        assert res == col.ColoringFailure("palette-exhausted",
+                                          {"remaining_vertices": 1})
+
+
+class TestDeletionReadsTheIndex:
+    """Vertex deletion reads G.at: peel_layers builds no graph, and the
+    removal rounds induce from G itself.  The results equal those of the
+    bodies that induced a relabelled graph every round (tests/oracles.py)."""
+
+    def test_peel_layers_induces_nothing(self, monkeypatch):
+        def refuse(G, S):
+            raise AssertionError("peel_layers built an induced graph")
+
+        monkeypatch.setattr(col, "induced", refuse)
+        G = cons.random_3graph(60, 600, 3)
+        dec = col.peel_layers(G, 30)
+        assert len(dec.layers) > 1
+        assert dec == reference_peel_layers(G, 30)
+
+    def test_removal_induces_from_g_only(self, monkeypatch):
+        real, sources = col.induced, []
+
+        def recording(G, S):
+            sources.append(G)
+            return real(G, S)
+
+        monkeypatch.setattr(col, "induced", recording)
+        G = cons.complete(5)
+        res = col.independent_removal_color(G, 3, seed=1)
+        assert is_proper(G, res)[0]
+        # two removal rounds (remainder and class), then the remainder
+        assert len(sources) == 5 and all(g is G for g in sources)
+
+    @given(G=small_3graphs(), theta=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_peel_layers_matches_reference(self, G, theta):
+        assert col.peel_layers(G, theta) == reference_peel_layers(G, theta)
+
+    @given(G=small_3graphs(), theta=st.integers(1, 6),
+           per_layer=st.integers(2, 5), seed=st.integers(0, 2 ** 32),
+           check=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_layered_color_matches_reference(self, G, theta, per_layer,
+                                             seed, check):
+        got = col.layered_color(G, theta, per_layer, seed, check)
+        with mock.patch.object(col, "peel_layers", reference_peel_layers), \
+                mock.patch.object(col, "induced", reference_induced):
+            want = col.layered_color(G, theta, per_layer, seed, check)
+        assert got == want
+
+    @given(G=small_3graphs(), r=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=150, deadline=None)
+    def test_removal_matches_reference(self, G, r, seed):
+        assert col.independent_removal_color(G, r, seed) == \
+            reference_independent_removal_color(G, r, seed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_removal_matches_reference_medium(self, seed):
+        # 20-80 vertices at up to 8 edges per vertex: several removal
+        # rounds, greedy classes above 24 vertices, and palette failures
+        rng = random.Random(seed)
+        n = rng.randrange(20, 81)
+        G = cons.random_3graph(n, rng.randrange(n, 8 * n), 700 + seed)
+        for r in (3, 6, 10, 16):
+            assert col.independent_removal_color(G, r, seed) == \
+                reference_independent_removal_color(G, r, seed)
+
+    @given(G=small_3graphs(m_max=120), r=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_dyadic_classes_match_reference(self, G, r):
+        assert col.dyadic_classes(G, r) == reference_dyadic_classes(G, r)
 
 
 class TestE288Extract:

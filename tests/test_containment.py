@@ -49,6 +49,42 @@ class TestExamples:
             contains(cons.gq(3), cons.loose_cycle(3))
 
 
+# two edges on a common pair, embedded into K5 by the identity
+TWO_EDGES = new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
+IDENTITY = {0: 0, 1: 1, 2: 2, 3: 3}
+FORGED = {
+    "vertex map not total": lambda: containment.Embedding(
+        ((0, 0), (1, 1), (2, 2)), containment.Embedding.of(
+            TWO_EDGES, IDENTITY).edge_map),
+    "vertex map not injective": lambda: containment.Embedding.of(
+        TWO_EDGES, {**IDENTITY, 3: 2}),
+    "image outside V(G)": lambda: containment.Embedding.of(
+        TWO_EDGES, {**IDENTITY, 3: 7}),
+    "edge map not total": lambda: containment.Embedding(
+        tuple(IDENTITY.items()), (((0, 1, 2), (0, 1, 2)),)),
+    "edge image not the vertex images": lambda: containment.Embedding(
+        tuple(IDENTITY.items()),
+        (((0, 1, 2), (0, 1, 2)), ((0, 1, 3), (0, 1, 4)))),
+}
+
+
+class TestEmbeddingOk:
+    def test_identity_accepted(self):
+        emb = containment.Embedding.of(TWO_EDGES, IDENTITY)
+        assert emb.edge_dict() == {(0, 1, 2): (0, 1, 2), (0, 1, 3): (0, 1, 3)}
+        assert embedding_ok(cons.complete(5), TWO_EDGES, emb)
+
+    @pytest.mark.parametrize("name", FORGED)
+    def test_forgery_refused(self, name):
+        assert not embedding_ok(cons.complete(5), TWO_EDGES, FORGED[name]())
+
+    def test_image_edge_missing_from_g_refused(self):
+        G = new_hypergraph(5, 3, [e for e in combinations(range(5), 3)
+                                  if e != (0, 1, 3)])
+        emb = containment.Embedding.of(TWO_EDGES, IDENTITY)
+        assert not embedding_ok(G, TWO_EDGES, emb)
+
+
 def random_pair(i):
     rng = random.Random(1000 + i)
     gn = rng.randrange(4, 9)

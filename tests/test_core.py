@@ -20,6 +20,7 @@ from hyperchrome.core import (Coloring, Hypergraph, Links, VertexOrder,
                               is_proper, new_hypergraph, pair_support)
 
 from oracles import (PerKeyLinks, all_colorings, brute_canonical_form,
+                     reference_balance, reference_induced,
                      scan_greedy_independent)
 
 
@@ -196,6 +197,18 @@ class TestInduced:
         G, verts = induced(cons.loose_cycle(3), set())
         assert G.n == 0 and G.edges == () and verts == ()
 
+    @given(data=st.data(), k=st.integers(2, 4), n=st.integers(0, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_edge_scan(self, data, k, n):
+        # the walk of G.at keeps the edges, order and labels of a scan of
+        # every edge followed by a sort
+        pool = list(combinations(range(n), k))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                          if pool else st.just([]))
+        G = new_hypergraph(n, k, edges)
+        S = data.draw(st.lists(st.integers(0, n - 1)) if n else st.just([]))
+        assert induced(G, S) == reference_induced(G, S)
+
 
 class TestIsProper:
     def test_mixed_edge(self):
@@ -278,6 +291,21 @@ class TestBalance:
         with pytest.raises(ValueError):
             balance(new_hypergraph(3, 3, [(0, 1, 2)]))
 
+    def test_k4_with_pendant_edge_unbalanced(self):
+        G = new_hypergraph(6, 3, list(combinations(range(4), 3)) + [(3, 4, 5)])
+        b = balance(G)
+        assert b.value == Fraction(3, 1) and not b.is_balanced
+
+    def test_matches_second_pass_reference(self):
+        seen = set()
+        for seed in range(80):
+            G = small_graph(seed, m_max=7)
+            if len(G.edges) >= 2:
+                b = balance(G)
+                assert b == reference_balance(G)
+                seen.add(b.is_balanced)
+        assert seen == {True, False}
+
     def test_witness_recomputation(self):
         for seed in range(40):
             G = small_graph(seed, m_max=6)
@@ -302,6 +330,15 @@ class TestOrderedChain:
         G = new_hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
         rev = VertexOrder(tuple(reversed(range(5))))
         assert not is_ordered_chain(G, [(0, 1, 2), (2, 3, 4)], rev)
+
+    def test_empty_chain_fails(self):
+        G = new_hypergraph(3, 3, [(0, 1, 2)])
+        assert not is_ordered_chain(G, [], VertexOrder.identity(3))
+
+    def test_edge_outside_graph_fails(self):
+        G = new_hypergraph(5, 3, [(0, 1, 2)])
+        assert not is_ordered_chain(G, [(0, 1, 2), (2, 3, 4)],
+                                    VertexOrder.identity(5))
 
     def test_intersection_two_fails(self):
         G = new_hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)])

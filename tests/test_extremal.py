@@ -519,6 +519,27 @@ def test_level_search_counts_every_class(n, classes):
     assert sum(len(reps) for _, reps in levels) == classes
 
 
+def test_level_search_stops_at_the_per_parent_check():
+    # over is read after level 0's count, then before its one parent
+    charges = []
+
+    def over(k):
+        charges.append(k)
+        return len(charges) == 2
+
+    assert list(ext._hfree_level_reps(5, LP, over)) == \
+        [(0, [Hypergraph(5, 3, ())]), (1, None)]
+    assert charges == [1, 0]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_empty_graph_generators_are_adjacent_swaps(n):
+    # the generators the level search starts from
+    gens = []
+    canonical_form(Hypergraph(n, 3, ()), gens)
+    assert gens == [{u: u + 1, u + 1: u} for u in range(n - 1)]
+
+
 class TestRamsey:
     def test_single_edge(self):
         H = new_hypergraph(3, 3, [(0, 1, 2)])
@@ -614,6 +635,30 @@ class TestCache:
             fh.write(b"junk\xff\n")
         fresh = ResultCache(path)
         assert len(fresh.records) == 1
+
+    def test_comments_blanks_and_unknown_fields_dropped(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("\n".join([
+            "# ex\tkey\t3\t1\texact\t3:3:1,2,3",
+            "",
+            "   ",
+            "ex\tkey\t4\t1\texact\t4:3:1,2,3",
+            "chi\tkey\t5\t1\texact\t5:3:1,2,3",  # unknown kind
+            "ex\tkey\t6\t1\tguess\t6:3:1,2,3",  # unknown status
+        ]) + "\n", encoding="utf-8")
+        assert list(ResultCache(str(path)).records) == [("ex", "key", 4)]
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path,
+                                                  monkeypatch):
+        rec = ext.turan_ex(4, LP)
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            ResultCache(str(tmp_path / "cache.txt")).put(rec)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.txt.lock"]
 
     def test_lying_witness_recomputed(self, tmp_path):
         path = str(tmp_path / "cache.txt")

@@ -111,3 +111,22 @@ class TestKernelAgainstRichPaths:
         assert _kernels.backend_name(500) == "pure"
         best = _kernels.mis_search(100, [(0, 1, 2)])
         assert len(best) == 99
+
+
+
+# both enter more than 4096 nodes on fewer than 4096 edges, so the first
+# clock read of a search with a deadline is the one at node 4096
+K13, SPARSE30 = cons.complete(13), cons.random_3graph(30, 100, 1)
+
+
+@pytest.mark.parametrize("search", [
+    lambda *caps: _kernels.kcolor_search(13, K13.edges, 6, list(range(13)),
+                                         *caps),
+    lambda *caps: _kernels.mis_search(30, SPARSE30.edges, *caps),
+], ids=["kcolor-K13-k6", "mis-random-30"])
+def test_fake_clock_past_the_deadline_mid_search(search, monkeypatch):
+    assert search(4096) is EXHAUSTED
+    reads = []
+    monkeypatch.setattr(_kernels, "monotonic", lambda: reads.append(1) or 2.0)
+    assert search(0, 1.0) is EXHAUSTED
+    assert len(reads) == 1
