@@ -11,12 +11,17 @@ builds its tables from the edges.  Every pruning rule below only skips
 subtrees that hold no better answer, so the tree is a subset of the plain
 backtracking tree, visited in the same order: the answers equal the plain
 search's, and a node cap under which the plain search finishes is never hit.
+
+Each search builds its table per call.  The coloring search keeps one entry
+per edge, at the edge's middle position in the search order, and reads it
+only at the positions that hold the color it tries; the independent-set
+search keeps each edge's vertex mask at each of its vertices.
 """
 
 import sys
 from time import monotonic
 
-from .core import EXHAUSTED, Coloring, pairs_at
+from .core import EXHAUSTED, Coloring
 
 _TIME_CHECK_MASK = 4095
 
@@ -46,32 +51,52 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     take colors 0..min(used, k-1), where used is the number of colors the
     earlier vertices use, so solutions come out in first-use normal form.
     A color c is banned at v iff some edge holds v plus two vertices already
-    colored c.  Forward checking keeps, per (vertex, color), the count of
-    such edges: coloring v with c bans c at b for every edge {v, a, b} with
-    a colored c and b uncolored, and a child in which some uncolored vertex
-    has all k colors banned is not entered.  Returns the lexicographically
-    least proper k-coloring along the order as a Coloring with palette k,
-    None if there is none, or EXHAUSTED.
+    colored c.  Forward checking keeps, per (position, color), the count of
+    such edges, and a child in which some uncolored position has all k
+    colors banned is not entered.  Coloring position y with c bans c at z
+    for every edge at positions x < y < z with x colored c; no other edge
+    can add a ban.  So the table holds each edge once, at its middle
+    position y, keyed by x, and trying c reads only its keys colored c:
+    through the members of c, or through the keys at y when those are
+    fewer, so that a try never reads more than the vertex's own edges.
+    Returns the lexicographically least proper k-coloring along the order
+    as a Coloring with palette k, None if there is none, or EXHAUSTED.
     """
     palette = k
     if n == 0:
         return Coloring((), palette)
     k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    fwd = [{} for _ in range(n)]  # fwd[y][x]: z per edge at x < y < z
     try:
-        pairs = pairs_at(n, _clocked(edges, deadline) if deadline else edges)
+        for a, b, c in _clocked(edges, deadline) if deadline else edges:
+            x, y, z = pos[a], pos[b], pos[c]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            at = fwd[y]
+            if x in at:
+                at[x].append(z)
+            else:
+                at[x] = [z]
     except TimeoutError:
         return EXHAUSTED
-    colors = [-1] * n
-    bans = [0] * (n * k)   # bans[u*k + c]: edges banning c at uncolored u
-    nbanned = [0] * n      # colors with a nonzero ban count, per vertex
+    bans = [0] * (n * k)   # bans[z*k + c]: edges banning c at uncolored z
+    nbanned = [0] * n      # colors with a nonzero ban count, per position
+    members = [[] for _ in range(k)]  # members[c]: positions colored c
     tried = [-1] * n       # tried[p]: color at position p, or the last tried
     used = [0] * (n + 1)   # used[p]: colors in use at positions < p
-    logs = [None] * n      # logs[p]: vertices whose ban count p's color raised
+    logs = [None] * n      # logs[p]: positions whose ban count p's color raised
     nodes = 1              # the root, position 0, is entered
     p = 0
     while True:
-        v = order[p]
-        base = v * k
+        base = p * k
+        at = fwd[p]
         cmax = min(used[p], k - 1)
         c = tried[p] + 1
         log = None
@@ -79,24 +104,21 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
             if not bans[base + c]:
                 log = []
                 wiped = False
-                for a, b in pairs[v]:
-                    ca = colors[a]
-                    if ca == c:
-                        if colors[b] >= 0:
-                            continue
-                        u = b
-                    elif ca < 0 and colors[b] == c:
-                        u = a
-                    else:
-                        continue
-                    i = u * k + c
-                    bans[i] += 1
-                    log.append(u)
-                    if bans[i] == 1:
-                        nbanned[u] += 1
-                        if nbanned[u] == k:
-                            wiped = True
-                            break
+                mem = members[c]
+                if len(mem) > len(at):
+                    mem = [x for x in at if tried[x] == c]
+                for x in mem:
+                    for z in at.get(x, ()):
+                        i = z * k + c
+                        bans[i] += 1
+                        log.append(z)
+                        if bans[i] == 1:
+                            nbanned[z] += 1
+                            if nbanned[z] == k:
+                                wiped = True
+                                break
+                    if wiped:
+                        break
                 if not wiped:
                     break
                 _unban(log, c, k, bans, nbanned)
@@ -108,10 +130,11 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
             p -= 1
             if p < 0:
                 return None
-            colors[order[p]] = -1
-            _unban(logs[p], tried[p], k, bans, nbanned)
+            c = tried[p]
+            members[c].pop()
+            _unban(logs[p], c, k, bans, nbanned)
             continue
-        colors[v] = c
+        members[c].append(p)
         tried[p] = c
         logs[p] = log
         used[p + 1] = used[p] if c < used[p] else c + 1
@@ -122,7 +145,7 @@ def kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
             return EXHAUSTED
         p += 1
         if p == n:
-            return Coloring(tuple(colors), palette)
+            return Coloring(tuple(c for _, c in sorted(zip(order, tried))), palette)
 
 
 def _unban(log, c, k, bans, nbanned):

@@ -307,15 +307,17 @@ class DyadicClasses(namedtuple("DyadicClasses", "classes base_threshold")):
 
 
 def dyadic_classes(G, r):
-    """Partition V_big by dyadic degree bands above c*r^2, exact rationals."""
+    """Partition V_big by dyadic degree bands above c*r^2, exactly: with
+    c*r^2 = num/den, deg > c*r^2 iff deg*den > num, compared as integers."""
     if r < 1:
         raise ValueError("palette must be at least 1")
     base = SMALL_DEGREE_COEFF * r * r
+    num, den = base.numerator, base.denominator
     buckets = {}
     for v, deg in enumerate(G.degrees()):
-        if deg > base:
+        if deg * den > num:
             # deg / base >= 1: the band is the floor of its base-2 logarithm
-            buckets.setdefault(int(deg / base).bit_length() - 1, []).append(v)
+            buckets.setdefault((deg * den // num).bit_length() - 1, []).append(v)
     classes = tuple((k, frozenset(buckets[k])) for k in sorted(buckets))
     return DyadicClasses(classes, base)
 

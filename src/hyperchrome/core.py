@@ -116,17 +116,6 @@ def _normalized(n, k, edges):
     return edges
 
 
-def pairs_at(n, edges):
-    """Per-vertex pair adjacency of a 3-uniform edge list on 0..n-1: entry v
-    lists, for each edge holding v, its other two vertices in edge order."""
-    pairs = [[] for _ in range(n)]
-    for a, b, c in edges:
-        pairs[a].append((b, c))
-        pairs[b].append((a, c))
-        pairs[c].append((a, b))
-    return pairs
-
-
 def incidence(n, edges):
     """Per-vertex incidence of an edge list on 0..n-1: entry v lists the
     edges holding v, in edge order."""

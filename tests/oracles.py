@@ -7,7 +7,8 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the H-free level search by one containment test per candidate or
+bound, the coloring kernel's tree by forward checking over every edge at the
+tried vertex, the H-free level search by one containment test per candidate or
 by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
 edge orderings by trying every interleaving of interchangeable edges, the
@@ -29,7 +30,18 @@ from hyperchrome.containment import Embedding, embedding_ok
 from hyperchrome.extremal import EdgeOrdering, prune_low_support
 from hyperchrome.core import (EXHAUSTED, Coloring, Hypergraph, canonical_form,
                               incidence, is_ordered_chain, is_proper,
-                              pair_support, pairs_at)
+                              pair_support)
+
+
+def pairs_at(n, edges):
+    """Per-vertex pair adjacency of a 3-uniform edge list on 0..n-1: entry v
+    lists, for each edge holding v, its other two vertices in edge order."""
+    pairs = [[] for _ in range(n)]
+    for a, b, c in edges:
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+    return pairs
 
 
 def all_colorings(n, k):
@@ -583,6 +595,89 @@ def reference_kcolor_search(n, edges, k, order, max_nodes=0, deadline=0.0):
     if dfs(0):
         return Coloring(tuple(colors), k)
     return EXHAUSTED if exhausted else None
+
+
+def reference_pair_scan_kcolor_search(n, edges, k, order, max_nodes=0,
+                                      deadline=0.0):
+    """_kernels.kcolor_search with forward checking over every edge at the
+    tried vertex: the same search tree and node count, with each try walking
+    all of pairs_at[v] instead of the edges the tried color can close.  The
+    deadline is read only while searching, not while the pairs are built.
+    """
+    palette = k
+    if n == 0:
+        return Coloring((), palette)
+    k = min(k, n)
+    pairs = pairs_at(n, edges)
+    colors = [-1] * n
+    bans = [0] * (n * k)   # bans[u*k + c]: edges banning c at uncolored u
+    nbanned = [0] * n      # colors with a nonzero ban count, per vertex
+    tried = [-1] * n       # tried[p]: color at position p, or the last tried
+    used = [0] * (n + 1)   # used[p]: colors in use at positions < p
+    logs = [None] * n      # logs[p]: vertices whose ban count p's color raised
+    nodes = 1              # the root, position 0, is entered
+
+    def unban(log, c):
+        for u in log:
+            i = u * k + c
+            bans[i] -= 1
+            if not bans[i]:
+                nbanned[u] -= 1
+
+    p = 0
+    while True:
+        v = order[p]
+        base = v * k
+        cmax = min(used[p], k - 1)
+        c = tried[p] + 1
+        log = None
+        while c <= cmax:
+            if not bans[base + c]:
+                log = []
+                wiped = False
+                for a, b in pairs[v]:
+                    ca = colors[a]
+                    if ca == c:
+                        if colors[b] >= 0:
+                            continue
+                        u = b
+                    elif ca < 0 and colors[b] == c:
+                        u = a
+                    else:
+                        continue
+                    i = u * k + c
+                    bans[i] += 1
+                    log.append(u)
+                    if bans[i] == 1:
+                        nbanned[u] += 1
+                        if nbanned[u] == k:
+                            wiped = True
+                            break
+                if not wiped:
+                    break
+                unban(log, c)
+                log = None
+            c += 1
+        if log is None:
+            tried[p] = -1
+            p -= 1
+            if p < 0:
+                return None
+            colors[order[p]] = -1
+            unban(logs[p], tried[p])
+            continue
+        colors[v] = c
+        tried[p] = c
+        logs[p] = log
+        used[p + 1] = used[p] if c < used[p] else c + 1
+        nodes += 1
+        if max_nodes and nodes > max_nodes:
+            return EXHAUSTED
+        if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
+            return EXHAUSTED
+        p += 1
+        if p == n:
+            return Coloring(tuple(colors), palette)
 
 
 def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):

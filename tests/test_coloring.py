@@ -467,6 +467,21 @@ class TestDyadicClasses:
     def test_empty_graph(self):
         assert col.dyadic_classes(new_hypergraph(5, 3, []), 3).classes == ()
 
+    def test_compares_no_fractions(self, monkeypatch):
+        # the threshold is rational, the degrees are integers: each test is
+        # made on integers, so no Fraction comparison runs per vertex
+        calls = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(
+                Fraction, name,
+                lambda a, b, real=real: calls.append(1) or real(a, b))
+        G = cons.random_3graph(40, 400, 5)
+        dc = col.dyadic_classes(G, 3)
+        monkeypatch.undo()
+        assert dc == reference_dyadic_classes(G, 3) and dc.classes
+        assert calls == []
+
     def test_partition_and_band_membership(self):
         for seed in range(20):
             rng = random.Random(seed)

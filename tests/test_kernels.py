@@ -2,11 +2,14 @@
 
 The pruned kernels search a subset of the references' trees in the same
 order, so they return exactly the references' results, also under every node
-cap under which a reference finishes.
+cap under which a reference finishes.  The coloring kernel also searches
+exactly the tree of the pair-scanning reference, so both finish under the
+same least node cap.
 """
 
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 
 from hyperchrome import _kernels
 from hyperchrome import constructions as cons
-from hyperchrome.core import EXHAUSTED, Coloring
+from hyperchrome.core import EXHAUSTED, Coloring, degree_order
 
-from oracles import reference_kcolor_search, reference_mis_search
+from oracles import (reference_kcolor_search, reference_mis_search,
+                     reference_pair_scan_kcolor_search)
 
 
 def random_instance(seed):
@@ -31,6 +35,17 @@ def random_instance(seed):
     perm = list(range(n))
     rng.shuffle(perm)
     return n, edges, perm
+
+
+def dense_instance(seed, by_degree):
+    """3 <= n <= 12 vertices, 0 <= m <= C(n, 3) edges, and the degree order
+    or a shuffled one."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 13)
+    G = cons.random_3graph(n, rng.randrange(0, math.comb(n, 3) + 1), seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    return n, list(G.edges), degree_order(G) if by_degree else order
 
 
 def least_finishing_cap(search, limit=300):
@@ -60,6 +75,27 @@ class TestAgainstReference:
         if first is not None:
             for cap in range(first, 301):
                 assert _kernels.kcolor_search(n, edges, k, order, cap) == want
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_kcolor_same_tree_as_pair_scan(self, seed, k, by_degree):
+        n, edges, order = dense_instance(seed, by_degree)
+        want = reference_pair_scan_kcolor_search(n, edges, k, order)
+        assert _kernels.kcolor_search(n, edges, k, order) == want
+        # the least finishing cap of a search that finishes within 30000
+        # nodes, checked on the reference at that cap and one below it
+        first = least_finishing_cap(
+            lambda cap: _kernels.kcolor_search(n, edges, k, order, cap),
+            limit=30_000)
+        if first is None:
+            assert reference_pair_scan_kcolor_search(
+                n, edges, k, order, 30_000) is EXHAUSTED
+            return
+        assert reference_pair_scan_kcolor_search(
+            n, edges, k, order, first) == want
+        if first > 1:
+            assert reference_pair_scan_kcolor_search(
+                n, edges, k, order, first - 1) is EXHAUSTED
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -94,6 +130,19 @@ class TestPruning:
             lambda cap: reference_kcolor_search(n, edges, k, order, cap),
             limit=1000) == plain
 
+    # the least node cap under which each search finishes, measured on the
+    # pair-scanning kernel: pins that its tree is kept
+    @pytest.mark.parametrize("G, k, order, pruned", [
+        (cons.complete(11), 5, list(range(11)), 1799),
+        (cons.complete(13), 6, list(range(13)), 19356),
+        (cons.partition_example(5, 4), 4,
+         degree_order(cons.partition_example(5, 4)), 283),
+    ], ids=["K11-k5", "K13-k6", "part(5,4)-k4-degree"])
+    def test_kcolor_unsatisfiable(self, G, k, order, pruned):
+        search = lambda cap: _kernels.kcolor_search(G.n, G.edges, k, order, cap)
+        assert search(0) is None
+        assert least_finishing_cap(search, limit=30_000) == pruned
+
     @pytest.mark.parametrize("name, G, pruned, plain", [
         ("K9", cons.complete(9), 78, 155),
         ("fano", cons.named("fano"), 36, 57),
@@ -112,6 +161,19 @@ class TestKernelAgainstRichPaths:
         best = _kernels.mis_search(100, [(0, 1, 2)])
         assert len(best) == 99
 
+
+
+def test_sparse_tries_read_only_their_edges():
+    # a perfect matching in index order, 2 colors: every third vertex closes
+    # its edge.  A try that walked the whole class of color 0 would read
+    # ~10^8 entries over the search; one that reads only the vertex's own
+    # edges reads ~10^4.
+    n = 18_000
+    edges = [(v, v + 1, v + 2) for v in range(0, n, 3)]
+    started = time.monotonic()
+    got = _kernels.kcolor_search(n, edges, 2, list(range(n)))
+    assert time.monotonic() - started < 1.0
+    assert got == Coloring((0, 0, 1) * (n // 3), 2)
 
 
 # both enter more than 4096 nodes on fewer than 4096 edges, so the first
