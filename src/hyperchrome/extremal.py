@@ -47,66 +47,45 @@ class EdgeOrdering(namedtuple("EdgeOrdering", "order anchors")):
 def find_edge_ordering(H):
     """A valid incremental edge ordering of H, or None if none exists.
 
-    Requires |V(H)| = |E(H)| + 2 and uniformity 3.
+    Requires |V(H)| = |E(H)| + 2 and uniformity 3.  One greedy pass from
+    the first edge appends the lowest-index edge with one uncovered vertex
+    x and its other two in a placed edge (the first such is its anchor).
+    A depth-first search by index returns the same ordering, as it never
+    backtracks.  Exchange: no edge before that one in a completion holds x,
+    so it can go first.  Re-rooting: an ordering from any edge g is g, its
+    anchor chain back to the old first edge, then the rest in order.
     """
+    # Exchange: an earlier edge holding x would introduce x and leave the
+    # moved edge with no fresh vertex.  Re-rooting: the edges holding a
+    # vertex form an anchor chain back to the edge that introduced it, so
+    # each chain edge introduces the vertex outside its child's pair, and an
+    # edge off the chain keeps its fresh vertex, which lies in no chain
+    # edge.  Hence the search never gets past start 0 and never backs out
+    # of a prefix; the pass is O(m^3) where the search was exponential.
     if H.k != 3:
         raise ValueError("edge orderings are for 3-graphs")
-    t = H.n
-    if t != len(H.edges) + 2:
-        raise ValueError(f"need |V| = |E| + 2, got |V|={t}, |E|={len(H.edges)}")
-    edges = list(H.edges)
-    m = len(edges)
-    if len({v for e in edges for v in e}) < t:
+    if H.n != len(H.edges) + 2:
+        raise ValueError(f"need |V| = |E| + 2, got |V|={H.n}, "
+                         f"|E|={len(H.edges)}")
+    if len({v for e in H.edges for v in e}) < H.n:
         return None  # an ordering covers every vertex; this H leaves one out
-
-    def anchor(idx, order, covered):
-        """(j, pair, fresh) letting edges[idx] follow order, or None."""
-        e = edges[idx]
-        fresh = [v for v in e if v not in covered]
-        if len(fresh) != 1:
-            return None
-        pair = tuple(v for v in e if v != fresh[0])
-        for j, prev_idx in enumerate(order):
-            prev = edges[prev_idx]
-            if pair[0] in prev and pair[1] in prev:
-                return j, pair, fresh[0]
-        return None
-
-    # Whether an ordering can be completed depends only on the set of edges
-    # used so far: the covered vertices and the pairs available as anchors
-    # are both functions of it.  So a used-edge mask from which the search
-    # backed out is dead for every later path and start edge.  The search
-    # stays exponential (2^(m-3) masks on {0,1,2}, {2,3,4}, {0,1,4} plus
-    # {0,1,i}), but no longer tries every order of interchangeable edges.
-    dead = set()
-    for first in range(m):
-        # depth-first on an explicit stack; each position tries the unused
-        # edges by increasing index, so the first ordering found is the same
-        # as a recursive search's
-        order, anchors, covered = [first], [], set(edges[first])
-        mask = 1 << first  # the used edges
-        start = 0  # the first index to try at position len(order)
-        while len(order) < m:
-            for idx in range(start, m):
-                a = None if mask >> idx & 1 else anchor(idx, order, covered)
-                if a is not None and (mask | 1 << idx) not in dead:
-                    order.append(idx)
-                    anchors.append(a)
-                    mask |= 1 << idx
-                    covered.add(a[2])
-                    start = 0
+    order, anchors, covered = [H.edges[0]], [], set(H.edges[0])
+    rest = list(H.edges[1:])
+    while rest:
+        for i, e in enumerate(rest):
+            fresh = [v for v in e if v not in covered]
+            if len(fresh) == 1:
+                a, b = (v for v in e if v != fresh[0])
+                j = next((j for j, f in enumerate(order) if a in f and b in f),
+                         None)
+                if j is not None:
                     break
-            else:
-                dead.add(mask)
-                if not anchors:
-                    break  # no ordering starts with this edge
-                last = order.pop()  # backtrack, then try the next index
-                mask ^= 1 << last
-                covered.remove(anchors.pop()[2])
-                start = last + 1
-        if len(order) == m:
-            return EdgeOrdering(tuple(edges[i] for i in order), tuple(anchors))
-    return None
+        else:
+            return None  # no edge can follow
+        order.append(rest.pop(i))
+        anchors.append((j, (a, b), fresh[0]))
+        covered.add(fresh[0])
+    return EdgeOrdering(tuple(order), tuple(anchors))
 
 
 def prune_low_support(G, t):
@@ -277,9 +256,9 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     critical witness for n-1 is returned.  Hitting n_max or the budget gives
     a lower_bound record (value = first n not yet decided).  An exact cache
     record is served only when its witness revalidates within budget.  The
-    level search and every independence-number call, revalidation included,
-    share one wall-clock deadline; the node cap applies to the level search
-    and to each independence-number call separately.
+    level search, every independence-number call and the revalidating
+    freeness test share one wall-clock deadline; the node cap applies to the
+    level search and to each independence-number call separately.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -294,11 +273,16 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         return exact.independence_number(G, budget, _deadline=deadline)
 
     def valid(rec):
-        alpha = alpha_of(rec.witness)
+        # order and uniformity first: alpha of a 4-graph raises, and alpha
+        # of an edgeless witness on 10^6 vertices overruns the deadline
+        W = rec.witness
+        if W.n != rec.value - 1 or W.k != 3:
+            return False
+        alpha = alpha_of(W)
         if alpha is exact.EXHAUSTED:
             return None
-        return rec.witness.n == rec.value - 1 and is_free(rec.witness, H) \
-            and alpha < t
+        free = alpha < t and is_free(W, H, deadline)
+        return None if free is exact.EXHAUSTED else free
 
     def search(over):
         witness = Hypergraph(max(t - 1, 1), 3, ())  # H-free, alpha = t-1
@@ -341,6 +325,8 @@ def verify_witness(G, H, r, budget=exact.UNLIMITED):
     The H-freeness test and the chromatic number share the budget's one
     wall-clock deadline; the node cap applies to the chromatic number only.
     A freeness test cut short gives an exhausted report with h_free None."""
+    if r < 1:
+        raise ValueError("palette must be at least 1")
     deadline = budget.deadline()
     free = is_free(G, H, deadline)
     if free is exact.EXHAUSTED:

@@ -11,7 +11,7 @@ bound, the coloring kernel's tree by forward checking over every edge at the
 tried vertex, the H-free level search by one containment test per candidate or
 by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
-edge orderings by trying every interleaving of interchangeable edges, the
+edge orderings by a depth-first search over start and next edges, the
 edge orbits of a pattern by embedding it less one edge into itself, the
 edge-ordering embedding by scanning incidence lists for each anchored pair,
 greedy witnesses from per-vertex pair lists, link masks by one walk of an
@@ -168,8 +168,10 @@ def reference_contains(G, H):
 
 
 def reference_find_edge_ordering(H):
-    """find_edge_ordering without its memo of dead used-edge sets: every
-    interleaving of interchangeable edges is tried again."""
+    """The first incremental edge ordering that a depth-first search finds,
+    trying start edges and then next edges by increasing index, with
+    backtracking and no memo: exponential in the worst case, and what
+    find_edge_ordering's one greedy pass must equal."""
     t = H.n
     edges = list(H.edges)
     m = len(edges)

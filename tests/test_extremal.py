@@ -30,6 +30,17 @@ from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
 LP = cons.named("linear_pair")
 
 
+def grown(rng, m):
+    """An H with m edges grown by the paper's rule, each edge after the
+    first a pair of an earlier edge and a fresh vertex, then relabelled."""
+    edges = [tuple(range(3))]
+    for fresh in range(3, m + 2):
+        a, b = sorted(rng.sample(rng.choice(edges), 2))
+        edges.append((a, b, fresh))
+    perm = rng.sample(range(m + 2), m + 2)
+    return new_hypergraph(m + 2, 3, [[perm[v] for v in e] for e in edges])
+
+
 class TestFindEdgeOrdering:
     def test_linear_pair(self):
         eo = ext.find_edge_ordering(LP)
@@ -84,9 +95,11 @@ class TestFindEdgeOrdering:
 
     def test_interchangeable_edges_not_reordered(self):
         # {0,1,2}, {2,3,4}, {0,1,4} plus {0,1,i} for i = 5..m+1: covered, but
-        # with no ordering; without the dead-set memo the search tries every
-        # order of the edges at the pair 0,1 (~40 s at m = 11)
-        m = 11
+        # with no ordering; a depth-first search visits 2^(m-3) used-edge
+        # sets here even with a memo of dead sets (12-16 s at m = 20), and
+        # without one ~40 s at m = 11; one greedy pass places every edge but
+        # {2,3,4} and stops
+        m = 20
         H = new_hypergraph(m + 2, 3, [(0, 1, 2), (2, 3, 4), (0, 1, 4)]
                            + [(0, 1, i) for i in range(5, m + 2)])
         started = time.monotonic()
@@ -112,6 +125,17 @@ class TestFindEdgeOrdering:
             return  # a replacement repeated an edge
         H = new_hypergraph(m + 2, 3, relabelled)
         assert ext.find_edge_ordering(H) == reference_find_edge_ordering(H)
+
+    def test_every_small_edge_set_as_reference(self):
+        # all 4972 sets of m <= 4 triples on m + 2 vertices
+        count = 0
+        for m in range(1, 5):
+            for edges in combinations(combinations(range(m + 2), 3), m):
+                H = Hypergraph(m + 2, 3, edges)
+                assert ext.find_edge_ordering(H) == \
+                    reference_find_edge_ordering(H), edges
+                count += 1
+        assert count == 4972
 
 
 class TestPruneLowSupport:
@@ -177,15 +201,27 @@ class TestEmbedByEdgeOrder:
         assert ext.embed_by_edge_order(G, LP, eo) is None
 
     def test_guaranteed_when_dense(self):
-        eo = ext.find_edge_ordering(LP)
-        for i in range(60):
+        # the paper's guarantee: an H with an ordering on t <= 8 vertices
+        # embeds in every G on n in [3t-6, 3t-1] vertices with more than
+        # (t-3)·C(n, 2) edges; H is LP, grown by the paper's rule and then
+        # relabelled, or a random 3-graph that has an ordering
+        embedded = 0
+        for i in range(600):
             rng = random.Random(4000 + i)
-            n = rng.choice([6, 7])
-            lo = math.comb(n, 2) + 1
+            m = rng.randrange(1, 7)
+            H = (LP, grown(rng, m), cons.random_3graph(m + 2, m, i))[i % 3]
+            eo = ext.find_edge_ordering(H)
+            if eo is None:
+                continue
+            t = H.n
+            n = rng.randrange(3 * t - 6, 3 * t)
+            lo = (t - 3) * math.comb(n, 2) + 1
             G = cons.random_3graph(n, rng.randrange(lo, math.comb(n, 3) + 1),
                                    5000 + i)
-            emb = ext.embed_by_edge_order(G, LP, eo)
-            assert emb is not None and embedding_ok(G, LP, emb)
+            emb = ext.embed_by_edge_order(G, H, eo)
+            assert emb is not None and embedding_ok(G, H, emb)
+            embedded += 1
+        assert embedded > 400  # every LP and grown H, and some random ones
 
     def test_uniformity_mismatch(self):
         eo = ext.find_edge_ordering(LP)
@@ -198,13 +234,7 @@ class TestEmbedByEdgeOrder:
         # an H grown edge by edge from a pair of an earlier edge and a fresh
         # vertex, under a random relabelling, in a random G of any density
         rng = random.Random(seed)
-        m = rng.randrange(1, 8)
-        edges = [tuple(range(3))]
-        for fresh in range(3, m + 2):
-            a, b = sorted(rng.sample(rng.choice(edges), 2))
-            edges.append((a, b, fresh))
-        perm = rng.sample(range(m + 2), m + 2)
-        H = new_hypergraph(m + 2, 3, [[perm[v] for v in e] for e in edges])
+        H = grown(rng, rng.randrange(1, 8))
         eo = ext.find_edge_ordering(H)
         assert eo is not None
         n = rng.randrange(3, 14)
@@ -350,12 +380,13 @@ def test_deadline_stops_mid_level(search, monkeypatch):
 
 
 def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
-    # a cached record with a witness of the wrong order: revalidation runs
-    # one independence-number call, fails, and the search runs more
+    # a cached record whose witness has the right order but alpha = 5 >= t:
+    # revalidation runs one independence-number call, fails, and the search
+    # runs more
     path = str(tmp_path / "cache.txt")
     key = canonical_form(LP).decode()
     ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
-                                       Hypergraph(3, 3, ())))
+                                       Hypergraph(5, 3, ())))
     real = _kernels.mis_search
     deadlines = []
 
@@ -670,6 +701,31 @@ class TestCache:
         cache.put(bogus)
         rec = ext.turan_ex(4, LP, cache=ResultCache(path))
         assert rec.value == 1
+
+    def test_ramsey_evicts_a_witness_of_other_uniformity(self, tmp_path):
+        # the cached line ends in 5:4:1,2,3,4; taking alpha of that witness
+        # raised "uniformity mismatch"
+        path = str(tmp_path / "cache.txt")
+        key = canonical_form(LP).decode()
+        ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
+                                           Hypergraph(5, 4, ((1, 2, 3, 4),))))
+        rec = ext.ramsey(LP, 4, 7, cache=ResultCache(path))
+        assert (rec.value, rec.status) == (5, "exact")
+        assert ResultCache(path).get("ramsey", key, 4).value == 5
+
+    def test_ramsey_evicts_a_witness_of_wrong_order_at_once(self, tmp_path):
+        # alpha of an edgeless witness on 10^6 vertices takes seconds past
+        # the 200 ms deadline; its order alone refuses it
+        path = str(tmp_path / "cache.txt")
+        key = canonical_form(LP).decode()
+        ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
+                                           Hypergraph(10**6, 3, ())))
+        started = time.monotonic()
+        rec = ext.ramsey(LP, 4, 7, SearchBudget(max_millis=200),
+                         cache=ResultCache(path))
+        assert time.monotonic() - started < 1.0
+        assert (rec.value, rec.status) == (5, "exact")
+        assert ResultCache(path).get("ramsey", key, 4).value == 5
 
     def test_graph_encoding_roundtrip(self):
         G = cons.loose_cycle(3)

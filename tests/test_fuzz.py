@@ -94,6 +94,8 @@ INPUT_CHECKS = {
     "lll_check-palette": (lambda: col.lll_check(EDGE, 0), "at least 1"),
     "dyadic_classes-palette": (lambda: col.dyadic_classes(EDGE, 0),
                                "at least 1"),
+    "verify_witness-palette": (lambda: ext.verify_witness(EDGE, LP, 0),
+                               "at least 1"),
     "induced-vertex-above": (lambda: induced(EDGE, {0, 3}), "vertex 3"),
     "induced-vertex-below": (lambda: induced(EDGE, {-1, 0}), "vertex -1"),
     "partition_example-r": (lambda: cons.partition_example(0, 3), "r >= 1"),
