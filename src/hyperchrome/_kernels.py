@@ -15,10 +15,11 @@ search's, and a node cap under which the plain search finishes is never hit.
 Each search builds its table per call.  The coloring search keeps one entry
 per edge, at the edge's middle position in the search order, and reads it
 only at the positions that hold the color it tries; the independent-set
-search keeps each edge's vertex mask at each of its vertices.
+search keeps each edge's vertex mask at each of its vertices, and in a list.
 """
 
 import sys
+from itertools import chain
 from time import monotonic
 
 from .core import EXHAUSTED, Coloring
@@ -156,42 +157,72 @@ def _unban(log, c, k, bans, nbanned):
             nbanned[u] -= 1
 
 
-def mis_search(n, edges, max_nodes=0, deadline=0.0):
+def mis_search(n, edges, max_nodes=0, deadline=0.0, at_least=None):
     """Maximum independent set by include/exclude branch and bound.
 
     Vertices are considered in index order, include branch first.  A node
     carries the chosen set and the dead set: later vertices that some edge
-    rules out because its other vertices are all chosen.  The bound is
-    |chosen| + |remaining vertices not dead|.  Independence means containing
-    no full edge.  Returns the first maximum set in include-first order as a
-    frozenset, or EXHAUSTED.
+    rules out because its other vertices are all chosen.  The other later
+    vertices are alive, and an edge inside chosen | alive keeps one of its
+    alive vertices out of every set below the node; so the bound is
+    |chosen| + |alive| less a greedy packing of such edges' alive parts.
+    Vertices in no edge, which lie in every maximum set, are set aside
+    first.  Independence means containing no full edge.  Returns the first
+    maximum set in include-first order as a frozenset, or EXHAUSTED; with
+    at_least=s, the first set of at least s vertices, or None.
     """
-    if n == 0:
-        return frozenset()
+    isolated = frozenset(range(n)).difference(chain.from_iterable(edges))
+    covered = range(n)
+    if isolated:
+        covered = sorted(set(chain.from_iterable(edges)))
+        label = {v: i for i, v in enumerate(covered)}
+        edges = [tuple(label[v] for v in e) for e in edges]
+        n = len(covered)
     masks_at = [[] for _ in range(n)]
+    emasks = []
     try:
         for e in _clocked(edges, deadline) if deadline else edges:
             mask = 0
             for v in e:
                 mask |= 1 << v
+            emasks.append(mask)
             for v in e:
                 masks_at[v].append(mask)
     except TimeoutError:
         return EXHAUSTED
     full = (1 << n) - 1
-    best_size = -1
+    goal = n + 1 if at_least is None else at_least - len(isolated)
+    best_size = -1 if at_least is None else goal - 1
     best_mask = 0
     nodes = 0
     stack = [(0, 0, 0, 0)]  # (idx, chosen mask, |chosen|, dead mask)
-    while stack:
+    while stack and best_size < goal:
         idx, chosen, count, dead = stack.pop()
         nodes += 1
         if max_nodes and nodes > max_nodes:
             return EXHAUSTED
         if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
             return EXHAUSTED
-        if count + ((full >> idx << idx) & ~dead).bit_count() <= best_size:
+        alive = (full >> idx << idx) & ~dead
+        free = alive.bit_count()
+        bound = count + free
+        if bound <= best_size:
             continue
+        # the packing scans every edge: computed, with a clock read, only
+        # where it could prune; no packing exceeds free // 2
+        if bound - free // 2 <= best_size:
+            if deadline and monotonic() > deadline:
+                return EXHAUSTED
+            room = chosen | alive
+            packed = 0
+            for mask in emasks:
+                if mask & room == mask and not mask & packed:
+                    packed |= mask & alive
+                    bound -= 1
+                    if bound <= best_size:
+                        break
+            if bound <= best_size:
+                continue
         if idx == n:
             best_size = count
             best_mask = chosen
@@ -207,4 +238,6 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0):
                 new_dead |= rest
         else:
             stack.append((idx + 1, with_v, count + 1, new_dead))
-    return frozenset(i for i in range(n) if best_mask >> i & 1)
+    if at_least is not None and best_size < goal:
+        return None
+    return isolated.union(covered[i] for i in range(n) if best_mask >> i & 1)

@@ -32,39 +32,57 @@ UNLIMITED = SearchBudget()
 def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
     """A proper k-coloring if one exists, None if definitively not, or EXHAUSTED.
 
-    Backtracks over vertices in descending-degree order, trying colors in
-    increasing order.  First-use symmetry breaking: a vertex takes only
-    colors 0..min(used, k-1), where used is the number of colors already in
-    use.  An edge with two vertices of one color forbids that color on the
-    third, and forward checking keeps those bans per uncolored vertex, so no
-    branch is entered that leaves an uncolored vertex with all k colors
-    banned.  The coloring returned is the lexicographically least along the
-    order.  The node cap counts entered branches; _deadline, when given,
-    replaces the budget's wall-clock cap with a deadline shared by a larger
-    computation.
+    Every color class is independent, so the answer is None unless the
+    greedy pass in index order or else _kernels.mis_search finds an
+    independent set of ceil(n/k) vertices; a search cut short decides
+    nothing.  Then _kernels.kcolor_search returns the lexicographically
+    least coloring along the descending-degree order.  Each search gets the
+    budget's node cap; _deadline, when given, replaces the budget's
+    wall-clock cap with a deadline shared by a larger computation.
     """
     if k < 1:
         raise ValueError("palette must be at least 1")
     if G.k != 3:
         raise ValueError("k_colorable handles 3-graphs")
     deadline = budget.deadline() if _deadline is None else _deadline
+    s = -(-G.n // k)
+    if not _greedy_reaches(G, s) and _kernels.mis_search(
+            G.n, G.edges, budget.max_nodes, deadline, at_least=s) is None:
+        return None
     return _kernels.kcolor_search(
         G.n, G.edges, k, degree_order(G), budget.max_nodes, deadline)
+
+
+def _greedy_reaches(G, s):
+    # whether taking each vertex in index order that closes no edge with
+    # those taken before it (mis_search's first leaf) takes s vertices
+    taken = [False] * G.n
+    for v, at in enumerate(G.at):
+        if s <= 0:
+            break
+        taken[v] = all(taken[a] + taken[b] + taken[c] < 2 for a, b, c in at)
+        s -= taken[v]
+    return s <= 0
 
 
 def chromatic_coloring(G, budget=UNLIMITED, _deadline=None):
     """A proper coloring with the least palette, trying k = 1, 2, ..., or
     EXHAUSTED.
 
-    The node cap applies per colorability call; the wall-clock cap spans the
-    whole computation, and no new k is started once it has passed.  Any
-    3-graph is n-colorable, so this terminates.  _deadline is as in
-    k_colorable.
+    Each k is one _kernels.kcolor_search along one order, with no
+    independent-set test: on the graphs measured, refuting a small k costs
+    less.  The node cap applies per k; the wall-clock cap spans the whole
+    computation, and no new k is started once it has passed.  Any 3-graph
+    is n-colorable, so this terminates.  _deadline is as in k_colorable.
     """
+    if G.k != 3:
+        raise ValueError("chromatic_coloring handles 3-graphs")
     deadline = budget.deadline() if _deadline is None else _deadline
+    order = degree_order(G)
     k = 1
     while True:
-        res = k_colorable(G, k, budget, _deadline=deadline)
+        res = _kernels.kcolor_search(
+            G.n, G.edges, k, order, budget.max_nodes, deadline)
         if res is not None:
             return res
         if deadline and monotonic() > deadline:
@@ -84,7 +102,8 @@ def max_independent_set(G, budget=UNLIMITED, _deadline=None):
     Branch and bound on include/exclude, include first, in vertex order.
     The bound is |current| + |remaining vertices not dead|, where a dead
     vertex is one that some edge rules out because its other vertices are
-    all chosen.  _deadline is as in k_colorable.
+    all chosen, less a packing (_kernels.mis_search).  _deadline is as in
+    k_colorable.
     """
     deadline = budget.deadline() if _deadline is None else _deadline
     return _kernels.mis_search(G.n, G.edges, budget.max_nodes, deadline)

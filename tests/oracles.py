@@ -7,7 +7,7 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the coloring kernel's tree by forward checking over every edge at the
+bound, the first independent set of a given size by the same recursion, the coloring kernel's tree by forward checking over every edge at the
 tried vertex, the H-free level search by one containment test per candidate or
 by one canonical form per candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
@@ -737,6 +737,30 @@ def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):
 
     dfs(0, 0, 0)
     return EXHAUSTED if exhausted else frozenset(best)
+
+
+def reference_first_independent_set(n, edges, s):
+    """The first independent set of at least s vertices in include-first
+    order, by plain recursion over the independent sets with only the
+    trivial bound, or None: the reference for _kernels.mis_search's
+    at_least."""
+    masks = [sum(1 << v for v in e) for e in edges]
+
+    def first(idx, chosen, count):
+        if count + n - idx < s:
+            return None
+        if idx == n:
+            return chosen
+        with_v = chosen | 1 << idx
+        if all(mask & ~with_v for mask in masks):
+            found = first(idx + 1, with_v, count + 1)
+            if found is not None:
+                return found
+        return first(idx + 1, chosen, count)
+
+    found = first(0, 0, 0)
+    return None if found is None else frozenset(
+        v for v in range(n) if found >> v & 1)
 
 
 def reference_new_hypergraph(n, k, edges):

@@ -30,6 +30,11 @@ class TestKColorable:
         res = k_colorable(cons.loose_cycle(3), 2)
         assert res is not None and is_proper(cons.loose_cycle(3), res)[0]
 
+    def test_no_independent_set_no_coloring(self, monkeypatch):
+        # K13 has no independent 3-set, so no 6-coloring is searched for
+        monkeypatch.setattr(_kernels, "kcolor_search", None)
+        assert k_colorable(cons.complete(13), 6) is None
+
     def test_bad_palette(self):
         with pytest.raises(ValueError):
             k_colorable(cons.complete(4), 0)
@@ -154,6 +159,34 @@ class TestBudget:
             started = time.monotonic()
             assert solve(G, SearchBudget(max_millis=1)) is EXHAUSTED
             assert time.monotonic() - started < 0.15, solve.__name__
+
+    def test_vertices_in_no_edge_build_no_table(self):
+        started = time.monotonic()
+        assert independence_number(Hypergraph(10**6, 3, ()),
+                                   SearchBudget(max_millis=200)) == 10**6
+        assert time.monotonic() - started < 0.4
+
+    def test_packing_reads_the_clock(self):
+        # each packing scans all 30000 edges, and the deadline is read at
+        # every one, not only at every 4096th node
+        G = cons.random_3graph(600, 30_000, 1)
+        started = time.monotonic()
+        assert independence_number(G, SearchBudget(max_millis=200)) is EXHAUSTED
+        assert time.monotonic() - started < 0.4
+
+    def test_alpha_test_shares_the_deadline(self, monkeypatch):
+        calls = []
+        for name in ("mis_search", "kcolor_search"):
+            def recording(*args, real=getattr(_kernels, name), **kw):
+                calls.append((real.__name__, args[-1]))
+                return real(*args, **kw)
+            monkeypatch.setattr(_kernels, name, recording)
+        # the greedy pass takes only 0 and 1, so k = 2 asks the kernel for
+        # an independent 3-set; it finds one, and the coloring search runs
+        G = new_hypergraph(6, 3, [(0, 1, v) for v in range(2, 6)])
+        assert is_proper(G, k_colorable(G, 2, SearchBudget(max_millis=60_000)))[0]
+        assert [name for name, _ in calls] == ["mis_search", "kcolor_search"]
+        assert calls[0][1] > 0 and calls[0][1] == calls[1][1]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

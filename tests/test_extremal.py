@@ -314,7 +314,8 @@ P2 = cons.loose_path(2)
 
 # (value, status, encoded witness) under SearchBudget(max_nodes=cap) for
 # cap = 1..8.  The node cap is charged a whole level of representatives at a
-# time; ramsey's alpha calls exhaust at these caps.
+# time; ramsey's alpha calls exhaust at these caps: below cap 6 on one edge
+# and a vertex in no edge, from cap 6 on a graph of order 5.
 BUDGET_TABLE = {
     "turan_ex(6, LP)": (lambda b: ext.turan_ex(6, LP, b), [
         (1, "lower_bound", "6:3:1,2,3"),
@@ -337,9 +338,11 @@ BUDGET_TABLE = {
         (4, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5/1,3,4"),
     ]),
     "ramsey(LP, 4, 7)": (lambda b: ext.ramsey(LP, 4, 7, b),
-                         [(4, "lower_bound", "3:3:")] * 8),
+                         [(4, "lower_bound", "3:3:")] * 5
+                         + [(5, "lower_bound", "4:3:1,2,3")] * 3),
     "ramsey(P2, 4, 8)": (lambda b: ext.ramsey(P2, 4, 8, b),
-                         [(4, "lower_bound", "3:3:")] * 8),
+                         [(4, "lower_bound", "3:3:")] * 5
+                         + [(5, "lower_bound", "4:3:1,2,3")] * 3),
 }
 
 

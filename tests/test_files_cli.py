@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperchrome import cli, coloring
+from hyperchrome import _kernels, cli, coloring
 from hyperchrome import constructions as cons
-from hyperchrome import exact
 from hyperchrome.core import Coloring, is_proper, new_hypergraph
 from hyperchrome.fileio import parse_hypergraph, serialize_hypergraph
 
@@ -261,13 +260,13 @@ class TestCli:
 
     def test_chi_solves_each_k_once(self, monkeypatch, capsys):
         calls = []
-        k_colorable = exact.k_colorable
+        kcolor_search = _kernels.kcolor_search
 
-        def counted(G, k, *rest, **kw):
+        def counted(n, edges, k, *rest):
             calls.append(k)
-            return k_colorable(G, k, *rest, **kw)
+            return kcolor_search(n, edges, k, *rest)
 
-        monkeypatch.setattr(exact, "k_colorable", counted)
+        monkeypatch.setattr(_kernels, "kcolor_search", counted)
         code, out = run_cli(["chi"], stdin_text=serialize_hypergraph(
             cons.named("fano")), monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and json.loads(out)["result"] == {"chi": 3}

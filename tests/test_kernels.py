@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchrome import _kernels
+from hyperchrome import _kernels, exact
 from hyperchrome import constructions as cons
-from hyperchrome.core import EXHAUSTED, Coloring, degree_order
+from hyperchrome.core import EXHAUSTED, Coloring, degree_order, new_hypergraph
 
-from oracles import (reference_kcolor_search, reference_mis_search,
-                     reference_pair_scan_kcolor_search)
+from oracles import (reference_first_independent_set, reference_kcolor_search,
+                     reference_mis_search, reference_pair_scan_kcolor_search)
 
 
 def random_instance(seed):
@@ -109,6 +109,33 @@ class TestAgainstReference:
             for cap in range(first, 301):
                 assert _kernels.mis_search(n, edges, cap) == want
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_mis_tree_no_larger(self, seed):
+        n, edges, _ = random_instance(seed)
+        limit = 100_000
+        pruned = least_finishing_cap(
+            lambda cap: _kernels.mis_search(n, edges, cap), limit)
+        plain = least_finishing_cap(
+            lambda cap: reference_mis_search(n, edges, cap), limit)
+        assert pruned is not None and plain is not None and pruned <= plain
+
+    @given(st.integers(0, 10_000), st.integers(0, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_mis_at_least(self, seed, s):
+        n, edges, _ = random_instance(seed)
+        got = _kernels.mis_search(n, edges, at_least=s)
+        assert got == reference_first_independent_set(n, edges, s)
+        assert (got is not None) == (len(reference_mis_search(n, edges)) >= s)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_k_colorable(self, seed, k):
+        n, edges, _ = random_instance(seed)
+        G = new_hypergraph(n, 3, edges)
+        assert exact.k_colorable(G, k) == reference_kcolor_search(
+            n, edges, k, degree_order(G))
+
     def test_first_use_coloring_on_k7(self):
         # the least coloring along the order: pairs of vertices per color
         assert _kernels.kcolor_search(7, list(combinations(range(7), 3)), 4,
@@ -144,8 +171,8 @@ class TestPruning:
         assert least_finishing_cap(search, limit=30_000) == pruned
 
     @pytest.mark.parametrize("name, G, pruned, plain", [
-        ("K9", cons.complete(9), 78, 155),
-        ("fano", cons.named("fano"), 36, 57),
+        ("K9", cons.complete(9), 62, 155),
+        ("fano", cons.named("fano"), 14, 57),
     ])
     def test_mis(self, name, G, pruned, plain):
         edges = list(G.edges)
@@ -176,16 +203,16 @@ def test_sparse_tries_read_only_their_edges():
     assert got == Coloring((0, 0, 1) * (n // 3), 2)
 
 
-# both enter more than 4096 nodes on fewer than 4096 edges, so the first
-# clock read of a search with a deadline is the one at node 4096
-K13, SPARSE30 = cons.complete(13), cons.random_3graph(30, 100, 1)
+# both enter more than 4096 nodes on fewer than 4096 edges, so the clock is
+# not read while the tables are built, and the first read is mid-search
+K13, SPARSE40 = cons.complete(13), cons.random_3graph(40, 150, 1)
 
 
 @pytest.mark.parametrize("search", [
     lambda *caps: _kernels.kcolor_search(13, K13.edges, 6, list(range(13)),
                                          *caps),
-    lambda *caps: _kernels.mis_search(30, SPARSE30.edges, *caps),
-], ids=["kcolor-K13-k6", "mis-random-30"])
+    lambda *caps: _kernels.mis_search(40, SPARSE40.edges, *caps),
+], ids=["kcolor-K13-k6", "mis-random-40"])
 def test_fake_clock_past_the_deadline_mid_search(search, monkeypatch):
     assert search(4096) is EXHAUSTED
     reads = []
