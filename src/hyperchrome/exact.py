@@ -46,20 +46,21 @@ def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
         raise ValueError("k_colorable handles 3-graphs")
     deadline = budget.deadline() if _deadline is None else _deadline
     s = -(-G.n // k)
-    if not _greedy_reaches(G, s) and _kernels.mis_search(
+    if not _greedy_reaches(G, s, deadline) and _kernels.mis_search(
             G.n, G.edges, budget.max_nodes, deadline, at_least=s) is None:
         return None
     return _kernels.kcolor_search(
         G.n, G.edges, k, degree_order(G), budget.max_nodes, deadline)
 
 
-def _greedy_reaches(G, s):
+def _greedy_reaches(G, s, deadline):
     # whether taking each vertex in index order that closes no edge with
-    # those taken before it (mis_search's first leaf) takes s vertices
+    # those taken before it (mis_search's first leaf) takes s vertices;
+    # also True once the deadline has passed, so that no search starts
     taken = [False] * G.n
     for v, at in enumerate(G.at):
-        if s <= 0:
-            break
+        if s <= 0 or deadline and not v & 63 and monotonic() > deadline:
+            return True
         taken[v] = all(taken[a] + taken[b] + taken[c] < 2 for a, b, c in at)
         s -= taken[v]
     return s <= 0

@@ -151,11 +151,16 @@ class TestBudget:
         assert chromatic_number(cons.complete(5)) == 3 and tried == [1, 2, 3]
 
     def test_table_build_honours_deadline(self):
-        # the kernels' tables for 3e5 edges take ~0.3 s to build; the clock
-        # is read while they are built, so a 1 ms budget stops it early
+        # the kernels' tables for 3e5 edges take ~0.3 s to build, and
+        # k_colorable's greedy pass ~0.1 s; the clock is read during both,
+        # so a 1 ms budget stops them early
         G = cons.random_3graph(3000, 300_000, 1)
         G.at  # built before the clock starts
-        for solve in (chromatic_number, independence_number):
+
+        def two_colorable(G, budget):
+            return k_colorable(G, 2, budget)
+
+        for solve in (chromatic_number, independence_number, two_colorable):
             started = time.monotonic()
             assert solve(G, SearchBudget(max_millis=1)) is EXHAUSTED
             assert time.monotonic() - started < 0.15, solve.__name__
@@ -187,6 +192,14 @@ class TestBudget:
         assert is_proper(G, k_colorable(G, 2, SearchBudget(max_millis=60_000)))[0]
         assert [name for name, _ in calls] == ["mis_search", "kcolor_search"]
         assert calls[0][1] > 0 and calls[0][1] == calls[1][1]
+
+    def test_no_alpha_search_after_the_deadline(self, monkeypatch):
+        # the greedy pass finds no independent 3-set, but the deadline has
+        # passed, so the coloring search runs without the alpha search
+        monkeypatch.setattr(exact, "monotonic", lambda: 2.0)
+        monkeypatch.setattr(_kernels, "mis_search", None)
+        G = new_hypergraph(6, 3, [(0, 1, v) for v in range(2, 6)])
+        assert is_proper(G, k_colorable(G, 2, _deadline=1.0))[0]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
