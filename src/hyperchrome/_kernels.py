@@ -19,7 +19,6 @@ search keeps each edge's vertex mask at each of its vertices, and in a list.
 """
 
 import sys
-from itertools import chain
 from time import monotonic
 
 from .core import EXHAUSTED, Coloring
@@ -171,16 +170,21 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0, at_least=None):
     maximum set in include-first order as a frozenset, or EXHAUSTED; with
     at_least=s, the first set of at least s vertices, or None.
     """
-    isolated = frozenset(range(n)).difference(chain.from_iterable(edges))
-    covered = range(n)
-    if isolated:
-        covered = sorted(set(chain.from_iterable(edges)))
-        label = {v: i for i, v in enumerate(covered)}
-        edges = [tuple(label[v] for v in e) for e in edges]
-        n = len(covered)
-    masks_at = [[] for _ in range(n)]
-    emasks = []
+    seen = set()
     try:
+        for e in _clocked(edges, deadline) if deadline else edges:
+            seen.update(e)
+            if len(seen) == n:
+                break
+        isolated = frozenset(range(n)).difference(seen)
+        covered = sorted(seen) if isolated else range(n)
+        if isolated:
+            label = {v: i for i, v in enumerate(covered)}
+            edges = [tuple(label[v] for v in e) for e in (
+                _clocked(edges, deadline) if deadline else edges)]
+            n = len(covered)
+        masks_at = [[] for _ in range(n)]
+        emasks = []
         for e in _clocked(edges, deadline) if deadline else edges:
             mask = 0
             for v in e:
@@ -206,11 +210,9 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0, at_least=None):
         alive = (full >> idx << idx) & ~dead
         free = alive.bit_count()
         bound = count + free
-        if bound <= best_size:
-            continue
         # the packing scans every edge: computed, with a clock read, only
         # where it could prune; no packing exceeds free // 2
-        if bound - free // 2 <= best_size:
+        if best_size < bound <= best_size + free // 2:
             if deadline and monotonic() > deadline:
                 return EXHAUSTED
             room = chosen | alive
@@ -221,8 +223,8 @@ def mis_search(n, edges, max_nodes=0, deadline=0.0, at_least=None):
                     bound -= 1
                     if bound <= best_size:
                         break
-            if bound <= best_size:
-                continue
+        if bound <= best_size:
+            continue
         if idx == n:
             best_size = count
             best_mask = chosen
