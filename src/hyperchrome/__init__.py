@@ -9,10 +9,10 @@ one submodule, as the command line does, loads no other.
 """
 
 _EXPORTS = {
-    "core": "Balance Coloring EXHAUSTED Hypergraph OrderedChain VertexOrder "
-            "balance canonical_form induced is_hyperforest is_linear "
-            "is_ordered_chain is_proper new_hypergraph",
-    "exact": "SearchBudget chromatic_number independence_number k_colorable "
+    "core": "Balance Coloring EXHAUSTED Hypergraph OrderedChain SearchBudget "
+            "VertexOrder balance canonical_form induced is_hyperforest "
+            "is_linear is_ordered_chain is_proper new_hypergraph",
+    "exact": "chromatic_number independence_number k_colorable "
              "max_independent_set",
     "containment": "Embedding contains embedding_ok is_free",
 }

@@ -37,7 +37,7 @@ from time import monotonic
 from . import constructions as cons
 from .cache import ResultCache, encode_graph
 from .containment import Embedding, contains, embedding_ok
-from .core import (Coloring, VertexOrder, balance, degree_order,
+from .core import (Coloring, SearchBudget, VertexOrder, balance, degree_order,
                    is_hyperforest, is_independent, is_ordered_chain, is_proper)
 from .fileio import parse_hypergraph, serialize_hypergraph
 
@@ -88,11 +88,6 @@ def _read_graph(path):
         return parse_hypergraph(text), hashlib.sha256(text.encode()).hexdigest()
     except ValueError as exc:
         raise UsageError(f"bad hypergraph file: {exc}") from None
-
-
-def _budget(args):
-    from .exact import SearchBudget
-    return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
 def _seed(args):
@@ -150,7 +145,8 @@ def _run(name, cmd, args):
     G, digest = _read_graph(args.infile) if cmd.infile else (None, None)
     H, h_digest = _read_graph(args.pattern) if cmd.pattern else (None, None)
     seed = _seed(args) if cmd.seeded else None
-    budget = _budget(args) if cmd.budgeted else None
+    budget = SearchBudget(args.budget_nodes, args.budget_ms) \
+        if cmd.budgeted else None
     cache = _cache(args) if cmd.cached else None
     out = cmd.solve(Job(args, G, H, seed, budget, cache))
     if out.certificate is not None and not _certified(out.certificate, G, H):

@@ -11,7 +11,6 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
-from time import monotonic
 
 from . import exact
 from .core import Coloring, OrderedChain, induced
@@ -340,17 +339,17 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
     search when the class has <= 24 vertices and the budget allows, greedy
     min-degree-first otherwise) with one fresh color, remove it and decrement
     the palette.  The remaining low-degree graph goes to lll_color with the
-    palette that is left.  The budget's wall-clock cap spans the whole call;
-    its node cap applies to each exact search.  Each round induces the
-    remaining graph once, and the chosen class from G itself.
+    palette that is left.  The exact searches spend one meter, whose
+    deadline is also read before each round and after the last.  Each round
+    induces the remaining graph once, and the chosen class from G itself.
     """
     if G.k != 3:
         raise ValueError("handles 3-graphs")
-    deadline = budget.deadline()
+    meter = budget.start()
     colors = [-1] * G.n
     alive = set(range(G.n))
     for fresh in reversed(range(r)):  # fresh + 1 colors are left
-        if deadline and monotonic() > deadline:
+        if meter.late():
             return ColoringFailure("budget-exhausted", {"stage": "removal"})
         cur, verts = induced(G, alive)
         dc = dyadic_classes(cur, fresh + 1)
@@ -369,15 +368,14 @@ def independent_removal_color(G, r, seed, budget=exact.UNLIMITED):
         cls_sub, cls_verts = induced(G, map(verts.__getitem__, members))
         chosen = exact.EXHAUSTED
         if cls_sub.n <= 24:
-            chosen = exact.max_independent_set(cls_sub, budget,
-                                               _deadline=deadline)
+            chosen = exact.max_independent_set(cls_sub, meter)
         if chosen is exact.EXHAUSTED:
             chosen = _greedy_independent(cls_sub)
         chosen = {cls_verts[i] for i in chosen}
         for v in chosen:
             colors[v] = fresh
         alive -= chosen
-    if deadline and monotonic() > deadline:
+    if meter.late():
         return ColoringFailure("budget-exhausted", {"stage": "removal"})
     if alive:
         return ColoringFailure("palette-exhausted",

@@ -22,9 +22,8 @@ orbits come from core.canonical_form; this module builds no index.
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from time import monotonic
 
-from .core import EXHAUSTED, Links, canonical_form, incidence
+from .core import EXHAUSTED, UNLIMITED, Links, canonical_form, incidence
 
 
 class Embedding(namedtuple("Embedding", "vertex_map edge_map")):
@@ -116,18 +115,22 @@ def _plan(n, edges):
     return order, steps
 
 
-def _embeddings(steps, link, deadline=0.0):
+def _embeddings(steps, link, meter=None):
     """Yield (phi, image) for every injective map phi of a plan's vertices
     into the vertices of link's graph that keeps their edges, in
     lexicographic order: phi[i] is the image of order[i], image the mask of
-    all images.  phi is one list updated in place between yields.  With a
-    deadline (0.0 for none), yields EXHAUSTED and stops once it has passed.
-    The clock is read every 64 descents, not every 4096 nodes as in the
-    kernels: a descent may build link masks, O(degree) work each."""
+    all images.  phi is one list updated in place between yields.  Under a
+    core.Meter with a cap or deadline each descent is a node, and it yields
+    EXHAUSTED and stops as the kernels do, reading the clock every 64 nodes,
+    not 4096: a descent may build link masks, O(degree) work each."""
     width = len(steps)
     if not width:
         yield [], 0
         return
+    if meter and meter.left() < 0:
+        yield EXHAUSTED
+        return
+    budgeted = meter and (meter.max_nodes or meter.deadline)
     at = link.at
     at_least = {d: sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
                 for d in {d for d, _ in steps}}
@@ -135,7 +138,7 @@ def _embeddings(steps, link, deadline=0.0):
     phi = [0] * width
     cands = [0] * width
     cands[0] = base[0]
-    used, i, descents = 0, 0, 0
+    used, i = 0, 0
     while True:
         c = cands[i]
         if not c:
@@ -152,9 +155,10 @@ def _embeddings(steps, link, deadline=0.0):
             continue
         used |= low
         i += 1
-        if deadline:
-            descents += 1
-            if not descents & 63 and monotonic() > deadline:
+        if budgeted:
+            meter.nodes += 1
+            if 0 < meter.max_nodes < meter.nodes or (
+                    not meter.nodes & 63 and meter.late()):
                 yield EXHAUSTED
                 return
         m = base[i] & ~used
@@ -163,9 +167,9 @@ def _embeddings(steps, link, deadline=0.0):
         cands[i] = m
 
 
-def contains(G, H, deadline=0.0):
+def contains(G, H, budget=UNLIMITED):
     """An Embedding of H into G if one exists, else None; EXHAUSTED if the
-    wall-clock deadline (0.0 for none) passes first.
+    budget runs out first.
 
     The first valid map in the search order: the vertices in H's edges are
     placed as in the module docstring, and H's isolated vertices then take
@@ -176,8 +180,7 @@ def contains(G, H, deadline=0.0):
     if H.n > G.n:
         return None
     order, steps = _plan(H.n, H.edges)
-    link = Links(G)
-    first = next(_embeddings(steps, link, deadline), None)
+    first = next(_embeddings(steps, Links(G), budget.start()), None)
     if first is None or first is EXHAUSTED:
         return first
     phi, image = first
@@ -189,10 +192,10 @@ def contains(G, H, deadline=0.0):
     return Embedding.of(H, vmap)
 
 
-def is_free(G, H, deadline=0.0):
+def is_free(G, H, budget=UNLIMITED):
     """True iff G contains no subgraph isomorphic to H; EXHAUSTED if the
-    wall-clock deadline (0.0 for none) passes first."""
-    found = contains(G, H, deadline)
+    budget runs out first."""
+    found = contains(G, H, budget)
     return found if found is EXHAUSTED else found is None
 
 
@@ -257,9 +260,9 @@ class ForbiddenTriples:
     the embeddings of H - f into G, for one edge f of H per orbit of H's
     automorphisms, the first in edge order.  The orbit of f is its closure
     under the generators of Aut(H) that core.canonical_form returns, for H
-    of any size.  An H with no edges is contained in every G on at least
-    H.n vertices, so then every triple is forbidden; an H on more vertices
-    than G forbids none.
+    of any size; key keeps the encoding of that call.  An H with no edges
+    is contained in every G on at least H.n vertices, so then every triple
+    is forbidden; an H on more vertices than G forbids none.
     """
 
     def __init__(self, H):
@@ -267,7 +270,7 @@ class ForbiddenTriples:
             raise ValueError("forbidden triples are for 3-graphs")
         self.H, self.plans = H, []
         gens, covered = [], set()
-        canonical_form(H, gens)
+        self.key = canonical_form(H, gens)
         for f in H.edges:
             if f in covered:
                 continue

@@ -2,15 +2,17 @@
 
 Vertices are 0-based integers below ``n``; edges are stored as sorted,
 duplicate-free tuples.  All objects here are immutable and safe to share,
-except two indexes that fill themselves as they are read: a Hypergraph's
-incidence list, built once on first use, and a Links index.  EXHAUSTED is
-the result of every budgeted search whose budget ran out.
+except two indexes that fill themselves as they are read (a Hypergraph's
+incidence list, built once on first use, and a Links index) and the Meter
+that one budgeted computation spends.  EXHAUSTED is the result of every
+budgeted search whose budget ran out.
 """
 
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter, lt
+from time import monotonic
 
 
 class _Exhausted:
@@ -27,6 +29,49 @@ class _Exhausted:
 
 
 EXHAUSTED = _Exhausted()
+
+
+class SearchBudget(namedtuple("SearchBudget", "max_nodes max_millis")):
+    """Caps for exhaustive searches; 0 means unlimited.  start() gives the
+    Meter of one computation, whose deadline counts from that call."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_nodes=0, max_millis=0):
+        if max_nodes < 0 or max_millis < 0:
+            raise ValueError("budget caps must be nonnegative")
+        return super().__new__(cls, max_nodes, max_millis)
+
+    def start(self):
+        return Meter(self.max_nodes, self.max_millis and
+                     monotonic() + self.max_millis / 1000.0)
+
+
+UNLIMITED = SearchBudget()
+
+
+class Meter:
+    """A started budget: one node cap, one monotonic() deadline (0 for none)
+    and the nodes spent.  Every search spends budget.start(), and a Meter's
+    start() is itself, so the searches a caller hands one meter share its
+    cap and deadline.  A search stops at the first node past the cap and
+    starts none once it is reached, so nodes never exceeds max_nodes + 1."""
+
+    __slots__ = ("max_nodes", "deadline", "nodes")
+
+    def __init__(self, max_nodes=0, deadline=0.0):
+        self.max_nodes, self.deadline, self.nodes = max_nodes, deadline, 0
+
+    def start(self):
+        return self
+
+    def left(self):
+        """The nodes a search may still enter: 0 for no cap, -1 for none."""
+        return self.max_nodes and (max(self.max_nodes - self.nodes, 0) or -1)
+
+    def late(self):
+        """Whether the deadline has passed."""
+        return 0 < self.deadline < monotonic()
 
 
 class Hypergraph(namedtuple("Hypergraph", "n k edges")):

@@ -2,114 +2,89 @@
 
 These exhaustive searches are the ground-truth oracles for everything else.
 A search either completes (definitive answer) or reports EXHAUSTED when the
-budget runs out; exhaustion is a result, never an exception.
+budget runs out; exhaustion is a result, never an exception.  All the
+searches of one call spend one core.Meter.
 """
 
-from collections import namedtuple
-from time import monotonic
-
 from . import _kernels
-from .core import EXHAUSTED, degree_order
+# SearchBudget is re-exported: hyperchrome.exact.SearchBudget is its old home
+from .core import EXHAUSTED, UNLIMITED, SearchBudget, degree_order
 
 
-class SearchBudget(namedtuple("SearchBudget", "max_nodes max_millis")):
-    """Caps for exhaustive searches; 0 means unlimited."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_nodes=0, max_millis=0):
-        if max_nodes < 0 or max_millis < 0:
-            raise ValueError("budget caps must be nonnegative")
-        return super().__new__(cls, max_nodes, max_millis)
-
-    def deadline(self):
-        return monotonic() + self.max_millis / 1000.0 if self.max_millis else 0.0
-
-
-UNLIMITED = SearchBudget()
-
-
-def k_colorable(G, k, budget=UNLIMITED, _deadline=None):
+def k_colorable(G, k, budget=UNLIMITED):
     """A proper k-coloring if one exists, None if definitively not, or EXHAUSTED.
 
     Every color class is independent, so the answer is None unless the
     greedy pass in index order or else _kernels.mis_search finds an
     independent set of ceil(n/k) vertices; a search cut short decides
     nothing.  Then _kernels.kcolor_search returns the lexicographically
-    least coloring along the descending-degree order.  Each search gets the
-    budget's node cap; _deadline, when given, replaces the budget's
-    wall-clock cap with a deadline shared by a larger computation.
+    least coloring along the descending-degree order.
     """
     if k < 1:
         raise ValueError("palette must be at least 1")
     if G.k != 3:
         raise ValueError("k_colorable handles 3-graphs")
-    deadline = budget.deadline() if _deadline is None else _deadline
+    meter = budget.start()
     s = -(-G.n // k)
-    if not _greedy_reaches(G, s, deadline) and _kernels.mis_search(
-            G.n, G.edges, budget.max_nodes, deadline, at_least=s) is None:
+    if not _greedy_reaches(G, s, meter) and _kernels.mis_search(
+            G.n, G.edges, meter, at_least=s) is None:
         return None
-    return _kernels.kcolor_search(
-        G.n, G.edges, k, degree_order(G), budget.max_nodes, deadline)
+    return _kernels.kcolor_search(G.n, G.edges, k, degree_order(G), meter)
 
 
-def _greedy_reaches(G, s, deadline):
+def _greedy_reaches(G, s, meter):
     # whether taking each vertex in index order that closes no edge with
     # those taken before it (mis_search's first leaf) takes s vertices;
     # also True once the deadline has passed, so that no search starts
     taken = [False] * G.n
     for v, at in enumerate(G.at):
-        if s <= 0 or deadline and not v & 63 and monotonic() > deadline:
+        if s <= 0 or not v & 63 and meter.late():
             return True
         taken[v] = all(taken[a] + taken[b] + taken[c] < 2 for a, b, c in at)
         s -= taken[v]
     return s <= 0
 
 
-def chromatic_coloring(G, budget=UNLIMITED, _deadline=None):
+def chromatic_coloring(G, budget=UNLIMITED):
     """A proper coloring with the least palette, trying k = 1, 2, ..., or
     EXHAUSTED.
 
     Each k is one _kernels.kcolor_search along one order, with no
     independent-set test: on the graphs measured, refuting a small k costs
-    less.  The node cap applies per k; the wall-clock cap spans the whole
-    computation, and no new k is started once it has passed.  Any 3-graph
-    is n-colorable, so this terminates.  _deadline is as in k_colorable.
+    less.  No new k is started once the deadline has passed.  Any 3-graph
+    is n-colorable, so this terminates.
     """
     if G.k != 3:
         raise ValueError("chromatic_coloring handles 3-graphs")
-    deadline = budget.deadline() if _deadline is None else _deadline
+    meter = budget.start()
     order = degree_order(G)
     k = 1
     while True:
-        res = _kernels.kcolor_search(
-            G.n, G.edges, k, order, budget.max_nodes, deadline)
+        res = _kernels.kcolor_search(G.n, G.edges, k, order, meter)
         if res is not None:
             return res
-        if deadline and monotonic() > deadline:
+        if meter.late():
             return EXHAUSTED
         k += 1
 
 
-def chromatic_number(G, budget=UNLIMITED, _deadline=None):
+def chromatic_number(G, budget=UNLIMITED):
     """Least k admitting a proper k-coloring, or EXHAUSTED."""
-    res = chromatic_coloring(G, budget, _deadline)
+    res = chromatic_coloring(G, budget)
     return res if res is EXHAUSTED else res.palette
 
 
-def max_independent_set(G, budget=UNLIMITED, _deadline=None):
+def max_independent_set(G, budget=UNLIMITED):
     """A maximum vertex set containing no full edge, or EXHAUSTED.
 
     Branch and bound on include/exclude, include first, in vertex order.
     The bound is |current| + |remaining vertices not dead|, where a dead
     vertex is one that some edge rules out because its other vertices are
-    all chosen, less a packing (_kernels.mis_search).  _deadline is as in
-    k_colorable.
+    all chosen, less a packing (_kernels.mis_search).
     """
-    deadline = budget.deadline() if _deadline is None else _deadline
-    return _kernels.mis_search(G.n, G.edges, budget.max_nodes, deadline)
+    return _kernels.mis_search(G.n, G.edges, budget)
 
 
-def independence_number(G, budget=UNLIMITED, _deadline=None):
-    res = max_independent_set(G, budget, _deadline)
+def independence_number(G, budget=UNLIMITED):
+    res = max_independent_set(G, budget)
     return res if res is EXHAUSTED else len(res)

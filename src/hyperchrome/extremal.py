@@ -12,22 +12,21 @@ the automorphism generators of its core.canonical_form call
 a smaller triple is skipped (orbit pruning; McKay, "Isomorph-free
 exhaustive generation", 1998).  Each other child gets one canonical form,
 and the first child seen in each class is its representative, the same one
-as with no candidate skipped.  The search checks the
-budget: the deadline before each parent and before each candidate, the node
-cap after each whole level (a level's representatives are its nodes).
-ramsey's independence-number calls check the same deadline and a node cap
-of their own.  Budget-limited outcomes are labeled lower_bound and carry the
-best witness found.  _cached owns the cache policy: records are keyed by
-canonical_form(H), only an exact record whose witness revalidates is
-served, one that fails revalidation is evicted, and one that cannot be
-revalidated within budget is kept but not served.  A key is the edge list
-of a copy of H, so a key written by any other canonical labelling can only
-match H's own class and needs no version.
+as with no candidate skipped.  All the searches of one call spend one
+core.Meter; the level search reads its deadline before each parent and
+before each candidate, and charges one node per candidate it labels.
+Budget-limited outcomes are labeled lower_bound and carry the best witness
+found.  _cached owns the cache policy: records are keyed by
+canonical_form(H), computed once per call by containment.ForbiddenTriples,
+only an exact record whose witness revalidates is served, one that fails
+revalidation is evicted, and one that cannot be revalidated within budget
+is kept but not served.  A key is the edge list of a copy of H, so a key
+written by any other canonical labelling can only match H's own class and
+needs no version.
 """
 
 from collections import namedtuple
 from itertools import combinations
-from time import monotonic
 
 from . import exact
 from .cache import ResultRecord
@@ -140,12 +139,13 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _hfree_level_reps(n, H, over):
+def _hfree_level_reps(n, forbidden, meter):
     """Iterator over levels of H-free graphs on n labeled vertices up to
-    isomorphism: yields (edge_count, representatives), from the empty graph
-    at level 0.  A parent's children are its one-edge extensions by the
-    triples outside its containment.ForbiddenTriples, in lexicographic order;
-    the first child seen in each canonical-form class represents it.
+    isomorphism, for forbidden = containment.ForbiddenTriples(H): yields
+    (edge_count, representatives), from the empty graph at level 0.  A
+    parent's children are its one-edge extensions by the triples outside
+    forbidden.of(parent), in lexicographic order; the first child seen in
+    each canonical-form class represents it.
 
     Each representative keeps the automorphism generators its canonical
     form found.  A candidate triple e that one of them maps onto a smaller
@@ -155,49 +155,51 @@ def _hfree_level_reps(n, H, over):
     first child of each class is never skipped, so the levels and their
     representatives are those of trying every candidate.
 
-    over(k) charges k nodes and says whether the budget is spent; it is
-    called with k = 0 before each parent and before each candidate triple
-    not in the parent, and with k = the number of representatives after
-    each level.  Once it says so, yields (edge_count, None) for the
-    unfinished level and stops."""
-    forbidden = ForbiddenTriples(H)
+    The core.Meter meter is read before each parent and before each
+    candidate triple not in the parent (its deadline), and charged one node
+    per candidate labelled.  Once it is spent, yields (edge_count, None)
+    for the unfinished level and stops."""
     empty, gens = Hypergraph(n, 3, ()), []
     canonical_form(empty, gens)
     count, level = 0, [(empty, gens)]
     while level:
         yield count, [G for G, _ in level]
         count += 1
-        if over(len(level)):
+        level = _children(n, forbidden, level, meter)
+        if level is None:
             yield count, None
             return
-        nxt = {}
-        for G, auts in level:
-            if over(0):
-                yield count, None
-                return
-            present, banned = G.edge_set(), forbidden.of(G)
-            for e in combinations(range(n), 3):
-                if e in present:
-                    continue
-                if over(0):
-                    yield count, None
-                    return
-                if e in banned or any(sorted(map(g.get, e, e)) < list(e)
-                                      for g in auts):
-                    continue
-                cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
-                nxt.setdefault(canonical_form(cand, found), (cand, found))
-        level = list(nxt.values())
 
 
-def _cached(kind, H, param, budget, deadline, cache, valid, search):
-    """The record for (kind, H, param): served from cache when valid(record)
-    is true, else computed by search(over) -> (value, status, witness) and
-    stored.  valid returns None when it cannot check within budget; such a
-    record is kept, a false one evicted.  over is as in _hfree_level_reps;
-    it charges budget.max_nodes and checks deadline, the caller's one
-    wall-clock deadline (0.0 for none)."""
-    key = canonical_form(H).decode()
+def _children(n, forbidden, level, meter):
+    # the next level's (representative, generators) pairs, or None once
+    # the meter is spent
+    nxt = {}
+    for G, auts in level:
+        if meter.late():
+            return None
+        present, banned = G.edge_set(), forbidden.of(G)
+        for e in combinations(range(n), 3):
+            if e in present:
+                continue
+            if meter.late():
+                return None
+            if e in banned or any(sorted(map(g.get, e, e)) < list(e)
+                                  for g in auts):
+                continue
+            if meter.left() < 0:
+                return None
+            meter.nodes += 1
+            cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
+            nxt.setdefault(canonical_form(cand, found), (cand, found))
+    return list(nxt.values())
+
+
+def _cached(kind, key, param, cache, valid, search):
+    """The record for (kind, key, param): served from cache when
+    valid(record) is true, else computed by search() -> (value, status,
+    witness) and stored.  valid returns None when it cannot check within
+    budget; such a record is kept, a false one evicted."""
     if cache is not None:
         rec = cache.get(kind, key, param)
         if rec is not None and rec.status == "exact":
@@ -206,17 +208,16 @@ def _cached(kind, H, param, budget, deadline, cache, valid, search):
                 return rec
             if ok is not None:
                 cache.evict(kind, key, param)
-    nodes = 0
-
-    def over(k):
-        nonlocal nodes
-        nodes += k
-        return 0 < budget.max_nodes < nodes or 0 < deadline < monotonic()
-
-    rec = ResultRecord(kind, key, param, *search(over))
+    rec = ResultRecord(kind, key, param, *search())
     if cache is not None:
         cache.put(rec)
     return rec
+
+
+def _free(W, H, meter):
+    # whether W is H-free, for a revalidation: None when the meter runs out
+    found = contains(W, H, meter)
+    return None if found is exact.EXHAUSTED else found is None
 
 
 def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
@@ -225,27 +226,28 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     Enumerates H-free graphs level by level with canonical-form dedup; the
     returned record carries an extremal witness.  On budget exhaustion the
     status is lower_bound and the value is the best level reached.  An exact
-    cache record is served only when its witness revalidates.
+    cache record is served only when its witness revalidates within budget.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    meter, forbidden = budget.start(), ForbiddenTriples(H)
 
     def valid(rec):
         w = rec.witness
         return w.n == n and w.k == 3 and len(w.edges) == rec.value \
-            and contains(w, H) is None
+            and _free(w, H, meter)
 
-    def search(over):
+    def search():
         # level 0, the empty graph, always comes first
-        for count, reps in _hfree_level_reps(n, H, over):
+        for count, reps in _hfree_level_reps(n, forbidden, meter):
             if reps is None:
                 return value, "lower_bound", witness
             value, witness = count, reps[0]
         return value, "exact", witness
 
-    return _cached("ex", H, n, budget, budget.deadline(), cache, valid, search)
+    return _cached("ex", forbidden.key.decode(), n, cache, valid, search)
 
 
 def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
@@ -257,8 +259,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     a lower_bound record (value = first n not yet decided).  An exact cache
     record is served only when its witness revalidates within budget.  The
     level search, every independence-number call and the revalidating
-    freeness test share one wall-clock deadline; the node cap applies to the
-    level search and to each independence-number call separately.
+    freeness test spend one meter.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -266,11 +267,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         raise ValueError("t must be at least 3")
     if not H.edges:
         raise ValueError("R(H, K_t) needs H with at least one edge")
-
-    deadline = budget.deadline()
-
-    def alpha_of(G):
-        return exact.independence_number(G, budget, _deadline=deadline)
+    meter, forbidden = budget.start(), ForbiddenTriples(H)
 
     def valid(rec):
         # order and uniformity first: alpha of a 4-graph raises, and alpha
@@ -278,21 +275,20 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         W = rec.witness
         if W.n != rec.value - 1 or W.k != 3:
             return False
-        alpha = alpha_of(W)
+        alpha = exact.independence_number(W, meter)
         if alpha is exact.EXHAUSTED:
             return None
-        free = alpha < t and is_free(W, H, deadline)
-        return None if free is exact.EXHAUSTED else free
+        return alpha < t and _free(W, H, meter)
 
-    def search(over):
+    def search():
         witness = Hypergraph(max(t - 1, 1), 3, ())  # H-free, alpha = t-1
         while witness.n < n_max:
             n = witness.n + 1
-            for _, reps in _hfree_level_reps(n, H, over):
+            for _, reps in _hfree_level_reps(n, forbidden, meter):
                 if reps is None:
                     return n, "lower_bound", witness
                 for R in reps:
-                    alpha = alpha_of(R)
+                    alpha = exact.independence_number(R, meter)
                     if alpha is exact.EXHAUSTED:
                         return n, "lower_bound", witness
                     if alpha < t:
@@ -305,7 +301,8 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
                 return n, "exact", witness  # no class on n vertices does
         return witness.n + 1, "lower_bound", witness
 
-    return _cached("ramsey", H, t, budget, deadline, cache, valid, search)
+    return _cached("ramsey", forbidden.key.decode(), t, cache, valid,
+                   search)
 
 
 class WitnessReport(namedtuple("WitnessReport", "h_free chi chi_exceeds_r "
@@ -322,16 +319,15 @@ def verify_witness(G, H, r, budget=exact.UNLIMITED):
     """Check that G is H-free with chromatic number above r; a success implies
     m_H(r) <= |E(G)|.
 
-    The H-freeness test and the chromatic number share the budget's one
-    wall-clock deadline; the node cap applies to the chromatic number only.
-    A freeness test cut short gives an exhausted report with h_free None."""
+    The H-freeness test and the chromatic number spend one meter.  A
+    freeness test cut short gives an exhausted report with h_free None."""
     if r < 1:
         raise ValueError("palette must be at least 1")
-    deadline = budget.deadline()
-    free = is_free(G, H, deadline)
+    meter = budget.start()
+    free = is_free(G, H, meter)
     if free is exact.EXHAUSTED:
         return WitnessReport(None, None, None, len(G.edges), None, "exhausted")
-    chi = exact.chromatic_number(G, budget, deadline)
+    chi = exact.chromatic_number(G, meter)
     if chi is exact.EXHAUSTED:
         return WitnessReport(free, None, None, len(G.edges), None, "exhausted")
     exceeds = chi > r

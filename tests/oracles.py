@@ -892,14 +892,14 @@ def reference_independent_removal_color(G, r, seed, budget=None):
     budget = exact.UNLIMITED if budget is None else budget
     if G.k != 3:
         raise ValueError("handles 3-graphs")
-    deadline = budget.deadline()
+    meter = budget.start()
     total = r
     colors = [-1] * G.n
     alive = set(range(G.n))
     removals = 0
     r_now = r
     while True:
-        if deadline and monotonic() > deadline:
+        if meter.late():
             return ColoringFailure("budget-exhausted", {"stage": "removal"})
         cur, verts = reference_induced(G, alive)
         if r_now <= 0:
@@ -924,8 +924,7 @@ def reference_independent_removal_color(G, r, seed, budget=None):
         cls_sub, cls_verts = reference_induced(cur, members)
         chosen_local = None
         if cls_sub.n <= 24:
-            res = exact.max_independent_set(cls_sub, budget,
-                                            _deadline=deadline)
+            res = exact.max_independent_set(cls_sub, meter)
             if res is not exact.EXHAUSTED:
                 chosen_local = set(res)
         if chosen_local is None:

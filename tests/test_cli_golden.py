@@ -489,10 +489,10 @@ EXPECTED = {
     'ex-budget':
         (0,
          '{"certificate": {"type": "extremal-witness", "witness": '
-         '"6:3:1,2,3/1,4,5"}, "command": "ex", "input": {"k": 3, "m": 2, "n": 4, '
+         '"6:3:1,2,3"}, "command": "ex", "input": {"k": 3, "m": 2, "n": 4, '
          '"sha256": '
          '"c2bc07b31a397b7b6d17e9dd83c7188389a9ca5cd82f276135acdac99a3f5c87"}, '
-         '"params": {"n": 6}, "result": {"ex": 2}, "seed": null, "status": '
+         '"params": {"n": 6}, "result": {"ex": 1}, "seed": null, "status": '
          '"lower_bound"}'),
     'ex-cache':
         (0,
@@ -582,7 +582,7 @@ EXPECTED = {
          '"params": {"h_sha256": '
          '"c2bc07b31a397b7b6d17e9dd83c7188389a9ca5cd82f276135acdac99a3f5c87", '
          '"r": 2}, "result": {"chi": null, "chi_exceeds_r": null, "edge_count": '
-         '7, "h_free": true, "implied_bound": null}, "seed": null, "status": '
+         '7, "h_free": null, "implied_bound": null}, "seed": null, "status": '
          '"exhausted"}'),
     'embed-order':
         (0,
@@ -691,7 +691,7 @@ EXPECTED_QUIET = {
     'ex':
         (0, 'ex(6, H) = 4 [exact]\n'),
     'ex-budget':
-        (0, 'ex(6, H) = 2 [lower_bound]\n'),
+        (0, 'ex(6, H) = 1 [lower_bound]\n'),
     'ex-cache':
         (0, 'ex(5, H) = 2 [exact]\n'),
     'ex-negative-n':

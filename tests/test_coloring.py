@@ -526,24 +526,27 @@ class TestIndependentRemoval:
         assert is_proper(G, res)[0]
 
     def test_exact_searches_share_one_deadline(self, monkeypatch):
-        # K5 at r = 3 runs two exact independent-set searches; both must get
-        # the deadline of the call, not a fresh max_millis window each
+        # K5 at r = 3 runs two exact independent-set searches; both must
+        # spend the meter of the call, not a fresh max_millis window each
         real = _kernels.mis_search
-        deadlines = []
+        meters = []
 
-        def recording(n, edges, max_nodes=0, deadline=0.0):
-            deadlines.append(deadline)
-            return real(n, edges, max_nodes, deadline)
+        def recording(n, edges, budget):
+            meters.append(budget)
+            return real(n, edges, budget)
 
         monkeypatch.setattr(_kernels, "mis_search", recording)
         G, budget = cons.complete(5), SearchBudget(max_millis=60_000)
         res = col.independent_removal_color(G, 3, seed=1, budget=budget)
         assert is_proper(G, res)[0]
-        assert len(deadlines) == 2 and len(set(deadlines)) == 1
-        assert deadlines[0] > 0
+        assert len(meters) == 2 and meters[0] is meters[1]
+        assert meters[0].deadline > 0
 
     def test_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(col, "monotonic", lambda: float("inf"))
+        # the clock reads 0.0 when the budget starts, infinity after
+        reads = iter([0.0])
+        monkeypatch.setattr(core, "monotonic",
+                            lambda: next(reads, float("inf")))
         res = col.independent_removal_color(cons.complete(5), 3, seed=1,
                                             budget=SearchBudget(max_millis=1))
         assert res == col.ColoringFailure("budget-exhausted",
@@ -554,14 +557,14 @@ class TestIndependentRemoval:
         # second round is seen before the palette is found exhausted
         reads = []
 
-        def clock():  # past the deadline from the third read on
+        def clock():  # read first as the budget starts; past it from the 4th
             reads.append(1)
-            return float("inf") if len(reads) > 2 else 0.0
+            return float("inf") if len(reads) > 3 else 0.0
 
-        monkeypatch.setattr(col, "monotonic", clock)
+        monkeypatch.setattr(core, "monotonic", clock)
         res = col.independent_removal_color(cons.complete(5), 2, seed=1,
                                             budget=SearchBudget(max_millis=1))
-        assert res.stage == "budget-exhausted" and len(reads) == 3
+        assert res.stage == "budget-exhausted" and len(reads) == 4
         res = col.independent_removal_color(cons.complete(5), 2, seed=1)
         assert res == col.ColoringFailure("palette-exhausted",
                                           {"remaining_vertices": 1})

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchrome import constructions as cons
+from hyperchrome import core
 from hyperchrome.coloring import _greedy_independent
-from hyperchrome.core import (Coloring, Hypergraph, Links, VertexOrder,
-                              balance, canonical_form, degree_order,
+from hyperchrome.core import (Coloring, Hypergraph, Links, Meter,
+                              SearchBudget, VertexOrder, balance, canonical_form, degree_order,
                               incidence, induced,
                               is_hyperforest, is_linear, is_ordered_chain,
                               is_proper, new_hypergraph, pair_support)
@@ -549,3 +550,28 @@ class TestVertexOrder:
     def test_not_permutation(self):
         with pytest.raises(ValueError):
             VertexOrder((0, 0, 1))
+
+
+class TestMeter:
+    def test_one_meter_per_computation(self):
+        meter = SearchBudget(max_nodes=5).start()
+        assert meter.start() is meter and meter.deadline == 0
+        assert meter.left() == 5
+        meter.nodes = 5
+        assert meter.left() == -1  # reached: no search may start
+        assert Meter().left() == 0  # no cap
+
+    def test_only_the_meter_and_the_kernels_read_the_clock(self):
+        # the budget policy lives in core.Meter; the kernels read the clock
+        # every 4096 nodes, and the command line only times the run
+        src = Path(core.__file__).parent
+        texts = {p.stem: p.read_text(encoding="utf-8")
+                 for p in src.glob("*.py")}
+        assert {m for m, text in texts.items()
+                if "monotonic" in text or "import time" in text} == \
+            {"core", "_kernels", "cli"}
+        assert [line.strip() for line in texts["cli"].splitlines()
+                if "monotonic" in line or "started" in line] == [
+            "from time import monotonic",
+            "started = monotonic()",
+            '"wall_ms": round((monotonic() - started) * 1000.0, 3),']

@@ -7,9 +7,9 @@ import time
 import pytest
 
 import hyperchrome
-from hyperchrome import _kernels, core, exact
+from hyperchrome import _kernels, core
 from hyperchrome import constructions as cons
-from hyperchrome.core import Hypergraph, is_proper, new_hypergraph
+from hyperchrome.core import Hypergraph, Meter, is_proper, new_hypergraph
 from hyperchrome.exact import (EXHAUSTED, SearchBudget, chromatic_number,
                                independence_number, k_colorable,
                                max_independent_set)
@@ -122,6 +122,15 @@ class TestBudget:
         assert chromatic_number(cons.complete(9),
                                 SearchBudget(max_nodes=3)) is EXHAUSTED
 
+    def test_one_node_cap_for_every_k(self):
+        # K11 needs 2 + 7 + 32 + 208 + 1799 + 12 = 2060 kernel nodes over
+        # k = 1..6, the most for one k 1799
+        G, meter = cons.complete(11), SearchBudget(max_nodes=2000).start()
+        assert chromatic_number(G, meter) is EXHAUSTED
+        assert meter.nodes == 2001
+        meter = SearchBudget(max_nodes=2060).start()
+        assert chromatic_number(G, meter) == 6 and meter.nodes == 2060
+
     def test_mis_exhaustion_returns_sentinel(self):
         assert max_independent_set(cons.complete(9),
                                    SearchBudget(max_nodes=2)) is EXHAUSTED
@@ -135,14 +144,14 @@ class TestBudget:
         # every k takes a second on a fake clock, so the 1 ms deadline has
         # passed once k = 1 is refuted; k = 2 and 3 must not be started
         now = [0.0]
-        monkeypatch.setattr(exact, "monotonic", lambda: now[0])
+        monkeypatch.setattr(core, "monotonic", lambda: now[0])
         real = _kernels.kcolor_search
         tried = []
 
-        def slow(n, edges, k, order, max_nodes=0, deadline=0.0):
+        def slow(n, edges, k, order, budget):
             tried.append(k)
             now[0] += 1.0
-            return real(n, edges, k, order, max_nodes)
+            return real(n, edges, k, order, budget)
 
         monkeypatch.setattr(_kernels, "kcolor_search", slow)
         res = chromatic_number(cons.complete(5), SearchBudget(max_millis=1))
@@ -191,15 +200,15 @@ class TestBudget:
         G = new_hypergraph(6, 3, [(0, 1, v) for v in range(2, 6)])
         assert is_proper(G, k_colorable(G, 2, SearchBudget(max_millis=60_000)))[0]
         assert [name for name, _ in calls] == ["mis_search", "kcolor_search"]
-        assert calls[0][1] > 0 and calls[0][1] == calls[1][1]
+        assert calls[0][1].deadline > 0 and calls[0][1] is calls[1][1]
 
     def test_no_alpha_search_after_the_deadline(self, monkeypatch):
         # the greedy pass finds no independent 3-set, but the deadline has
         # passed, so the coloring search runs without the alpha search
-        monkeypatch.setattr(exact, "monotonic", lambda: 2.0)
+        monkeypatch.setattr(core, "monotonic", lambda: 2.0)
         monkeypatch.setattr(_kernels, "mis_search", None)
         G = new_hypergraph(6, 3, [(0, 1, v) for v in range(2, 6)])
-        assert is_proper(G, k_colorable(G, 2, _deadline=1.0))[0]
+        assert is_proper(G, k_colorable(G, 2, Meter(deadline=1.0)))[0]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchrome import _kernels
+from hyperchrome import _kernels, containment, core
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
 from hyperchrome.containment import (ForbiddenTriples, contains,
                                      embedding_ok, is_free)
-from hyperchrome.core import (Hypergraph, canonical_form, is_linear,
+from hyperchrome.core import (Hypergraph, Meter, canonical_form, is_linear,
                               new_hypergraph)
 from hyperchrome.exact import SearchBudget, independence_number
 
@@ -280,6 +280,13 @@ class TestTuranEx:
             ext.turan_ex(-1, LP, cache=ResultCache(path))
         assert not ResultCache(path).records
 
+    def test_node_cap_stops_mid_level(self):
+        # the 1000th candidate is labelled at ~0.2 s, level 6 ends at ~1.7 s
+        started = time.monotonic()
+        rec = ext.turan_ex(7, K4, SearchBudget(max_nodes=1000))
+        assert time.monotonic() - started < 0.5
+        assert rec.status == "lower_bound"
+
     def test_budget_gives_lower_bound(self):
         rec = ext.turan_ex(7, LP, SearchBudget(max_nodes=2))
         assert rec.status == "lower_bound"
@@ -313,36 +320,29 @@ K4 = cons.named("k4")
 P2 = cons.loose_path(2)
 
 # (value, status, encoded witness) under SearchBudget(max_nodes=cap) for
-# cap = 1..8.  The node cap is charged a whole level of representatives at a
-# time; ramsey's alpha calls exhaust at these caps: below cap 6 on one edge
-# and a vertex in no edge, from cap 6 on a graph of order 5.
+# cap = 1..8.  One meter covers the whole call: the level search charges
+# one node per candidate it labels, and ramsey's alpha calls their kernel
+# nodes; both ramsey rows reach order 5 only at cap 8.
 BUDGET_TABLE = {
     "turan_ex(6, LP)": (lambda b: ext.turan_ex(6, LP, b), [
         (1, "lower_bound", "6:3:1,2,3"),
-        (2, "lower_bound", "6:3:1,2,3/1,4,5"),
+        (1, "lower_bound", "6:3:1,2,3"),
         (2, "lower_bound", "6:3:1,2,3/1,4,5"),
         (3, "lower_bound", "6:3:1,2,3/1,4,5/2,4,6"),
-        (4, "lower_bound", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
+        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
         (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
         (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
         (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
     ]),
-    "turan_ex(5, K4)": (lambda b: ext.turan_ex(5, K4, b), [
-        (1, "lower_bound", "5:3:1,2,3"),
-        (2, "lower_bound", "5:3:1,2,3/1,2,4"),
-        (2, "lower_bound", "5:3:1,2,3/1,2,4"),
-        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
-        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
-        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
-        (3, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5"),
-        (4, "lower_bound", "5:3:1,2,3/1,2,4/1,2,5/1,3,4"),
-    ]),
+    "turan_ex(5, K4)": (lambda b: ext.turan_ex(5, K4, b),
+                        [(1, "lower_bound", "5:3:1,2,3")] * 2
+                        + [(2, "lower_bound", "5:3:1,2,3/1,2,4")] * 6),
     "ramsey(LP, 4, 7)": (lambda b: ext.ramsey(LP, 4, 7, b),
-                         [(4, "lower_bound", "3:3:")] * 5
-                         + [(5, "lower_bound", "4:3:1,2,3")] * 3),
+                         [(4, "lower_bound", "3:3:")] * 7
+                         + [(5, "lower_bound", "4:3:1,2,3")]),
     "ramsey(P2, 4, 8)": (lambda b: ext.ramsey(P2, 4, 8, b),
-                         [(4, "lower_bound", "3:3:")] * 5
-                         + [(5, "lower_bound", "4:3:1,2,3")] * 3),
+                         [(4, "lower_bound", "3:3:")] * 7
+                         + [(5, "lower_bound", "4:3:1,2,3")]),
 }
 
 
@@ -375,7 +375,7 @@ def test_deadline_stops_mid_level(search, monkeypatch):
         return out
 
     monkeypatch.setattr(ext, "canonical_form", counting)
-    monkeypatch.setattr(ext, "monotonic",
+    monkeypatch.setattr(core, "monotonic",
                         lambda: float("inf") if passed() else 0.0)
     rec = search(SearchBudget(max_millis=60_000))
     assert rec.status == "lower_bound"
@@ -391,18 +391,44 @@ def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
     ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
                                        Hypergraph(5, 3, ())))
     real = _kernels.mis_search
-    deadlines = []
+    meters = []
 
-    def recording(n, edges, max_nodes=0, deadline=0.0):
-        deadlines.append(deadline)
-        return real(n, edges, max_nodes, deadline)
+    def recording(n, edges, budget):
+        meters.append(budget)
+        return real(n, edges, budget)
 
     monkeypatch.setattr(_kernels, "mis_search", recording)
     rec = ext.ramsey(LP, 4, 7, SearchBudget(max_millis=60_000),
                      cache=ResultCache(path))
     assert (rec.value, rec.status) == (5, "exact")
-    assert len(deadlines) > 1 and len(set(deadlines)) == 1
-    assert deadlines[0] > 0
+    assert len(meters) > 1 and all(m is meters[0] for m in meters)
+    assert meters[0].deadline > 0
+
+
+def test_capped_ramsey_overshoots_by_one_node(tmp_path):
+    # revalidating the cached witness spends an alpha search (6 nodes) and a
+    # freeness test; the search that follows one cut short enters no node
+    path = str(tmp_path / "cache.txt")
+    ext.ramsey(LP, 4, 7, cache=ResultCache(path))
+    for cap in range(1, 9):
+        meter = SearchBudget(max_nodes=cap).start()
+        rec = ext.ramsey(LP, 4, 7, meter, cache=ResultCache(path))
+        assert meter.nodes <= cap + 1
+        assert rec.status == ("exact" if cap > 6 else "lower_bound")
+
+
+@pytest.mark.parametrize("search", [
+    lambda H: ext.turan_ex(6, H), lambda H: ext.ramsey(H, 4, 8),
+], ids=["turan_ex", "ramsey"])
+def test_pattern_labelled_once_per_call(search, monkeypatch):
+    # the cache key is the encoding of ForbiddenTriples' own labelling of H
+    labels = []
+    for module in (ext, containment):
+        real = module.canonical_form
+        monkeypatch.setattr(module, "canonical_form", lambda G, *a, real=real:
+                            labels.append(G is LP) or real(G, *a))
+    rec = search(LP)
+    assert labels.count(True) == 1 and rec.key == canonical_form(LP).decode()
 
 
 # patterns for the forbidden triples: one orbit of edges (K4, C3), two
@@ -494,42 +520,45 @@ def test_one_plan_per_orbit_past_eight_vertices(H, before, after):
                        for e in combinations(range(n), 3))
 
 
+class CountingMeter(Meter):
+    """A meter with no cap that counts its deadline reads; the deadline
+    passes at read number late_at (never for 0)."""
+
+    def __init__(self, late_at=0):
+        super().__init__()
+        self.reads, self.late_at = 0, late_at
+
+    def late(self):
+        self.reads += 1
+        return self.reads == self.late_at
+
+
 @pytest.mark.parametrize("n, name", [
     (5, "K4"), (7, "LP"), (6, "P2"), (6, "C3"), (5, "C3"), (6, "LP+isolated"),
     (5, "edgeless"), (5, "edgeless9"),
 ])
-def test_level_search_matches_reference(n, name):
-    # same levels, representatives and node charges; the deadline is also
-    # checked once before each parent's forbidden triples
+def test_level_search_matches_reference(n, name, monkeypatch):
+    # same levels and representatives; the deadline is read where the
+    # reference reads it and also once before each parent's forbidden
+    # triples, and one node is charged per candidate labelled
     H = FORBIDDING[name]
-
-    def run(search):
-        charges = []
-
-        def over(k):
-            charges.append(k)
-            return False
-
-        levels = [(count, [encode_graph(R) for R in reps])
-                  for count, reps in search(n, H, over)]
-        return levels, [k for k in charges if k], charges.count(0)
-
-    (levels, charged, checks), want = (run(ext._hfree_level_reps),
-                                       run(reference_hfree_level_reps))
-    assert (levels, charged) == want[:2]
-    assert checks == want[2] + sum(len(reps) for _, reps in levels)
+    real, labelled = ext.canonical_form, []
+    monkeypatch.setattr(ext, "canonical_form",
+                        lambda G, *a: labelled.append(G) or real(G, *a))
+    meter, checks = CountingMeter(), []
+    levels = [(count, [encode_graph(R) for R in reps]) for count, reps
+              in ext._hfree_level_reps(n, ForbiddenTriples(H), meter)]
+    want = [(count, [encode_graph(R) for R in reps]) for count, reps
+            in reference_hfree_level_reps(
+                n, H, lambda k: checks.append(k) or False)]
+    assert levels == want
+    assert meter.reads == checks.count(0) + sum(len(reps) for _, reps in levels)
+    assert meter.nodes == len(labelled) - 1  # less the empty graph
 
 
-def _levels_and_charges(search, n, H):
-    charges = []
-
-    def over(k):
-        charges.append(k)
-        return False
-
-    levels = [(count, [R.edges for R in reps])
-              for count, reps in search(n, H, over)]
-    return levels, [k for k in charges if k]
+def _levels(search, n, H, budget):
+    return [(count, [R.edges for R in reps])
+            for count, reps in search(n, H, budget)]
 
 
 @pytest.mark.parametrize("n, name", [
@@ -537,33 +566,28 @@ def _levels_and_charges(search, n, H):
     for n in range(3, 7)] + [(7, "LP"), (7, "P2")])
 def test_orbit_pruning_keeps_representatives(n, name):
     # skipping the candidates that a parent automorphism maps lower leaves
-    # every level, representative and node charge as one canonical form
-    # per candidate gives them
+    # every level and representative as one canonical form per candidate
+    # gives them
     H = cons.named("fano") if name == "fano" else FORBIDDING[name]
-    assert _levels_and_charges(ext._hfree_level_reps, n, H) == \
-        _levels_and_charges(reference_forbidden_level_reps, n, H)
+    assert _levels(ext._hfree_level_reps, n, ForbiddenTriples(H), Meter()) \
+        == _levels(reference_forbidden_level_reps, n, H, lambda k: False)
 
 
 @pytest.mark.parametrize("n, classes", [(5, 34), (6, 2136)])
 def test_level_search_counts_every_class(n, classes):
     # sunflower7 has 7 vertices, so every 3-graph on n <= 6 is free of it
     # and the levels hold all isomorphism classes (OEIS A000665)
-    levels = ext._hfree_level_reps(n, cons.named("sunflower7"),
-                                   lambda k: False)
+    levels = ext._hfree_level_reps(
+        n, ForbiddenTriples(cons.named("sunflower7")), Meter())
     assert sum(len(reps) for _, reps in levels) == classes
 
 
 def test_level_search_stops_at_the_per_parent_check():
-    # over is read after level 0's count, then before its one parent
-    charges = []
-
-    def over(k):
-        charges.append(k)
-        return len(charges) == 2
-
-    assert list(ext._hfree_level_reps(5, LP, over)) == \
+    # the deadline is read first before level 0's one parent
+    meter = CountingMeter(late_at=1)
+    assert list(ext._hfree_level_reps(5, ForbiddenTriples(LP), meter)) == \
         [(0, [Hypergraph(5, 3, ())]), (1, None)]
-    assert charges == [1, 0]
+    assert (meter.reads, meter.nodes) == (1, 0)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -624,6 +648,14 @@ class TestVerifyWitness:
         wr = ext.verify_witness(cons.complete(9), LP, 2,
                                 SearchBudget(max_nodes=2))
         assert wr.status == "exhausted" and wr.chi is None
+
+    def test_node_cap_bounds_the_freeness_test(self):
+        # the freeness test spends the node cap, before the chromatic number
+        G = cons.random_3graph(200, 20_000, 0)
+        started = time.monotonic()
+        wr = ext.verify_witness(G, K4, 2, SearchBudget(max_nodes=100))
+        assert time.monotonic() - started < 0.5
+        assert wr.status == "exhausted" and wr.h_free is None
 
     def test_deadline_bounds_the_freeness_test(self):
         # finding the first K4 in this graph takes ~0.6 s of link masks;
@@ -738,7 +770,7 @@ class TestCache:
         path = str(tmp_path / "cache.txt")
         budgeted = ext.turan_ex(6, LP, SearchBudget(max_nodes=2),
                                 cache=ResultCache(path))
-        assert (budgeted.value, budgeted.status) == (2, "lower_bound")
+        assert (budgeted.value, budgeted.status) == (1, "lower_bound")
         rec = ext.turan_ex(6, LP, cache=ResultCache(path))
         assert (rec.value, rec.status) == (4, "exact")
         assert ResultCache(path).get("ex", rec.key, 6).status == "exact"
