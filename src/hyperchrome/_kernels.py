@@ -4,10 +4,11 @@ Callers reach them through this module's attributes, so that a tracer or a
 test can substitute them in one place.
 
 Both searches run on an explicit stack, so their depth is bounded by memory,
-not by the interpreter's recursion limit.  A search node is counted when it
-is entered and added to the budget's core.Meter on return.  A search returns
-EXHAUSTED at the first node past the cap, at once if the cap is reached, and
-when the deadline passes, also while it builds its tables from the edges.
+not by the interpreter's recursion limit.  A search adds each node it
+enters to the budget's core.Meter and reads the clock only through it.  A
+search returns EXHAUSTED at the first node past the cap, at once if the cap
+is reached, and when the deadline passes, also while it builds its tables
+from the edges.
 Every pruning rule below only skips subtrees that hold no better answer, so
 the tree is a subset of the plain backtracking tree, visited in the same
 order: the answers equal the plain search's, and a node cap under which the
@@ -20,7 +21,6 @@ search keeps each edge's vertex mask at each of its vertices, and in a list.
 """
 
 import sys
-from time import monotonic
 
 from .core import EXHAUSTED, UNLIMITED, Coloring, Meter
 
@@ -36,12 +36,12 @@ def backend_name(n=0):
     return "pure"
 
 
-def _clocked(edges, deadline):
+def _clocked(edges, meter):
     """The edges in order; after every _TIME_CHECK_MASK + 1 of them, raises
-    TimeoutError if the deadline has passed."""
+    TimeoutError if the meter's deadline has passed."""
     for i, e in enumerate(edges, 1):
         yield e
-        if not i & _TIME_CHECK_MASK and monotonic() > deadline:
+        if not i & _TIME_CHECK_MASK and meter.late():
             raise TimeoutError
 
 
@@ -69,8 +69,7 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
     palette = k
     if n == 0:
         return Coloring((), palette)
-    max_nodes, deadline = meter.left(), meter.deadline
-    if max_nodes < 0:
+    if meter.full():
         return EXHAUSTED
     k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
     pos = [0] * n
@@ -78,7 +77,7 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
         pos[v] = p
     fwd = [{} for _ in range(n)]  # fwd[y][x]: z per edge at x < y < z
     try:
-        for a, b, c in _clocked(edges, deadline) if deadline else edges:
+        for a, b, c in _clocked(edges, meter) if meter.deadline else edges:
             x, y, z = pos[a], pos[b], pos[c]
             if x > y:
                 x, y = y, x
@@ -99,63 +98,60 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
     tried = [-1] * n       # tried[p]: color at position p, or the last tried
     used = [0] * (n + 1)   # used[p]: colors in use at positions < p
     logs = [None] * n      # logs[p]: positions whose ban count p's color raised
-    nodes = 1              # the root, position 0, is entered
-    try:
-        p = 0
-        while True:
-            base = p * k
-            at = fwd[p]
-            cmax = min(used[p], k - 1)
-            c = tried[p] + 1
-            log = None
-            while c <= cmax:
-                if not bans[base + c]:
-                    log = []
-                    wiped = False
-                    mem = members[c]
-                    if len(mem) > len(at):
-                        mem = [x for x in at if tried[x] == c]
-                    for x in mem:
-                        for z in at.get(x, ()):
-                            i = z * k + c
-                            bans[i] += 1
-                            log.append(z)
-                            if bans[i] == 1:
-                                nbanned[z] += 1
-                                if nbanned[z] == k:
-                                    wiped = True
-                                    break
-                        if wiped:
-                            break
-                    if not wiped:
+    cap = meter.max_nodes
+    meter.nodes += 1       # the root, position 0, is entered
+    p = 0
+    while True:
+        base = p * k
+        at = fwd[p]
+        cmax = min(used[p], k - 1)
+        c = tried[p] + 1
+        log = None
+        while c <= cmax:
+            if not bans[base + c]:
+                log = []
+                wiped = False
+                mem = members[c]
+                if len(mem) > len(at):
+                    mem = [x for x in at if tried[x] == c]
+                for x in mem:
+                    for z in at.get(x, ()):
+                        i = z * k + c
+                        bans[i] += 1
+                        log.append(z)
+                        if bans[i] == 1:
+                            nbanned[z] += 1
+                            if nbanned[z] == k:
+                                wiped = True
+                                break
+                    if wiped:
                         break
-                    _unban(log, c, k, bans, nbanned)
-                    log = None
-                c += 1
-            if log is None:
-                # every color tried: back up to the previous position
-                tried[p] = -1
-                p -= 1
-                if p < 0:
-                    return None
-                c = tried[p]
-                members[c].pop()
-                _unban(logs[p], c, k, bans, nbanned)
-                continue
-            members[c].append(p)
-            tried[p] = c
-            logs[p] = log
-            used[p + 1] = used[p] if c < used[p] else c + 1
-            nodes += 1
-            if max_nodes and nodes > max_nodes:
-                return EXHAUSTED
-            if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-                return EXHAUSTED
-            p += 1
-            if p == n:
-                return Coloring(tuple(c for _, c in sorted(zip(order, tried))), palette)
-    finally:
-        meter.nodes += nodes
+                if not wiped:
+                    break
+                _unban(log, c, k, bans, nbanned)
+                log = None
+            c += 1
+        if log is None:
+            # every color tried: back up to the previous position
+            tried[p] = -1
+            p -= 1
+            if p < 0:
+                return None
+            c = tried[p]
+            members[c].pop()
+            _unban(logs[p], c, k, bans, nbanned)
+            continue
+        members[c].append(p)
+        tried[p] = c
+        logs[p] = log
+        used[p + 1] = used[p] if c < used[p] else c + 1
+        meter.nodes += 1
+        if 0 < cap < meter.nodes or (
+                not meter.nodes & _TIME_CHECK_MASK and meter.late()):
+            return EXHAUSTED
+        p += 1
+        if p == n:
+            return Coloring(tuple(c for _, c in sorted(zip(order, tried))), palette)
 
 
 def _unban(log, c, k, bans, nbanned):
@@ -183,12 +179,11 @@ def mis_search(n, edges, budget=UNLIMITED, *legacy, at_least=None):
     # as in kcolor_search: read only by perfbench/ and tests; goes at
     # ROADMAP item 1's declared change
     meter = Meter(budget, *legacy) if type(budget) is int else budget.start()
-    max_nodes, deadline = meter.left(), meter.deadline
-    if max_nodes < 0:
+    if meter.full():
         return EXHAUSTED
     seen = set()
     try:
-        for e in _clocked(edges, deadline) if deadline else edges:
+        for e in _clocked(edges, meter) if meter.deadline else edges:
             seen.update(e)
             if len(seen) == n:
                 break
@@ -197,11 +192,11 @@ def mis_search(n, edges, budget=UNLIMITED, *legacy, at_least=None):
         if isolated:
             label = {v: i for i, v in enumerate(covered)}
             edges = [tuple(label[v] for v in e) for e in (
-                _clocked(edges, deadline) if deadline else edges)]
+                _clocked(edges, meter) if meter.deadline else edges)]
             n = len(covered)
         masks_at = [[] for _ in range(n)]
         emasks = []
-        for e in _clocked(edges, deadline) if deadline else edges:
+        for e in _clocked(edges, meter) if meter.deadline else edges:
             mask = 0
             for v in e:
                 mask |= 1 << v
@@ -214,51 +209,47 @@ def mis_search(n, edges, budget=UNLIMITED, *legacy, at_least=None):
     goal = n + 1 if at_least is None else at_least - len(isolated)
     best_size = -1 if at_least is None else goal - 1
     best_mask = 0
-    nodes = 0
-    try:
-        stack = [(0, 0, 0, 0)]  # (idx, chosen mask, |chosen|, dead mask)
-        while stack and best_size < goal:
-            idx, chosen, count, dead = stack.pop()
-            nodes += 1
-            if max_nodes and nodes > max_nodes:
+    cap = meter.max_nodes
+    stack = [(0, 0, 0, 0)]  # (idx, chosen mask, |chosen|, dead mask)
+    while stack and best_size < goal:
+        idx, chosen, count, dead = stack.pop()
+        meter.nodes += 1
+        if 0 < cap < meter.nodes or (
+                not meter.nodes & _TIME_CHECK_MASK and meter.late()):
+            return EXHAUSTED
+        alive = (full >> idx << idx) & ~dead
+        free = alive.bit_count()
+        bound = count + free
+        # the packing scans every edge: computed, with a clock read, only
+        # where it could prune; no packing exceeds free // 2
+        if best_size < bound <= best_size + free // 2:
+            if meter.late():
                 return EXHAUSTED
-            if deadline and (nodes & _TIME_CHECK_MASK) == 0 and monotonic() > deadline:
-                return EXHAUSTED
-            alive = (full >> idx << idx) & ~dead
-            free = alive.bit_count()
-            bound = count + free
-            # the packing scans every edge: computed, with a clock read, only
-            # where it could prune; no packing exceeds free // 2
-            if best_size < bound <= best_size + free // 2:
-                if deadline and monotonic() > deadline:
-                    return EXHAUSTED
-                room = chosen | alive
-                packed = 0
-                for mask in emasks:
-                    if mask & room == mask and not mask & packed:
-                        packed |= mask & alive
-                        bound -= 1
-                        if bound <= best_size:
-                            break
-            if bound <= best_size:
-                continue
-            if idx == n:
-                best_size = count
-                best_mask = chosen
-                continue
-            stack.append((idx + 1, chosen, count, dead))
-            with_v = chosen | (1 << idx)
-            new_dead = dead
-            for mask in masks_at[idx]:
-                rest = mask & ~with_v
-                if not rest:
-                    break
-                if not rest & (rest - 1):
-                    new_dead |= rest
-            else:
-                stack.append((idx + 1, with_v, count + 1, new_dead))
-        if at_least is not None and best_size < goal:
-            return None
-        return isolated.union(covered[i] for i in range(n) if best_mask >> i & 1)
-    finally:
-        meter.nodes += nodes
+            room = chosen | alive
+            packed = 0
+            for mask in emasks:
+                if mask & room == mask and not mask & packed:
+                    packed |= mask & alive
+                    bound -= 1
+                    if bound <= best_size:
+                        break
+        if bound <= best_size:
+            continue
+        if idx == n:
+            best_size = count
+            best_mask = chosen
+            continue
+        stack.append((idx + 1, chosen, count, dead))
+        with_v = chosen | (1 << idx)
+        new_dead = dead
+        for mask in masks_at[idx]:
+            rest = mask & ~with_v
+            if not rest:
+                break
+            if not rest & (rest - 1):
+                new_dead |= rest
+        else:
+            stack.append((idx + 1, with_v, count + 1, new_dead))
+    if at_least is not None and best_size < goal:
+        return None
+    return isolated.union(covered[i] for i in range(n) if best_mask >> i & 1)

@@ -142,6 +142,8 @@ def _certified(cert, G, H):
 def _run(name, cmd, args):
     """Read, solve, certify and emit one report; returns the exit code."""
     started = monotonic()
+    if cmd.budgeted and min(args.budget_nodes, args.budget_ms) < 0:
+        raise UsageError("budget caps must be nonnegative")
     G, digest = _read_graph(args.infile) if cmd.infile else (None, None)
     H, h_digest = _read_graph(args.pattern) if cmd.pattern else (None, None)
     seed = _seed(args) if cmd.seeded else None

@@ -119,18 +119,17 @@ def _embeddings(steps, link, meter=None):
     """Yield (phi, image) for every injective map phi of a plan's vertices
     into the vertices of link's graph that keeps their edges, in
     lexicographic order: phi[i] is the image of order[i], image the mask of
-    all images.  phi is one list updated in place between yields.  Under a
-    core.Meter with a cap or deadline each descent is a node, and it yields
-    EXHAUSTED and stops as the kernels do, reading the clock every 64 nodes,
-    not 4096: a descent may build link masks, O(degree) work each."""
+    all images.  phi is one list updated in place between yields.  Each
+    descent is a node of the core.Meter meter, if given, capped or not; it
+    yields EXHAUSTED and stops as the kernels do, asking for the time every
+    64 nodes, not 4096: a descent may build link masks, O(degree) work each."""
     width = len(steps)
     if not width:
         yield [], 0
         return
-    if meter and meter.left() < 0:
+    if meter and meter.full():
         yield EXHAUSTED
         return
-    budgeted = meter and (meter.max_nodes or meter.deadline)
     at = link.at
     at_least = {d: sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
                 for d in {d for d, _ in steps}}
@@ -155,7 +154,7 @@ def _embeddings(steps, link, meter=None):
             continue
         used |= low
         i += 1
-        if budgeted:
+        if meter:
             meter.nodes += 1
             if 0 < meter.max_nodes < meter.nodes or (
                     not meter.nodes & 63 and meter.late()):

@@ -53,9 +53,10 @@ UNLIMITED = SearchBudget()
 class Meter:
     """A started budget: one node cap, one monotonic() deadline (0 for none)
     and the nodes spent.  Every search spends budget.start(), and a Meter's
-    start() is itself, so the searches a caller hands one meter share its
-    cap and deadline.  A search stops at the first node past the cap and
-    starts none once it is reached, so nodes never exceeds max_nodes + 1."""
+    start() is itself, so searches handed one meter share it.  A search adds
+    each node it enters, capped or not, reads the clock only by late(), stops
+    at the first node past the cap and starts none once full(): nodes never
+    exceeds max_nodes + 1."""
 
     __slots__ = ("max_nodes", "deadline", "nodes")
 
@@ -65,9 +66,9 @@ class Meter:
     def start(self):
         return self
 
-    def left(self):
-        """The nodes a search may still enter: 0 for no cap, -1 for none."""
-        return self.max_nodes and (max(self.max_nodes - self.nodes, 0) or -1)
+    def full(self):
+        """Whether the cap is reached."""
+        return 0 < self.max_nodes <= self.nodes
 
     def late(self):
         """Whether the deadline has passed."""
@@ -225,8 +226,7 @@ class Links(dict):
 
 def degree_order(G):
     """Vertices by descending degree, ties broken by lower index."""
-    degs = G.degrees()
-    return sorted(range(G.n), key=lambda v: (-degs[v], v))
+    return sorted(range(G.n), key=G.degrees().__getitem__, reverse=True)
 
 
 def induced(G, S):

@@ -187,7 +187,7 @@ def _children(n, forbidden, level, meter):
             if e in banned or any(sorted(map(g.get, e, e)) < list(e)
                                   for g in auts):
                 continue
-            if meter.left() < 0:
+            if meter.full():
                 return None
             meter.nodes += 1
             cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []

@@ -61,6 +61,7 @@ CASES = [
     ("chi-stdin", "chi", "fano"),
     ("chi-json-flag", "chi --in {k5} --json", None),
     ("chi-exhausted", "chi --in {fano} --budget-nodes 1", None),
+    ("chi-negative-budget", "chi --in {fano} --budget-nodes -1", None),
     ("chi-malformed", "chi", "garbage"),
     ("chi-missing-file", "chi --in {missing}", None),
     ("alpha", "alpha --in {fano}", None),
@@ -280,6 +281,8 @@ EXPECTED = {
          '7, "sha256": '
          '"06eec7072d312f5d12acfa60f214dd942fba5a76e04e9e8696edf94f70a106cf"}, '
          '"params": {}, "result": null, "seed": null, "status": "exhausted"}'),
+    'chi-negative-budget':
+        (2, ''),
     'chi-malformed':
         (2, ''),
     'chi-missing-file':
@@ -628,6 +631,8 @@ EXPECTED_QUIET = {
         (2, ''),
     'chi-exhausted':
         (1, 'chi exhausted\n'),
+    'chi-negative-budget':
+        (2, ''),
     'chi-malformed':
         (2, ''),
     'chi-missing-file':

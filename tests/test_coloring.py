@@ -553,18 +553,21 @@ class TestIndependentRemoval:
                                           {"stage": "removal"})
 
     def test_deadline_checked_after_the_last_color(self, monkeypatch):
-        # K5 at r = 2 runs out of colors; a deadline that passes during the
+        # K5 at r = 2 runs out of colors; a deadline that passes after the
         # second round is seen before the palette is found exhausted
         reads = []
 
-        def clock():  # read first as the budget starts; past it from the 4th
+        # read as the budget starts, before round 1, 4 times in round 1's
+        # independent-set search, before round 2 and after it; past the
+        # deadline at the last read only
+        def clock():
             reads.append(1)
-            return float("inf") if len(reads) > 3 else 0.0
+            return float("inf") if len(reads) > 7 else 0.0
 
         monkeypatch.setattr(core, "monotonic", clock)
         res = col.independent_removal_color(cons.complete(5), 2, seed=1,
                                             budget=SearchBudget(max_millis=1))
-        assert res.stage == "budget-exhausted" and len(reads) == 4
+        assert res.stage == "budget-exhausted" and len(reads) == 8
         res = col.independent_removal_color(cons.complete(5), 2, seed=1)
         assert res == col.ColoringFailure("palette-exhausted",
                                           {"remaining_vertices": 1})

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hyperchrome import constructions as cons
 from hyperchrome import containment
 from hyperchrome.containment import contains, embedding_ok, is_free
-from hyperchrome.core import Hypergraph, induced, new_hypergraph
+from hyperchrome.core import Hypergraph, Meter, induced, new_hypergraph
 
 from oracles import brute_contains, reference_contains
 
@@ -201,3 +201,14 @@ class TestProperties:
         calls.clear()
         containment.ForbiddenTriples(cons.complete(4))
         assert calls == [4]
+
+    @pytest.mark.parametrize("search, G", [
+        (contains, cons.complete(6)),   # a copy, found after 3 descents
+        (is_free, cons.named("fano")),  # none: the whole tree is searched
+    ], ids=["contains-K6", "is_free-fano"])
+    def test_an_unlimited_meter_counts_every_descent(self, search, G):
+        # a meter with no cap and no deadline is charged as a capped one is
+        K4 = cons.named("k4")
+        unlimited, capped = Meter(), Meter(max_nodes=10 ** 6)
+        assert search(G, K4, unlimited) == search(G, K4, capped)
+        assert unlimited.nodes == capped.nodes > 0

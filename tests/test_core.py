@@ -556,20 +556,22 @@ class TestMeter:
     def test_one_meter_per_computation(self):
         meter = SearchBudget(max_nodes=5).start()
         assert meter.start() is meter and meter.deadline == 0
-        assert meter.left() == 5
+        assert not meter.full()
         meter.nodes = 5
-        assert meter.left() == -1  # reached: no search may start
-        assert Meter().left() == 0  # no cap
+        assert meter.full()  # reached: no search may start
+        meter = Meter()
+        meter.nodes = 5
+        assert not meter.full()  # no cap
 
     def test_only_the_meter_and_the_kernels_read_the_clock(self):
-        # the budget policy lives in core.Meter; the kernels read the clock
-        # every 4096 nodes, and the command line only times the run
+        # the budget policy lives in core.Meter, and every search reads the
+        # clock through it; the command line only times the run
         src = Path(core.__file__).parent
         texts = {p.stem: p.read_text(encoding="utf-8")
                  for p in src.glob("*.py")}
         assert {m for m, text in texts.items()
                 if "monotonic" in text or "import time" in text} == \
-            {"core", "_kernels", "cli"}
+            {"core", "cli"}
         assert [line.strip() for line in texts["cli"].splitlines()
                 if "monotonic" in line or "started" in line] == [
             "from time import monotonic",

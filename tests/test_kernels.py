@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchrome import _kernels, exact
+from hyperchrome import _kernels, core, exact
 from hyperchrome import constructions as cons
 from hyperchrome.core import EXHAUSTED, Coloring, degree_order, new_hypergraph
 
@@ -216,6 +216,6 @@ K13, SPARSE40 = cons.complete(13), cons.random_3graph(40, 150, 1)
 def test_fake_clock_past_the_deadline_mid_search(search, monkeypatch):
     assert search(4096) is EXHAUSTED
     reads = []
-    monkeypatch.setattr(_kernels, "monotonic", lambda: reads.append(1) or 2.0)
+    monkeypatch.setattr(core, "monotonic", lambda: reads.append(1) or 2.0)
     assert search(0, 1.0) is EXHAUSTED
     assert len(reads) == 1
