@@ -14,10 +14,12 @@ the tree is a subset of the plain backtracking tree, visited in the same
 order: the answers equal the plain search's, and a node cap under which the
 plain search finishes is never hit.
 
-Each search builds its table per call.  The coloring search keeps one entry
-per edge, at the edge's middle position in the search order, and reads it
-only at the positions that hold the color it tries; the independent-set
-search keeps each edge's vertex mask at each of its vertices, and in a list.
+Each search builds its table per call.  The coloring search keeps each edge
+under each of its three vertex pairs, keyed at both ends by search position,
+and a position that takes a color reads only its pairs with positions that
+hold that color; with least=True it builds that table once for every
+palette it tries.  The independent-set search keeps each edge's vertex mask
+at each of its vertices, and in a list.
 """
 
 import sys
@@ -45,90 +47,161 @@ def _clocked(edges, meter):
             raise TimeoutError
 
 
-def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
+def _covered(n, edges, meter):
+    """The vertices in some edge; raises TimeoutError as _clocked does."""
+    seen = set()
+    for e in _clocked(edges, meter) if meter.deadline else edges:
+        seen.update(e)
+        if len(seen) == n:
+            break
+    return seen
+
+
+def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy, least=False):
     """Backtracking k-colorability along a fixed vertex order.
 
     Colors are tried in increasing order.  First-use symmetry: a vertex may
     take colors 0..min(used, k-1), where used is the number of colors the
     earlier vertices use, so solutions come out in first-use normal form.
-    A color c is banned at v iff some edge holds v plus two vertices already
-    colored c.  Forward checking keeps, per (position, color), the count of
-    such edges, and a child in which some uncolored position has all k
-    colors banned is not entered.  Coloring position y with c bans c at z
-    for every edge at positions x < y < z with x colored c; no other edge
-    can add a ban.  So the table holds each edge once, at its middle
-    position y, keyed by x, and trying c reads only its keys colored c:
-    through the members of c, or through the keys at y when those are
-    fewer, so that a try never reads more than the vertex's own edges.
+    A vertex is fixed when it is colored or forced.  A color c is banned at
+    an uncolored vertex iff some edge holds it plus two vertices fixed to
+    c, and an uncolored vertex whose bans leave it one color is forced to
+    that color; at k = 1 a ban leaves none, so no vertex is forced.  Each
+    try propagates its bans and forcings to a fixpoint and is not entered
+    if some vertex is left with no color, which also covers an edge whose
+    three vertices are fixed alike.  A forced vertex's own try reads
+    nothing, since its edges were read when it was forced.  A skipped
+    subtree holds no proper coloring, so the answer is plain
+    backtracking's.  The table holds each edge under each of its three
+    vertex pairs, keyed at both ends; a newly fixed vertex reads only its
+    pairs with vertices fixed to its color, through that color's members
+    or through its own keys, whichever are fewer.  Vertices in no edge
+    are set aside first: they take color 0 in the least coloring, and
+    dropping them changes no other color.
     Returns the lexicographically least proper k-coloring along the order
     as a Coloring with palette k, None if there is none, or EXHAUSTED.
+    With least=True, palettes k, k + 1, ... are tried in turn on one table,
+    the deadline is read before each new one, and the first coloring found
+    is returned.
     """
     # an int budget is a node cap, and legacy its deadline: read only by
     # perfbench/ and tests; goes at ROADMAP item 1's declared change
     meter = Meter(budget, *legacy) if type(budget) is int else budget.start()
-    palette = k
     if n == 0:
-        return Coloring((), palette)
+        return Coloring((), k)
     if meter.full():
         return EXHAUSTED
-    k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
-    pos = [0] * n
-    for p, v in enumerate(order):
-        pos[v] = p
-    fwd = [{} for _ in range(n)]  # fwd[y][x]: z per edge at x < y < z
     try:
+        seen = _covered(n, edges, meter)
+        order = [v for v in order if v in seen]
+        pos = [0] * n
+        for p, v in enumerate(order):
+            pos[v] = p
+        # pairs[u][w]: the third positions of the edges at u and w, one
+        # list per pair shared by both ends
+        pairs = [{} for _ in order]
         for a, b, c in _clocked(edges, meter) if meter.deadline else edges:
             x, y, z = pos[a], pos[b], pos[c]
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-                if x > y:
-                    x, y = y, x
-            at = fwd[y]
-            if x in at:
-                at[x].append(z)
+            at_x, at_y = pairs[x], pairs[y]
+            if y in at_x:
+                at_x[y].append(z)
             else:
-                at[x] = [z]
+                at_x[y] = at_y[x] = [z]
+            if z in at_x:
+                at_x[z].append(y)
+            else:
+                at_x[z] = pairs[z][x] = [y]
+            if z in at_y:
+                at_y[z].append(x)
+            else:
+                at_y[z] = pairs[z][y] = [x]
     except TimeoutError:
         return EXHAUSTED
-    bans = [0] * (n * k)   # bans[z*k + c]: edges banning c at uncolored z
-    nbanned = [0] * n      # colors with a nonzero ban count, per position
-    members = [[] for _ in range(k)]  # members[c]: positions colored c
+    if not order:
+        return Coloring((0,) * n, k)
+    got = _least_coloring(pairs, k, meter)
+    while least and got is None:
+        if meter.late() or meter.full():
+            return EXHAUSTED
+        k += 1
+        got = _least_coloring(pairs, k, meter)
+    if got is None or got is EXHAUSTED:
+        return got
+    colors = [0] * n
+    for v, c in zip(order, got):
+        colors[v] = c
+    return Coloring(tuple(colors), k)
+
+
+def _least_coloring(pairs, k, meter):
+    # kcolor_search at one palette on its table: the colors by position,
+    # None or EXHAUSTED.  A position is pushed on todo when a ban forces
+    # it, and its color is fixed when popped: a try that wipes out first
+    # never pays for the forcings it did not reach.
+    n = len(pairs)
+    k = min(k, n)  # at most n - 1 colors are ever in use, so no search change
+    last = k - 1 or -1     # the count of banned colors that forces
+    bans = [0] * (k * n)   # bans[c*n + z]: whether c is banned at uncolored z
+    nbanned = [0] * n      # colors banned, per position
+    col = [-1] * n         # col[p]: color of a fixed (colored or forced) p
+    members = [[] for _ in range(k)]  # members[c]: positions fixed to c
     tried = [-1] * n       # tried[p]: color at position p, or the last tried
     used = [0] * (n + 1)   # used[p]: colors in use at positions < p
-    logs = [None] * n      # logs[p]: positions whose ban count p's color raised
+    logs = [None] * n      # logs[p]: p's bans (c*n + z) and forcings (~z)
     cap = meter.max_nodes
     meter.nodes += 1       # the root, position 0, is entered
     p = 0
     while True:
-        base = p * k
-        at = fwd[p]
+        free = nbanned[p] != last
         cmax = min(used[p], k - 1)
         c = tried[p] + 1
         log = None
         while c <= cmax:
-            if not bans[base + c]:
+            if not bans[c * n + p]:
                 log = []
+                if not free:
+                    break
+                col[p] = c
+                members[c].append(p)
                 wiped = False
-                mem = members[c]
-                if len(mem) > len(at):
-                    mem = [x for x in at if tried[x] == c]
-                for x in mem:
-                    for z in at.get(x, ()):
-                        i = z * k + c
-                        bans[i] += 1
-                        log.append(z)
-                        if bans[i] == 1:
-                            nbanned[z] += 1
-                            if nbanned[z] == k:
-                                wiped = True
-                                break
-                    if wiped:
+                todo = []
+                u, e = p, c
+                while True:
+                    at = pairs[u]
+                    mem = members[e]
+                    if len(mem) > len(at):
+                        mem = [w for w in at if col[w] == e]
+                    off = e * n
+                    for w in mem:
+                        for z in at.get(w, ()):
+                            if z > p:
+                                i = off + z
+                                if not bans[i]:
+                                    bans[i] = 1
+                                    log.append(i)
+                                    nb = nbanned[z] + 1
+                                    nbanned[z] = nb
+                                    if nb == last:
+                                        todo.append(z)
+                                    elif nb == k:
+                                        wiped = True
+                                        break
+                        if wiped:
+                            break
+                    if wiped or not todo:
                         break
+                    u = todo.pop()
+                    e = 0
+                    while bans[e * n + u]:
+                        e += 1
+                    col[u] = e
+                    members[e].append(u)
+                    log.append(~u)
                 if not wiped:
                     break
-                _unban(log, c, k, bans, nbanned)
+                _undo(log, n, bans, nbanned, col, members)
+                members[c].pop()
+                col[p] = -1
                 log = None
             c += 1
         if log is None:
@@ -137,11 +210,11 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
             p -= 1
             if p < 0:
                 return None
-            c = tried[p]
-            members[c].pop()
-            _unban(logs[p], c, k, bans, nbanned)
+            _undo(logs[p], n, bans, nbanned, col, members)
+            if nbanned[p] != last:
+                members[col[p]].pop()
+                col[p] = -1
             continue
-        members[c].append(p)
         tried[p] = c
         logs[p] = log
         used[p + 1] = used[p] if c < used[p] else c + 1
@@ -151,15 +224,17 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy):
             return EXHAUSTED
         p += 1
         if p == n:
-            return Coloring(tuple(c for _, c in sorted(zip(order, tried))), palette)
+            return tried
 
 
-def _unban(log, c, k, bans, nbanned):
-    for u in log:
-        i = u * k + c
-        bans[i] -= 1
-        if not bans[i]:
-            nbanned[u] -= 1
+def _undo(log, n, bans, nbanned, col, members):
+    for i in log:
+        if i < 0:
+            members[col[~i]].pop()
+            col[~i] = -1
+        else:
+            bans[i] = 0
+            nbanned[i % n] -= 1
 
 
 def mis_search(n, edges, budget=UNLIMITED, *legacy, at_least=None):
@@ -181,12 +256,8 @@ def mis_search(n, edges, budget=UNLIMITED, *legacy, at_least=None):
     meter = Meter(budget, *legacy) if type(budget) is int else budget.start()
     if meter.full():
         return EXHAUSTED
-    seen = set()
     try:
-        for e in _clocked(edges, meter) if meter.deadline else edges:
-            seen.update(e)
-            if len(seen) == n:
-                break
+        seen = _covered(n, edges, meter)
         isolated = frozenset(range(n)).difference(seen)
         covered = sorted(seen) if isolated else range(n)
         if isolated:

@@ -46,26 +46,17 @@ def _greedy_reaches(G, s, meter):
 
 
 def chromatic_coloring(G, budget=UNLIMITED):
-    """A proper coloring with the least palette, trying k = 1, 2, ..., or
-    EXHAUSTED.
+    """A proper coloring with the least palette, or EXHAUSTED.
 
-    Each k is one _kernels.kcolor_search along one order, with no
-    independent-set test: on the graphs measured, refuting a small k costs
-    less.  No new k is started once the deadline has passed.  Any 3-graph
-    is n-colorable, so this terminates.
+    One _kernels.kcolor_search along one order tries k = 1, 2, ... on one
+    table, with no independent-set test: on the graphs measured, refuting a
+    small k costs less.  No new k is started once the deadline has passed.
+    Any 3-graph is n-colorable, so this terminates.
     """
     if G.k != 3:
         raise ValueError("chromatic_coloring handles 3-graphs")
-    meter = budget.start()
-    order = degree_order(G)
-    k = 1
-    while True:
-        res = _kernels.kcolor_search(G.n, G.edges, k, order, meter)
-        if res is not None:
-            return res
-        if meter.late():
-            return EXHAUSTED
-        k += 1
+    return _kernels.kcolor_search(G.n, G.edges, 1, degree_order(G), budget,
+                                  least=True)
 
 
 def chromatic_number(G, budget=UNLIMITED):

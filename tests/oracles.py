@@ -7,9 +7,13 @@ definitional validator, canonical forms by backtracking over every vertex
 relabeling, low-support pruning one edge at a time, local-lemma resampling
 by rescanning every edge after each step, the exact kernels by plain
 recursive backtracking with no pruning beyond infeasibility and the trivial
-bound, the first independent set of a given size by the same recursion, the coloring kernel's tree by forward checking over every edge at the
-tried vertex, the H-free level search by one containment test per candidate or
-by one canonical form per candidate outside the forbidden triples,
+bound, the first independent set of a given size by the same recursion, the
+forward-checking tree of the coloring kernel before it propagated forced
+colours by a scan of every edge at the tried vertex, the coloring kernel's
+tree by recomputing every vertex's allowed colours, forced colours
+propagated to a fixpoint, from scratch at each node, the H-free level
+search by one containment test per candidate or by one canonical form per
+candidate outside the forbidden triples,
 HypergraphFile text and edge lists by one Python step per line and per edge,
 edge orderings by a depth-first search over start and next edges, the
 edge orbits of a pattern by embedding it less one edge into itself, the
@@ -680,6 +684,82 @@ def reference_pair_scan_kcolor_search(n, edges, k, order, max_nodes=0,
         p += 1
         if p == n:
             return Coloring(tuple(colors), palette)
+
+
+def reference_propagating_kcolor_search(n, edges, k, order, max_nodes=0):
+    """_kernels.kcolor_search's tree by plain recursion: at each node, every
+    uncolored vertex's allowed colors are recomputed from scratch, and
+    forced colors are propagated to a fixpoint, before a color is tried.
+
+    A vertex is fixed when colored, or forced when k >= 2 and one color is
+    left to it; a color is allowed at an unfixed vertex unless some edge
+    holds it and two vertices fixed to that color.  A partial coloring is
+    dead when an unfixed vertex has no allowed color or some edge has its
+    three vertices fixed alike.  A color is tried only where it is allowed,
+    a try is entered only if it leaves the coloring alive, and the nodes
+    are counted as the kernel counts them: the root, then each try entered.
+    Vertices in no edge are set aside and take color 0.  Returns a Coloring
+    with palette k, None or EXHAUSTED.
+    """
+    palette = k
+    covered = {v for e in edges for v in e}
+    order = [v for v in order if v in covered]
+    if not order:
+        return Coloring((0,) * n, palette)
+    k = min(k, len(order))
+    colors = [0] * n
+    nodes = 0
+    exhausted = False
+
+    def allowed(fixed, v):
+        return [c for c in range(k) if not any(
+            v in e and sum(fixed.get(u) == c for u in e) == 2 for e in edges)]
+
+    def fixpoint(colored):
+        # the colored vertices plus the forced ones, or None if dead
+        fixed = dict(colored)
+        changed = True
+        while changed:
+            if any(all(u in fixed for u in e) and
+                   len({fixed[u] for u in e}) == 1 for e in edges):
+                return None
+            changed = False
+            for v in order:
+                if v not in fixed:
+                    left = allowed(fixed, v)
+                    if not left:
+                        return None
+                    if k >= 2 and len(left) == 1:
+                        fixed[v] = left[0]
+                        changed = True
+        return fixed
+
+    def dfs(p, colored):
+        nonlocal nodes, exhausted
+        nodes += 1
+        if max_nodes and nodes > max_nodes:
+            exhausted = True
+            return False
+        if p == len(order):
+            for v, c in colored.items():
+                colors[v] = c
+            return True
+        v = order[p]
+        fixed = fixpoint(colored)
+        used = len(set(colored.values()))
+        for c in range(min(used, k - 1) + 1):
+            if (fixed[v] != c) if v in fixed else (c not in allowed(fixed, v)):
+                continue
+            child = {**colored, v: c}
+            if fixpoint(child) is not None and dfs(p + 1, child):
+                return True
+            if exhausted:
+                return False
+        return False
+
+    if dfs(0, {}):
+        return Coloring(tuple(colors), palette)
+    return EXHAUSTED if exhausted else None
 
 
 def reference_mis_search(n, edges, max_nodes=0, deadline=0.0):

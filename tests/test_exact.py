@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -123,13 +124,13 @@ class TestBudget:
                                 SearchBudget(max_nodes=3)) is EXHAUSTED
 
     def test_one_node_cap_for_every_k(self):
-        # K11 needs 2 + 7 + 32 + 208 + 1799 + 12 = 2060 kernel nodes over
-        # k = 1..6, the most for one k 1799
-        G, meter = cons.complete(11), SearchBudget(max_nodes=2000).start()
+        # K11 needs 2 + 3 + 14 + 88 + 749 + 12 = 868 kernel nodes over
+        # k = 1..6, the most for one k 749
+        G, meter = cons.complete(11), SearchBudget(max_nodes=800).start()
         assert chromatic_number(G, meter) is EXHAUSTED
-        assert meter.nodes == 2001
-        meter = SearchBudget(max_nodes=2060).start()
-        assert chromatic_number(G, meter) == 6 and meter.nodes == 2060
+        assert meter.nodes == 801
+        meter = SearchBudget(max_nodes=868).start()
+        assert chromatic_number(G, meter) == 6 and meter.nodes == 868
 
     def test_mis_exhaustion_returns_sentinel(self):
         assert max_independent_set(cons.complete(9),
@@ -141,23 +142,24 @@ class TestBudget:
         assert res is EXHAUSTED or res == 7
 
     def test_no_new_k_after_deadline(self, monkeypatch):
-        # every k takes a second on a fake clock, so the 1 ms deadline has
-        # passed once k = 1 is refuted; k = 2 and 3 must not be started
-        now = [0.0]
-        monkeypatch.setattr(core, "monotonic", lambda: now[0])
-        real = _kernels.kcolor_search
-        tried = []
+        # each clock read moves the fake clock a second on, so the 1 ms
+        # deadline has passed once k = 1 is refuted in 2 nodes; k = 2 and 3
+        # must not be started
+        ticks = itertools.count()
+        monkeypatch.setattr(core, "monotonic", lambda: float(next(ticks)))
+        meter = SearchBudget(max_millis=1).start()
+        assert chromatic_number(cons.complete(5), meter) is EXHAUSTED
+        assert meter.nodes == 2
 
-        def slow(n, edges, k, order, budget):
-            tried.append(k)
-            now[0] += 1.0
-            return real(n, edges, k, order, budget)
+    def test_one_kernel_call_per_climb(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(_kernels, "kcolor_search", slow)
-        res = chromatic_number(cons.complete(5), SearchBudget(max_millis=1))
-        assert res is EXHAUSTED and tried == [1]
-        now[0], tried[:] = 0.0, []
-        assert chromatic_number(cons.complete(5)) == 3 and tried == [1, 2, 3]
+        def recording(*args, real=_kernels.kcolor_search, **kw):
+            calls.append(args[2])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(_kernels, "kcolor_search", recording)
+        assert chromatic_number(cons.complete(5)) == 3 and calls == [1]
 
     def test_table_build_honours_deadline(self):
         # the kernels' tables for 3e5 edges take ~0.3 s to build, and

@@ -262,15 +262,16 @@ class TestCli:
         calls = []
         kcolor_search = _kernels.kcolor_search
 
-        def counted(n, edges, k, *rest):
-            calls.append(k)
-            return kcolor_search(n, edges, k, *rest)
+        def counted(n, edges, k, *rest, **kw):
+            calls.append((k, kw))
+            return kcolor_search(n, edges, k, *rest, **kw)
 
+        # one kernel call climbs k = 1, 2, 3 on one table
         monkeypatch.setattr(_kernels, "kcolor_search", counted)
         code, out = run_cli(["chi"], stdin_text=serialize_hypergraph(
             cons.named("fano")), monkeypatch=monkeypatch, capsys=capsys)
         assert code == 0 and json.loads(out)["result"] == {"chi": 3}
-        assert calls == [1, 2, 3]
+        assert calls == [(1, {"least": True})]
 
     def test_color_lll_checks_the_lemma_once(self, monkeypatch, capsys):
         calls = []

@@ -3,8 +3,9 @@
 The pruned kernels search a subset of the references' trees in the same
 order, so they return exactly the references' results, also under every node
 cap under which a reference finishes.  The coloring kernel also searches
-exactly the tree of the pair-scanning reference, so both finish under the
-same least node cap.
+exactly the tree of the propagating reference, so both finish under the
+same least node cap, and that cap is never above the forward-checking
+pair-scan reference's.
 """
 
 import math
@@ -21,7 +22,8 @@ from hyperchrome import constructions as cons
 from hyperchrome.core import EXHAUSTED, Coloring, degree_order, new_hypergraph
 
 from oracles import (reference_first_independent_set, reference_kcolor_search,
-                     reference_mis_search, reference_pair_scan_kcolor_search)
+                     reference_mis_search, reference_pair_scan_kcolor_search,
+                     reference_propagating_kcolor_search)
 
 
 def random_instance(seed):
@@ -78,22 +80,25 @@ class TestAgainstReference:
 
     @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_kcolor_same_tree_as_pair_scan(self, seed, k, by_degree):
+    def test_kcolor_same_tree_as_propagating(self, seed, k, by_degree):
         n, edges, order = dense_instance(seed, by_degree)
         want = reference_pair_scan_kcolor_search(n, edges, k, order)
         assert _kernels.kcolor_search(n, edges, k, order) == want
         # the least finishing cap of a search that finishes within 30000
-        # nodes, checked on the reference at that cap and one below it
+        # nodes, checked on the propagating reference at that cap and one
+        # below it, and on the pair scan one below it
         first = least_finishing_cap(
             lambda cap: _kernels.kcolor_search(n, edges, k, order, cap),
             limit=30_000)
         if first is None:
-            assert reference_pair_scan_kcolor_search(
+            assert reference_propagating_kcolor_search(
                 n, edges, k, order, 30_000) is EXHAUSTED
             return
-        assert reference_pair_scan_kcolor_search(
+        assert reference_propagating_kcolor_search(
             n, edges, k, order, first) == want
         if first > 1:
+            assert reference_propagating_kcolor_search(
+                n, edges, k, order, first - 1) is EXHAUSTED
             assert reference_pair_scan_kcolor_search(
                 n, edges, k, order, first - 1) is EXHAUSTED
 
@@ -147,7 +152,7 @@ class TestPruning:
     # the least node cap under which each search finishes, pruned kernel
     # against reference: pins the node-counting rule and the pruning itself
     @pytest.mark.parametrize("n, k, pruned, plain",
-                             [(7, 3, 32, 56), (9, 4, 208, 535)])
+                             [(7, 3, 14, 56), (9, 4, 88, 535)])
     def test_kcolor_complete(self, n, k, pruned, plain):
         edges, order = list(combinations(range(n), 3)), list(range(n))
         assert least_finishing_cap(
@@ -158,12 +163,12 @@ class TestPruning:
             limit=1000) == plain
 
     # the least node cap under which each search finishes, measured on the
-    # pair-scanning kernel: pins that its tree is kept
+    # propagating kernel: pins that its tree is kept
     @pytest.mark.parametrize("G, k, order, pruned", [
-        (cons.complete(11), 5, list(range(11)), 1799),
-        (cons.complete(13), 6, list(range(13)), 19356),
+        (cons.complete(11), 5, list(range(11)), 749),
+        (cons.complete(13), 6, list(range(13)), 8016),
         (cons.partition_example(5, 4), 4,
-         degree_order(cons.partition_example(5, 4)), 283),
+         degree_order(cons.partition_example(5, 4)), 115),
     ], ids=["K11-k5", "K13-k6", "part(5,4)-k4-degree"])
     def test_kcolor_unsatisfiable(self, G, k, order, pruned):
         search = lambda cap: _kernels.kcolor_search(G.n, G.edges, k, order, cap)
@@ -188,6 +193,14 @@ class TestKernelAgainstRichPaths:
         best = _kernels.mis_search(100, [(0, 1, 2)])
         assert len(best) == 99
 
+
+
+def test_vertices_in_no_edge_are_set_aside():
+    # a million vertices in no edge take color 0 without a search
+    started = time.monotonic()
+    got = _kernels.kcolor_search(10**6, [], 1, range(10**6))
+    assert time.monotonic() - started < 0.5
+    assert got == Coloring((0,) * 10**6, 1)
 
 
 def test_sparse_tries_read_only_their_edges():
