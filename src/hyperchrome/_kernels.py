@@ -87,8 +87,6 @@ def kcolor_search(n, edges, k, order, budget=UNLIMITED, *legacy, least=False):
     # an int budget is a node cap, and legacy its deadline: read only by
     # perfbench/ and tests; goes at ROADMAP item 1's declared change
     meter = Meter(budget, *legacy) if type(budget) is int else budget.start()
-    if n == 0:
-        return Coloring((), k)
     if meter.full():
         return EXHAUSTED
     try:

@@ -6,7 +6,7 @@ reproduce identical outputs bit for bit.
 
 import random
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, isqrt
 
 from .core import Hypergraph, new_hypergraph
@@ -118,16 +118,10 @@ def gq(q):
                 return tuple((c * inv) % q for c in vec)
         return None
 
-    points = []
-    index = {}
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    v = normalize((a, b, c, d))
-                    if v is not None and v not in index:
-                        index[v] = len(points)
-                        points.append(v)
+    # a normalized vector is the least of its nonzero multiples, so this
+    # lists each point once, in the order of first sight over all vectors
+    points = [v for v in product(range(q), repeat=4) if normalize(v) == v]
+    index = {v: i for i, v in enumerate(points)}
 
     def omega(x, y):
         return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q

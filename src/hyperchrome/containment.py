@@ -115,19 +115,19 @@ def _plan(n, edges):
     return order, steps
 
 
-def _embeddings(steps, link, meter=None):
+def _embeddings(steps, link, meter):
     """Yield (phi, image) for every injective map phi of a plan's vertices
     into the vertices of link's graph that keeps their edges, in
     lexicographic order: phi[i] is the image of order[i], image the mask of
     all images.  phi is one list updated in place between yields.  Each
-    descent is a node of the core.Meter meter, if given, capped or not; it
-    yields EXHAUSTED and stops as the kernels do, asking for the time every
-    64 nodes, not 4096: a descent may build link masks, O(degree) work each."""
+    descent is a node of the core.Meter meter, capped or not; it yields
+    EXHAUSTED and stops as the kernels do, asking for the time every 64
+    nodes, not 4096: a descent may build link masks, O(degree) work each."""
     width = len(steps)
     if not width:
         yield [], 0
         return
-    if meter and meter.full():
+    if meter.full():
         yield EXHAUSTED
         return
     at = link.at
@@ -154,12 +154,11 @@ def _embeddings(steps, link, meter=None):
             continue
         used |= low
         i += 1
-        if meter:
-            meter.nodes += 1
-            if 0 < meter.max_nodes < meter.nodes or (
-                    not meter.nodes & 63 and meter.late()):
-                yield EXHAUSTED
-                return
+        meter.nodes += 1
+        if 0 < meter.max_nodes < meter.nodes or (
+                not meter.nodes & 63 and meter.late()):
+            yield EXHAUSTED
+            return
         m = base[i] & ~used
         for get in steps[i][1]:
             m &= link[get(phi)]
@@ -219,12 +218,13 @@ def _edge_images(plans, G):
     """The triples f' such that for some plan (steps, fixed) of an edge f
     of H, H - f embeds into G with f mapped onto f'.  fixed holds
     the positions of f's vertices in the plan's order; f's other vertices
-    are wildcards over the unused vertices."""
+    are wildcards over the unused vertices.  The descents spend an unlimited
+    meter of their own, not the level search's."""
     pairs, wholes, seen = {}, set(), set()
     full = (1 << G.n) - 1
     link = Links(G)
     for steps, fixed in plans:
-        for phi, image in _embeddings(steps, link):
+        for phi, image in _embeddings(steps, link, UNLIMITED.start()):
             ends = sorted(phi[j] for j in fixed)
             spare = full & ~image
             if len(ends) == 3:

@@ -4,31 +4,30 @@ Vertices are 0-based integers below ``n``; edges are stored as sorted,
 duplicate-free tuples.  All objects here are immutable and safe to share,
 except two indexes that fill themselves as they are read (a Hypergraph's
 incidence list, built once on first use, and a Links index) and the Meter
-that one budgeted computation spends.  EXHAUSTED is the result of every
-budgeted search whose budget ran out.
+that one budgeted computation spends.  Every budgeted search says that its
+Meter is spent in one way only: it returns (or yields) EXHAUSTED.
 """
 
 from collections import Counter, namedtuple
+from enum import Enum
 from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter, lt
 from time import monotonic
 
 
-class _Exhausted:
-    # one instance, also after copy and pickle, so `is EXHAUSTED` holds
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _Exhausted(Enum):
+    # an Enum member stays one object after copy and pickle, so
+    # `is EXHAUSTED` holds
+    EXHAUSTED = "EXHAUSTED"
 
     def __repr__(self):
         return "EXHAUSTED"
 
+    __str__ = __repr__
 
-EXHAUSTED = _Exhausted()
+
+EXHAUSTED = _Exhausted.EXHAUSTED
 
 
 class SearchBudget(namedtuple("SearchBudget", "max_nodes max_millis")):

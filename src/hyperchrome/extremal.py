@@ -30,6 +30,7 @@ from itertools import combinations
 
 from . import exact
 from .cache import ResultRecord
+# contains: read only by perfbench/; goes at ROADMAP item 1's declared change
 from .containment import (Embedding, ForbiddenTriples, contains,
                           embedding_ok, is_free)
 from .core import Hypergraph, Links, canonical_form, pair_support
@@ -157,8 +158,8 @@ def _hfree_level_reps(n, forbidden, meter):
 
     The core.Meter meter is read before each parent and before each
     candidate triple not in the parent (its deadline), and charged one node
-    per candidate labelled.  Once it is spent, yields (edge_count, None)
-    for the unfinished level and stops."""
+    per candidate labelled.  Once it is spent, yields (edge_count,
+    EXHAUSTED) for the unfinished level and stops."""
     empty, gens = Hypergraph(n, 3, ()), []
     canonical_form(empty, gens)
     count, level = 0, [(empty, gens)]
@@ -166,29 +167,29 @@ def _hfree_level_reps(n, forbidden, meter):
         yield count, [G for G, _ in level]
         count += 1
         level = _children(n, forbidden, level, meter)
-        if level is None:
-            yield count, None
+        if level is exact.EXHAUSTED:
+            yield count, exact.EXHAUSTED
             return
 
 
 def _children(n, forbidden, level, meter):
-    # the next level's (representative, generators) pairs, or None once
-    # the meter is spent
+    # the next level's (representative, generators) pairs, or EXHAUSTED
+    # once the meter is spent
     nxt = {}
     for G, auts in level:
         if meter.late():
-            return None
+            return exact.EXHAUSTED
         present, banned = G.edge_set(), forbidden.of(G)
         for e in combinations(range(n), 3):
             if e in present:
                 continue
             if meter.late():
-                return None
+                return exact.EXHAUSTED
             if e in banned or any(sorted(map(g.get, e, e)) < list(e)
                                   for g in auts):
                 continue
             if meter.full():
-                return None
+                return exact.EXHAUSTED
             meter.nodes += 1
             cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
             nxt.setdefault(canonical_form(cand, found), (cand, found))
@@ -197,27 +198,21 @@ def _children(n, forbidden, level, meter):
 
 def _cached(kind, key, param, cache, valid, search):
     """The record for (kind, key, param): served from cache when
-    valid(record) is true, else computed by search() -> (value, status,
-    witness) and stored.  valid returns None when it cannot check within
-    budget; such a record is kept, a false one evicted."""
+    valid(record) is True, else computed by search() -> (value, status,
+    witness) and stored.  valid returns EXHAUSTED when it cannot check
+    within budget; such a record is kept, a false one evicted."""
     if cache is not None:
         rec = cache.get(kind, key, param)
         if rec is not None and rec.status == "exact":
             ok = valid(rec)
-            if ok:
+            if ok is True:  # EXHAUSTED is truthy and checks nothing
                 return rec
-            if ok is not None:
+            if ok is not exact.EXHAUSTED:
                 cache.evict(kind, key, param)
     rec = ResultRecord(kind, key, param, *search())
     if cache is not None:
         cache.put(rec)
     return rec
-
-
-def _free(W, H, meter):
-    # whether W is H-free, for a revalidation: None when the meter runs out
-    found = contains(W, H, meter)
-    return None if found is exact.EXHAUSTED else found is None
 
 
 def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
@@ -237,12 +232,12 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     def valid(rec):
         w = rec.witness
         return w.n == n and w.k == 3 and len(w.edges) == rec.value \
-            and _free(w, H, meter)
+            and is_free(w, H, meter)
 
     def search():
         # level 0, the empty graph, always comes first
         for count, reps in _hfree_level_reps(n, forbidden, meter):
-            if reps is None:
+            if reps is exact.EXHAUSTED:
                 return value, "lower_bound", witness
             value, witness = count, reps[0]
         return value, "exact", witness
@@ -276,16 +271,15 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         if W.n != rec.value - 1 or W.k != 3:
             return False
         alpha = exact.independence_number(W, meter)
-        if alpha is exact.EXHAUSTED:
-            return None
-        return alpha < t and _free(W, H, meter)
+        return alpha if alpha is exact.EXHAUSTED else (
+            alpha < t and is_free(W, H, meter))
 
     def search():
         witness = Hypergraph(max(t - 1, 1), 3, ())  # H-free, alpha = t-1
         while witness.n < n_max:
             n = witness.n + 1
             for _, reps in _hfree_level_reps(n, forbidden, meter):
-                if reps is None:
+                if reps is exact.EXHAUSTED:
                     return n, "lower_bound", witness
                 for R in reps:
                     alpha = exact.independence_number(R, meter)

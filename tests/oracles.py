@@ -21,8 +21,9 @@ edge-ordering embedding by scanning incidence lists for each anchored pair,
 greedy witnesses from per-vertex pair lists, link masks by one walk of an
 incidence list per key, induced subgraphs by a scan of every edge, layer
 peeling and independent-set removal by inducing a relabelled graph every
-round, dyadic degree bands by rational comparisons, and balance by a second
-pass over the whole edge set.
+round, dyadic degree bands by rational comparisons, balance by a second
+pass over the whole edge set, and the points of a generalized quadrangle by
+normalizing every vector and keeping each first sight.
 """
 
 import itertools
@@ -382,6 +383,47 @@ def reference_forbidden_level_reps(n, H, over):
                     cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                     nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
+
+
+def reference_gq(q):
+    """constructions.gq with its points listed by normalizing every vector
+    of F_q^4 in lexicographic order and keeping each first sight."""
+
+    def normalize(vec):
+        for x in vec:
+            if x != 0:
+                inv = pow(x, q - 2, q) if q > 2 else x
+                return tuple((c * inv) % q for c in vec)
+        return None
+
+    points = []
+    index = {}
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    v = normalize((a, b, c, d))
+                    if v is not None and v not in index:
+                        index[v] = len(points)
+                        points.append(v)
+
+    def omega(x, y):
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q
+
+    lines = set()
+    npts = len(points)
+    for i in range(npts):
+        for j in range(i + 1, npts):
+            if omega(points[i], points[j]) != 0:
+                continue
+            line = set()
+            pi, pj = points[i], points[j]
+            for a in range(q):
+                comb = normalize(tuple((a * x + y) % q for x, y in zip(pi, pj)))
+                line.add(index[comb])
+            line.add(i)
+            lines.add(tuple(sorted(line)))
+    return Hypergraph(npts, q + 1, tuple(sorted(lines)))
 
 
 def one_at_a_time_prune(G, t):

@@ -12,7 +12,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import exact
 from hyperchrome.core import canonical_form, is_hyperforest, is_linear
 
-from oracles import pool_random_3graph
+from oracles import pool_random_3graph, reference_gq
 
 
 class TestComplete:
@@ -157,6 +157,11 @@ class TestGq:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             cons.gq(4)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_same_labelling_as_first_sight_scan(self, q):
+        # pins the point order, and so every vertex label, for q = 5 and 7
+        assert cons.gq(q) == reference_gq(q)
 
 
 class TestFqBlowup:

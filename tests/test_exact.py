@@ -8,12 +8,12 @@ import time
 import pytest
 
 import hyperchrome
-from hyperchrome import _kernels, core
+from hyperchrome import _kernels, containment, core, extremal
 from hyperchrome import constructions as cons
 from hyperchrome.core import Hypergraph, Meter, is_proper, new_hypergraph
-from hyperchrome.exact import (EXHAUSTED, SearchBudget, chromatic_number,
-                               independence_number, k_colorable,
-                               max_independent_set)
+from hyperchrome.exact import (EXHAUSTED, SearchBudget, chromatic_coloring,
+                               chromatic_number, independence_number,
+                               k_colorable, max_independent_set)
 
 from oracles import brute_alpha, brute_chromatic
 
@@ -108,12 +108,55 @@ class TestInvariants:
             assert independence_number(smaller) >= independence_number(G)
 
 
+EMPTY, FANO = Hypergraph(0, 3, ()), cons.named("fano")
+LP = cons.named("linear_pair")
+
+
+def two_colorable(G, budget):
+    return k_colorable(G, 2, budget)
+
+
+# (search on a meter, what it must give once that meter is spent)
+SPENT_METER = {
+    "kcolor_search-empty": (lambda m: _kernels.kcolor_search(
+        0, (), 1, [], m), EXHAUSTED),
+    "kcolor_search-fano": (lambda m: _kernels.kcolor_search(
+        7, FANO.edges, 3, range(7), m), EXHAUSTED),
+    "mis_search-empty": (lambda m: _kernels.mis_search(0, (), m), EXHAUSTED),
+    "mis_search-fano": (lambda m: _kernels.mis_search(7, FANO.edges, m),
+                        EXHAUSTED),
+    **{f"{f.__name__}-{name}": (lambda m, f=f, G=G: f(G, m), EXHAUSTED)
+       for f in (chromatic_coloring, chromatic_number, independence_number,
+                 two_colorable)
+       for name, G in (("empty", EMPTY), ("fano", FANO))},
+    "contains": (lambda m: containment.contains(FANO, LP, m), EXHAUSTED),
+    "is_free": (lambda m: containment.is_free(FANO, LP, m), EXHAUSTED),
+    "turan_ex": (lambda m: extremal.turan_ex(6, LP, m).status,
+                 "lower_bound"),
+    "ramsey": (lambda m: extremal.ramsey(LP, 4, 7, m).status, "lower_bound"),
+    "verify_witness": (lambda m: extremal.verify_witness(FANO, LP, 2,
+                                                         m).status,
+                       "exhausted"),
+}
+
+
+@pytest.mark.parametrize("name", SPENT_METER)
+def test_spent_meter_stops_every_search_alike(name):
+    # a meter at its cap, also on the empty graph: no search enters a node
+    search, expected = SPENT_METER[name]
+    meter = Meter(max_nodes=3)
+    meter.nodes = 3
+    assert search(meter) == expected
+    assert meter.nodes == 3
+
+
 class TestBudget:
     def test_one_exhausted_sentinel(self):
         assert EXHAUSTED is core.EXHAUSTED is hyperchrome.EXHAUSTED
         assert pickle.loads(pickle.dumps(EXHAUSTED)) is EXHAUSTED
         assert copy.deepcopy(EXHAUSTED) is EXHAUSTED
         assert repr(EXHAUSTED) == "EXHAUSTED"
+        assert str(EXHAUSTED) == "EXHAUSTED"
 
     def test_kcolor_exhaustion(self):
         assert k_colorable(cons.complete(9), 4,

@@ -17,8 +17,8 @@ from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
 from hyperchrome.containment import (ForbiddenTriples, contains,
                                      embedding_ok, is_free)
-from hyperchrome.core import (Hypergraph, Meter, canonical_form, is_linear,
-                              new_hypergraph)
+from hyperchrome.core import (EXHAUSTED, Hypergraph, Meter, canonical_form,
+                              is_linear, new_hypergraph)
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
@@ -586,7 +586,7 @@ def test_level_search_stops_at_the_per_parent_check():
     # the deadline is read first before level 0's one parent
     meter = CountingMeter(late_at=1)
     assert list(ext._hfree_level_reps(5, ForbiddenTriples(LP), meter)) == \
-        [(0, [Hypergraph(5, 3, ())]), (1, None)]
+        [(0, [Hypergraph(5, 3, ())]), (1, EXHAUSTED)]
     assert (meter.reads, meter.nodes) == (1, 0)
 
 
@@ -786,6 +786,31 @@ class TestCache:
         assert budgeted.status == "lower_bound"
         kept = ResultCache(path).get("ramsey", first.key, 3)
         assert (kept.value, kept.status) == (4, "exact")
+
+    @pytest.mark.parametrize("cap", range(1, 9))
+    def test_unchecked_ex_record_kept_not_served(self, cap, tmp_path):
+        # the freeness test of the cached witness is cut short, and its
+        # EXHAUSTED is truthy: the record must be neither served nor evicted
+        path = str(tmp_path / "cache.txt")
+        first = ext.turan_ex(6, LP, cache=ResultCache(path))
+        assert (first.value, first.status) == (4, "exact")
+        rec = ext.turan_ex(6, LP, SearchBudget(max_nodes=cap),
+                           cache=ResultCache(path))
+        assert (rec.value, rec.status) == (0, "lower_bound")
+        kept = ResultCache(path).get("ex", first.key, 6)
+        assert (kept.value, kept.status) == (4, "exact")
+
+    def test_unchecked_ramsey_record_kept_not_served(self, tmp_path):
+        # the witness's alpha search takes all 6 nodes of the cap and
+        # passes; the freeness test that follows is cut short
+        path = str(tmp_path / "cache.txt")
+        first = ext.ramsey(LP, 4, 7, cache=ResultCache(path))
+        assert (first.value, first.status) == (5, "exact")
+        meter = SearchBudget(max_nodes=6).start()
+        rec = ext.ramsey(LP, 4, 7, meter, cache=ResultCache(path))
+        assert rec.status == "lower_bound" and meter.nodes == 6
+        kept = ResultCache(path).get("ramsey", first.key, 4)
+        assert (kept.value, kept.status) == (5, "exact")
 
     def test_two_writers_keep_both_records(self, tmp_path):
         path = str(tmp_path / "cache.txt")
