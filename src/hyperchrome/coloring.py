@@ -25,20 +25,18 @@ E_UPPER = Fraction(2718281828459045236, 10 ** 18)
 SMALL_DEGREE_COEFF = Fraction(1, 12) / E_UPPER
 
 
-class GreedyTrace(namedtuple("GreedyTrace", "coloring witness")):
-    """Greedy coloring plus, per vertex and per color below its own, one
-    witness edge whose two other vertices are earlier and share that color."""
+class GreedyTrace(namedtuple("GreedyTrace", "coloring")):
+    """A first-fit greedy coloring.  Its chain witnesses follow from G, the
+    order and the colors, and extract_chain finds them from there."""
 
-    # witness[v] = tuple of edges, index c -> edge for color c
     __slots__ = ()
 
 
 class GreedyFailure(namedtuple("GreedyFailure",
-                               "vertex cap witnesses prefix_witness")):
+                               "vertex cap witnesses colors")):
     """Greedy hit the palette cap: `vertex` would need color >= cap, with one
-    witness edge per blocked color 0..cap-1.  `prefix_witness` carries the
-    witnesses of the vertices placed before the failure, which the chain
-    extraction walks through."""
+    witness edge per blocked color 0..cap-1.  `colors` holds the colors
+    given before the failure, -1 for the rest."""
 
     __slots__ = ()
 
@@ -50,99 +48,92 @@ class ColoringFailure(namedtuple("ColoringFailure", "stage detail")):
 
 
 def greedy_pluhar(G, ord, palette_cap=None):
-    """First-fit greedy coloring along `ord` with full witness structure.
+    """First-fit greedy coloring along `ord`.
 
     Each vertex takes the minimal color that does not complete a
     monochromatic edge.  With `palette_cap` set, returns a GreedyFailure at
-    the first vertex that would need a color >= cap, carrying its cap-many
-    witness edges.  The witness for a color c is the first edge at the
-    vertex, in edge order, whose two other vertices share color c.
+    the first vertex that would need a color >= cap, with its cap-many
+    witness edges (`_witness`).  An order not on G's vertices raises.
     """
     if G.k != 3:
         raise ValueError("greedy coloring handles 3-graphs")
     n, at = G.n, G.at
+    if ord.n != n:
+        raise ValueError("order does not match graph")
     colors = [-1] * n
-    witness = [()] * n
     top = -1
     for v in ord.order:
-        blocking = {}
-        for e in at[v]:
-            a, b, c = e
-            # (a, b) becomes the pair of e's vertices other than v
+        blocked = set()
+        for a, b, c in at[v]:
+            # (a, b) becomes the pair of the edge's vertices other than v
             if a == v:
                 a = c
             elif b == v:
                 b = c
             ca = colors[a]
-            if ca >= 0 and ca == colors[b] and ca not in blocking:
-                blocking[ca] = e
+            if ca >= 0 and ca == colors[b]:
+                blocked.add(ca)
         c = 0
-        while c in blocking:
+        while c in blocked:
             c += 1
         if palette_cap is not None and c >= palette_cap:
-            return GreedyFailure(
-                vertex=v,
-                cap=palette_cap,
-                witnesses=tuple(blocking[i] for i in range(palette_cap)),
-                prefix_witness=tuple(witness),
-            )
+            return GreedyFailure(v, palette_cap, tuple(
+                _witness(G, ord, colors, v, i) for i in range(palette_cap)),
+                tuple(colors))
         colors[v] = c
-        witness[v] = tuple(blocking[i] for i in range(c))
         top = max(top, c)
     palette = max(top + 1, 1) if n else 1
-    return GreedyTrace(Coloring(tuple(colors), palette), tuple(witness))
+    return GreedyTrace(Coloring(tuple(colors), palette))
 
 
-def _descend(G, ord, witness_at, start_vertex, start_color):
-    # walk down the witness structure: at (v, c) take the witness edge for
-    # color c-1 and continue from its minimum-position vertex
+def _witness(G, ord, colors, v, c):
+    # the witness rule: v's first edge in G.at[v] whose two other vertices
+    # come before v in the order and have color c
     pos = ord.position
+    for e in G.at[v]:
+        if all(u == v or (colors[u] == c and pos[u] < pos[v]) for u in e):
+            return e
+    raise ValueError("coloring is not greedy along the order")
+
+
+def _descend(G, ord, colors, starts, c):
+    # from the earliest of `starts` at color c: take the witness for color
+    # c-1 and continue from its minimum-position vertex
+    if ord.n != G.n:
+        raise ValueError("order does not match graph")
+    pos = ord.position
+    v = min(starts, key=pos.__getitem__)
     chain = []
-    v = start_vertex
-    c = start_color
     while c > 0:
-        e = witness_at(v, c - 1)
-        chain.append(e)
-        v = min(e, key=lambda u: pos[u])
         c -= 1
-    chain.reverse()
-    return OrderedChain(tuple(chain))
+        e = _witness(G, ord, colors, v, c)
+        chain.append(e)
+        v = min(e, key=pos.__getitem__)
+    return OrderedChain(tuple(reversed(chain)))
 
 
 def extract_chain(G, ord, trace):
     """An ordered (C-1)-chain certifying a C-color greedy trace, C >= 2.
 
     Starts from the earliest vertex of the top color and repeatedly descends
-    through witness edges to their minimum-position vertex.
+    through witness edges to their minimum-position vertex.  Each witness is
+    found in G by `_witness`; a coloring not first-fit along `ord` raises.
     """
-    coloring = trace.coloring
-    if len(coloring.colors) != G.n or len(trace.witness) != G.n:
+    colors = trace.coloring.colors
+    if len(colors) != G.n:
         raise ValueError("trace does not match graph")
-    eset = G.edge_set()
-    for ws in trace.witness:
-        for e in ws:
-            if e not in eset:
-                raise ValueError("trace witness edge not in graph")
-    top = max(coloring.colors, default=0)
+    top = max(colors, default=0)
     if top < 1:
         raise ValueError("chain extraction needs at least 2 colors")
-    pos = ord.position
-    start = min((v for v in range(G.n) if coloring.colors[v] == top),
-                key=lambda v: pos[v])
-    return _descend(G, ord, lambda v, c: trace.witness[v][c], start, top)
+    return _descend(G, ord, colors,
+                    (v for v in range(G.n) if colors[v] == top), top)
 
 
 def chain_from_failure(G, ord, failure):
     """An ordered cap-chain from a greedy palette-cap failure: the failing
-    vertex descends through its own witnesses and then through those of the
-    earlier vertices it lands on."""
-
-    def witness_at(v, c):
-        if v == failure.vertex:
-            return failure.witnesses[c]
-        return failure.prefix_witness[v][c]
-
-    return _descend(G, ord, witness_at, failure.vertex, failure.cap)
+    vertex descends through its witnesses and then through those of the
+    earlier vertices it lands on, all found from `failure.colors`."""
+    return _descend(G, ord, failure.colors, (failure.vertex,), failure.cap)
 
 
 def chain_or_independent(G, ord, r, t):

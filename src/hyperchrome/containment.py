@@ -122,13 +122,11 @@ def _embeddings(steps, link, meter):
     all images.  phi is one list updated in place between yields.  Each
     descent is a node of the core.Meter meter, capped or not; it yields
     EXHAUSTED and stops as the kernels do, asking for the time every 64
-    nodes, not 4096: a descent may build link masks, O(degree) work each."""
+    nodes, not 4096: a descent may build link masks, O(degree) work each.
+    A meter full on entry is the caller's to refuse, as contains does."""
     width = len(steps)
     if not width:
         yield [], 0
-        return
-    if meter.full():
-        yield EXHAUSTED
         return
     at = link.at
     at_least = {d: sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
@@ -171,14 +169,18 @@ def contains(G, H, budget=UNLIMITED):
 
     The first valid map in the search order: the vertices in H's edges are
     placed as in the module docstring, and H's isolated vertices then take
-    the lowest unused vertices of G.
+    the lowest unused vertices of G.  A spent meter gives EXHAUSTED before
+    any answer, also the trivial ones for an edgeless H or H.n > G.n.
     """
     if G.k != H.k:
         raise ValueError("uniformity mismatch")
+    meter = budget.start()
+    if meter.full():
+        return EXHAUSTED
     if H.n > G.n:
         return None
     order, steps = _plan(H.n, H.edges)
-    first = next(_embeddings(steps, Links(G), budget.start()), None)
+    first = next(_embeddings(steps, Links(G), meter), None)
     if first is None or first is EXHAUSTED:
         return first
     phi, image = first

@@ -222,11 +222,14 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     returned record carries an extremal witness.  On budget exhaustion the
     status is lower_bound and the value is the best level reached.  An exact
     cache record is served only when its witness revalidates within budget.
+    An H with no edges is in every graph, so it is refused, as in ramsey.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if not H.edges:
+        raise ValueError("ex(n, H) needs H with at least one edge")
     meter, forbidden = budget.start(), ForbiddenTriples(H)
 
     def valid(rec):

@@ -18,7 +18,8 @@ HypergraphFile text and edge lists by one Python step per line and per edge,
 edge orderings by a depth-first search over start and next edges, the
 edge orbits of a pattern by embedding it less one edge into itself, the
 edge-ordering embedding by scanning incidence lists for each anchored pair,
-greedy witnesses from per-vertex pair lists, link masks by one walk of an
+greedy witnesses from per-vertex pair lists kept in a per-vertex table
+and chains by descending through that table, link masks by one walk of an
 incidence list per key, induced subgraphs by a scan of every edge, layer
 peeling and independent-set removal by inducing a relabelled graph every
 round, dyadic degree bands by rational comparisons, balance by a second
@@ -33,9 +34,9 @@ from time import monotonic
 from hyperchrome.coloring import ColoringFailure, GreedyFailure, GreedyTrace
 from hyperchrome.containment import Embedding, embedding_ok
 from hyperchrome.extremal import EdgeOrdering, prune_low_support
-from hyperchrome.core import (EXHAUSTED, Coloring, Hypergraph, canonical_form,
-                              incidence, is_ordered_chain, is_proper,
-                              pair_support)
+from hyperchrome.core import (EXHAUSTED, Coloring, Hypergraph, OrderedChain,
+                              canonical_form, incidence, is_ordered_chain,
+                              is_proper, pair_support)
 
 
 def pairs_at(n, edges):
@@ -462,9 +463,13 @@ def scan_greedy_independent(G):
 
 
 def reference_greedy_pluhar(G, ord, palette_cap=None):
-    """coloring.greedy_pluhar over pairs_at: each vertex reads the other two
-    vertices of its edges from a pair list, and a witness edge is rebuilt
-    by sorting the vertex with its pair."""
+    """(record, witness): coloring.greedy_pluhar's GreedyTrace or
+    GreedyFailure, built over pairs_at, and the table of witness edges that
+    it keeps as it goes.  Each vertex reads the other two vertices of its
+    edges from a pair list, and a witness edge is rebuilt by sorting the
+    vertex with its pair.  witness[v][c] is v's witness for color c, for
+    every colored vertex and for a failing vertex's colors below the cap;
+    the rest are ()."""
     n = G.n
     pairs = pairs_at(n, G.edges)
     colors = [-1] * n
@@ -480,17 +485,39 @@ def reference_greedy_pluhar(G, ord, palette_cap=None):
         while c in blocking:
             c += 1
         if palette_cap is not None and c >= palette_cap:
-            return GreedyFailure(
-                vertex=v,
-                cap=palette_cap,
-                witnesses=tuple(blocking[i] for i in range(palette_cap)),
-                prefix_witness=tuple(witness),
-            )
+            witnesses = tuple(blocking[i] for i in range(palette_cap))
+            witness[v] = witnesses
+            return (GreedyFailure(v, palette_cap, witnesses, tuple(colors)),
+                    tuple(witness))
         colors[v] = c
         witness[v] = tuple(blocking[i] for i in range(c))
         top = max(top, c)
     palette = max(top + 1, 1) if n else 1
-    return GreedyTrace(Coloring(tuple(colors), palette), tuple(witness))
+    return GreedyTrace(Coloring(tuple(colors), palette)), tuple(witness)
+
+
+def reference_chain(ord, record, witness):
+    """The chain that coloring.extract_chain or chain_from_failure returns
+    for a record of reference_greedy_pluhar: from the failing vertex at the
+    cap, or from the earliest vertex of the top color, take the stored
+    witness for the next lower color and go on from its minimum-position
+    vertex."""
+    pos = ord.position
+    if isinstance(record, GreedyFailure):
+        v, c = record.vertex, record.cap
+    else:
+        colors = record.coloring.colors
+        c = max(colors)
+        v = min((u for u in range(len(colors)) if colors[u] == c),
+                key=lambda u: pos[u])
+    chain = []
+    while c > 0:
+        c -= 1
+        e = witness[v][c]
+        chain.append(e)
+        v = min(e, key=lambda u: pos[u])
+    chain.reverse()
+    return OrderedChain(tuple(chain))
 
 
 class PerKeyLinks(dict):

@@ -16,7 +16,8 @@ from hyperchrome.core import (Coloring, Hypergraph, VertexOrder,
                               is_ordered_chain, is_proper, new_hypergraph)
 from hyperchrome.exact import SearchBudget
 
-from oracles import (reference_dyadic_classes, reference_greedy_pluhar,
+from oracles import (reference_chain, reference_dyadic_classes,
+                     reference_greedy_pluhar,
                      reference_independent_removal_color, reference_induced,
                      reference_peel_layers, rescan_lll_color)
 
@@ -68,12 +69,13 @@ class TestGreedy:
             ordv = random_order(n, seed)
             tr = col.greedy_pluhar(G, ordv)
             assert is_proper(G, tr.coloring)[0]
-            # witness structure proves minimality color by color
+            # the reference's witness table proves minimality color by color
+            witness = reference_greedy_pluhar(G, ordv)[1]
             pos = ordv.position
             for v in range(n):
                 cv = tr.coloring.colors[v]
-                assert len(tr.witness[v]) == cv
-                for c, e in enumerate(tr.witness[v]):
+                assert len(witness[v]) == cv
+                for c, e in enumerate(witness[v]):
                     assert v in e
                     others = [u for u in e if u != v]
                     assert all(pos[u] < pos[v] for u in others)
@@ -91,7 +93,7 @@ class TestGreedy:
     def test_matches_pair_list_reference(self, G, seed, cap):
         ordv = random_order(G.n, seed)
         assert col.greedy_pluhar(G, ordv, palette_cap=cap) == \
-            reference_greedy_pluhar(G, ordv, palette_cap=cap)
+            reference_greedy_pluhar(G, ordv, palette_cap=cap)[0]
 
 
 class TestExtractChain:
@@ -115,11 +117,12 @@ class TestExtractChain:
             col.extract_chain(G, ordv, col.greedy_pluhar(G, ordv))
 
     def test_witness_edge_not_in_graph(self):
+        # vertex 1 has color 1, but no edge of G at it has its other two
+        # vertices earlier and of color 0
         G = new_hypergraph(4, 3, [(0, 1, 2)])
         ordv = VertexOrder.identity(4)
-        tr = col.greedy_pluhar(G, ordv)
-        forged = tr._replace(witness=((), (), ((0, 1, 3),), ()))
-        with pytest.raises(ValueError, match="witness edge not in graph"):
+        forged = col.GreedyTrace(Coloring((0, 1, 1, 0), 2))
+        with pytest.raises(ValueError, match="not greedy"):
             col.extract_chain(G, ordv, forged)
 
     def test_trace_mismatch(self):
@@ -128,6 +131,24 @@ class TestExtractChain:
         with pytest.raises(ValueError):
             col.extract_chain(cons.loose_cycle(3),
                               VertexOrder.identity(6), tr)
+
+    @given(small_3graphs(), st.integers(0, 2 ** 32),
+           st.sampled_from([None, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_chains_match_witness_table_reference(self, G, seed, cap):
+        # witnesses found from the colors give the chains that the
+        # stored per-vertex witness table gave
+        ordv = random_order(G.n, seed)
+        res = col.greedy_pluhar(G, ordv, palette_cap=cap)
+        ref, witness = reference_greedy_pluhar(G, ordv, palette_cap=cap)
+        assert res == ref
+        if isinstance(res, col.GreedyFailure):
+            chain = col.chain_from_failure(G, ordv, res)
+        elif res.coloring.used() >= 2:
+            chain = col.extract_chain(G, ordv, res)
+        else:
+            return
+        assert chain == reference_chain(ordv, ref, witness)
 
     def test_random_sweep_chain_always_valid(self):
         for seed in range(60):

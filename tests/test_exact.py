@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import time
+from operator import attrgetter
 
 import pytest
 
@@ -110,6 +111,7 @@ class TestInvariants:
 
 EMPTY, FANO = Hypergraph(0, 3, ()), cons.named("fano")
 LP = cons.named("linear_pair")
+EDGELESS2, EDGELESS3 = Hypergraph(2, 3, ()), Hypergraph(3, 3, ())
 
 
 def two_colorable(G, budget):
@@ -131,12 +133,24 @@ SPENT_METER = {
        for name, G in (("empty", EMPTY), ("fano", FANO))},
     "contains": (lambda m: containment.contains(FANO, LP, m), EXHAUSTED),
     "is_free": (lambda m: containment.is_free(FANO, LP, m), EXHAUSTED),
+    # the trivial answers wait for the meter too: an edgeless H, and an H
+    # with more vertices than G
+    "contains-edgeless": (lambda m: containment.contains(FANO, EDGELESS3, m),
+                          EXHAUSTED),
+    "is_free-edgeless": (lambda m: containment.is_free(FANO, EDGELESS3, m),
+                         EXHAUSTED),
+    "contains-larger": (lambda m: containment.contains(EDGELESS2, FANO, m),
+                        EXHAUSTED),
+    "is_free-larger": (lambda m: containment.is_free(EDGELESS2, FANO, m),
+                       EXHAUSTED),
     "turan_ex": (lambda m: extremal.turan_ex(6, LP, m).status,
                  "lower_bound"),
     "ramsey": (lambda m: extremal.ramsey(LP, 4, 7, m).status, "lower_bound"),
     "verify_witness": (lambda m: extremal.verify_witness(FANO, LP, 2,
                                                          m).status,
                        "exhausted"),
+    "verify_witness-larger": (lambda m: attrgetter("h_free", "status")(
+        extremal.verify_witness(EDGELESS2, FANO, 1, m)), (None, "exhausted")),
 }
 
 

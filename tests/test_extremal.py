@@ -280,6 +280,13 @@ class TestTuranEx:
             ext.turan_ex(-1, LP, cache=ResultCache(path))
         assert not ResultCache(path).records
 
+    def test_edgeless_h_rejected(self, tmp_path):
+        # every graph contains an edgeless H, so no witness could be H-free
+        path = str(tmp_path / "cache.txt")
+        with pytest.raises(ValueError, match="at least one edge"):
+            ext.turan_ex(5, Hypergraph(3, 3, ()), cache=ResultCache(path))
+        assert not ResultCache(path).records
+
     def test_node_cap_stops_mid_level(self):
         # the 1000th candidate is labelled at ~0.2 s, level 6 ends at ~1.7 s
         started = time.monotonic()

@@ -74,6 +74,7 @@ def test_cli_exit_codes(text, cmd, tmp_path, monkeypatch):
 K4_4 = new_hypergraph(4, 4, [(0, 1, 2, 3)])  # not 3-uniform
 EDGE = new_hypergraph(3, 3, [(0, 1, 2)])
 LP = cons.named("linear_pair")
+K5 = cons.complete(5)
 INPUT_CHECKS = {
     "lll_check-uniformity": (lambda: col.lll_check(K4_4, 3), "3-graphs"),
     "independent_removal_color-uniformity": (
@@ -88,9 +89,19 @@ INPUT_CHECKS = {
                                     "3-graphs"),
     "ForbiddenTriples.of-uniformity": (
         lambda: ForbiddenTriples(LP).of(K4_4), "3-graphs"),
+    "greedy_pluhar-order-longer": (lambda: col.greedy_pluhar(
+        K5, VertexOrder.identity(7)), "order does not match graph"),
+    "greedy_pluhar-order-shorter": (lambda: col.greedy_pluhar(
+        K5, VertexOrder.identity(3)), "order does not match graph"),
+    "extract_chain-order-shorter": (lambda: col.extract_chain(
+        K5, VertexOrder.identity(3),
+        col.greedy_pluhar(K5, VertexOrder.identity(5))),
+        "order does not match graph"),
     "prune_low_support-t": (lambda: ext.prune_low_support(EDGE, 2),
                             "at least 3"),
     "ramsey-t": (lambda: ext.ramsey(LP, 2, 5), "at least 3"),
+    "turan_ex-edgeless": (lambda: ext.turan_ex(5, Hypergraph(3, 3, ())),
+                          "at least one edge"),
     "lll_check-palette": (lambda: col.lll_check(EDGE, 0), "at least 1"),
     "dyadic_classes-palette": (lambda: col.dyadic_classes(EDGE, 0),
                                "at least 1"),
