@@ -69,16 +69,18 @@ def embedding_ok(G, H, emb):
     return True
 
 
-def _h_order(at, edges):
+def _h_order(at, edges, root=()):
     """The vertices of an edge list in search order, given its incidence
-    list at: next is the vertex with the most edges into the placed set,
-    ties by higher degree, then lower index.  Vertices in no edge come last,
-    by index."""
+    list at: the vertices of root, then the vertex with the most edges into
+    the placed set, ties by higher degree, then lower index.  Vertices in no
+    edge come last, by index."""
     n = len(at)
     touching = [0] * n
+    for i, u in enumerate(root):  # above any count of edges: placed first
+        touching[u] = len(edges) + 3 - i
     hits = dict.fromkeys(edges, 0)  # placed vertices per edge
     placed = [False] * n
-    heap = [(0, -len(at[u]), u) for u in range(n)]
+    heap = [(-touching[u], -len(at[u]), u) for u in range(n)]
     heapify(heap)
     order = []
     while heap:
@@ -97,41 +99,46 @@ def _h_order(at, edges):
     return order
 
 
-def _plan(n, edges):
+def _plan(n, edges, root=()):
     """Search plan for embedding an edge list on 0..n-1: (order, steps).
-    order lists the vertices in edges in search order; steps[i] is
-    (degree, links) for order[i]: its degree and, for each set of earlier
-    vertices that some edge holds together with order[i], an itemgetter of
-    their positions."""
+    order lists the vertices in edges in search order, root's first;
+    steps[i] is (degree, links) for order[i]: its degree and, for each set
+    of earlier vertices that some edge holds together with order[i], an
+    itemgetter of their positions.  Root's vertices have no links: mapped
+    onto one edge, as the caller does, they lie in every link they need."""
     at = incidence(n, edges)
-    order = [u for u in _h_order(at, edges) if at[u]]
+    order = [u for u in _h_order(at, edges, root) if at[u]]
     pos = {u: i for i, u in enumerate(order)}
     steps = []
     for i, u in enumerate(order):
         placed = {tuple(pos[w] for w in e if w != u and pos[w] < i)
-                  for e in at[u]}
+                  for e in at[u] if i >= len(root)}
         links = [itemgetter(*js) for js in sorted(placed) if js]
         steps.append((len(at[u]), links))
     return order, steps
 
 
-def _embeddings(steps, link, meter):
+def _embeddings(steps, link, meter, root=-1, at_least=None):
     """Yield (phi, image) for every injective map phi of a plan's vertices
-    into the vertices of link's graph that keeps their edges, in
-    lexicographic order: phi[i] is the image of order[i], image the mask of
-    all images.  phi is one list updated in place between yields.  Each
-    descent is a node of the core.Meter meter, capped or not; it yields
-    EXHAUSTED and stops as the kernels do, asking for the time every 64
-    nodes, not 4096: a descent may build link masks, O(degree) work each.
-    A meter full on entry is the caller's to refuse, as contains does."""
+    into the vertices of link's graph that keeps their edges and maps the
+    first three into the mask root, in lexicographic order: phi[i] is the
+    image of order[i], image the mask of all images, phi one list updated
+    in place between yields.  Calls on one graph may share at_least, the
+    masks of the vertices of each degree or more.  Each descent is a node
+    of the core.Meter meter, capped or not; it yields EXHAUSTED and stops
+    as the kernels do, asking for the time every 64 nodes, not 4096: a
+    descent may build link masks, O(degree) work each.  A meter full on
+    entry is the caller's to refuse, as contains does."""
     width = len(steps)
     if not width:
         yield [], 0
         return
-    at = link.at
-    at_least = {d: sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
-                for d in {d for d, _ in steps}}
-    base = [at_least[d] for d, _ in steps]
+    at, at_least = link.at, {} if at_least is None else at_least
+    for d, _ in steps:
+        if d not in at_least:
+            at_least[d] = sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
+    base = [at_least[d] & (root if i < 3 else -1)
+            for i, (d, _) in enumerate(steps)]
     phi = [0] * width
     cands = [0] * width
     cands[0] = base[0]
@@ -212,21 +219,21 @@ class TripleMasks(namedtuple("TripleMasks", "pairs wholes")):
         get = self.pairs.get
         if (get((a, b), 0) >> c | get((a, c), 0) >> b | get((b, c), 0) >> a) & 1:
             return True
-        bits = 1 << a | 1 << b | 1 << c
-        return any(m & bits == bits for m in self.wholes)
+        return any(m >> a & m >> b & m >> c & 1 for m in self.wholes)
 
 
-def _edge_images(plans, G):
-    """The triples f' such that for some plan (steps, fixed) of an edge f
-    of H, H - f embeds into G with f mapped onto f'.  fixed holds
-    the positions of f's vertices in the plan's order; f's other vertices
-    are wildcards over the unused vertices.  The descents spend an unlimited
-    meter of their own, not the level search's."""
-    pairs, wholes, seen = {}, set(), set()
-    full = (1 << G.n) - 1
-    link = Links(G)
+def _edge_images(plans, G, masks=TripleMasks({}, frozenset()), root=-1):
+    """The triples of masks and each f' such that for some plan (steps,
+    fixed) of an edge f of H, H - f embeds into G with f mapped onto f' and
+    its first three vertices into the mask root.  fixed holds the positions
+    of f's vertices in the plan's order; f's other vertices are wildcards
+    over the unused vertices.  The descents spend an unlimited meter of
+    their own, not the level search's."""
+    pairs, wholes, seen = dict(masks.pairs), set(masks.wholes), set()
+    full, link, at_least = (1 << G.n) - 1, Links(G), {}
     for steps, fixed in plans:
-        for phi, image in _embeddings(steps, link, UNLIMITED.start()):
+        for phi, image in _embeddings(steps, link, UNLIMITED.start(), root,
+                                      at_least):
             ends = sorted(phi[j] for j in fixed)
             spare = full & ~image
             if len(ends) == 3:
@@ -259,31 +266,35 @@ class ForbiddenTriples:
 
     Any copy of H in G + e uses e, so of(G) is the set of images of f over
     the embeddings of H - f into G, for one edge f of H per orbit of H's
-    automorphisms, the first in edge order.  The orbit of f is its closure
-    under the generators of Aut(H) that core.canonical_form returns, for H
-    of any size; key keeps the encoding of that call.  An H with no edges
-    is contained in every G on at least H.n vertices, so then every triple
-    is forbidden; an H on more vertices than G forbids none.
+    automorphisms, the first in edge order.  The orbits join each edge with
+    its images under the generators of Aut(H) that core.canonical_form
+    returns, for H of any size; key keeps the encoding of that call.  An H
+    with no edges is contained in every G on at least H.n vertices, so then
+    every triple is forbidden; an H on more vertices than G forbids none.
+
+    grow(masks, G, e) is of(G) from masks = of(G - e): adding e adds only
+    the images of f over the embeddings of H - f that map an edge h of
+    H - f onto e, found on plans rooted at each such h, built on first use.
     """
 
     def __init__(self, H):
         if H.k != 3:
             raise ValueError("forbidden triples are for 3-graphs")
-        self.H, self.plans = H, []
-        gens, covered = [], set()
+        self.H, self.rooted = H, []
+        gens, orbit = [], {e: e for e in H.edges}  # union-find, least root
         self.key = canonical_form(H, gens)
-        for f in H.edges:
-            if f in covered:
-                continue
-            order, steps = _plan(H.n, [e for e in H.edges if e != f])
-            plan = (steps, tuple(i for i, u in enumerate(order) if u in f))
-            self.plans.append(plan)
-            covered.add(f)
-            orbit = [f]
-            for e in orbit:  # grows while it is walked
-                images = {tuple(sorted(map(g.get, e, e))) for g in gens}
-                orbit += images - covered
-                covered |= images
+
+        def root(e):
+            while orbit[e] != e:
+                orbit[e] = e = orbit[orbit[e]]
+            return e
+
+        for g in gens:  # join each edge that g moves with its image
+            for e in {e for v in g for e in H.at[v]}:
+                a, b = sorted((root(e), root(tuple(sorted(map(g.get, e, e))))))
+                orbit[b] = a
+        self.reps = [e for e in H.edges if orbit[e] == e]
+        self.plans = [_fixed_plan(H, f) for f in self.reps]
 
     def of(self, G):
         if G.k != 3:
@@ -293,3 +304,16 @@ class ForbiddenTriples:
         if not self.H.edges:
             return TripleMasks({}, frozenset({(1 << G.n) - 1}))
         return _edge_images(self.plans, G)
+
+    def grow(self, masks, G, e):
+        if self.H.n > G.n:
+            return masks
+        self.rooted = self.rooted or [_fixed_plan(self.H, f, h) for f in
+                                      self.reps for h in self.H.edges if h != f]
+        return _edge_images(self.rooted, G, masks, sum(1 << v for v in e))
+
+
+def _fixed_plan(H, f, root=()):
+    # the plan of H - f rooted at root, and the positions of f's vertices
+    order, steps = _plan(H.n, [e for e in H.edges if e != f], root)
+    return steps, tuple(i for i, u in enumerate(order) if u in f)

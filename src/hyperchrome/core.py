@@ -343,8 +343,7 @@ def is_ordered_chain(G, chain, ord):
         tuple(sorted(e)) for e in chain)
     if len(edges) == 0:
         return False
-    eset = G.edge_set()
-    if any(e not in eset for e in edges):
+    if not all(e and 0 <= e[0] < G.n and e in G.at[e[0]] for e in edges):
         return False
     sets = [set(e) for e in edges]
     r = len(edges)
@@ -426,134 +425,171 @@ def balance(H):
 def canonical_form(G, automorphisms=None):
     """Canonical byte encoding: equal encodings iff isomorphic hypergraphs.
 
-    Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism II", 2014).  The vertices in edges are partitioned into
-    ordered cells, a cell's colour being the position of its first vertex.
-    Refinement splits a cell until its vertices agree on the sorted
-    multiset of the sorted colour tuples of their edges' other vertices;
-    it reads colours only, never labels.  Isolated vertices take the last
-    cell and are never individualized.  While some cell holds two or more
-    vertices, each vertex of the first such cell is split off in turn and
-    the partition refined again.  At a leaf every cell is a single vertex,
-    labelled by its colour; the encoding is the smallest sorted edge list
-    over all leaves, emitted as ``n:k|e1/e2/...``.
-
-    A leaf whose edge list equals the first or best leaf's gives an
-    automorphism.  The search then returns to the level where the two
-    paths part, and it skips every vertex in the orbit of one already tried
-    under the automorphisms found so far that fix the current path.
+    Each connected component of the vertices in edges is labelled on its
+    own by _label; the components take consecutive labels in the order of
+    their keys, and the vertices in no edge the last ones.  The encoding is
+    the relabelled edge list, sorted, emitted as ``n:k|e1/e2/...``.
 
     automorphisms, when a list, receives generators of Aut(G), each a dict
-    v -> g(v) over its moved points only: the automorphisms the search
-    found, then the transpositions of consecutive isolated vertices.  The
-    encoding is the same with or without it.
+    v -> g(v) over its moved points only: those of each component, the swap
+    of each two consecutive isomorphic components, then the transpositions
+    of consecutive isolated vertices.  The encoding does not depend on it.
     """
-    n, k, at = G.n, G.k, G.at
-    # isolated vertices drop out: they would take labels a..n-1, in no edge
-    active = [v for v in range(n) if at[v]]
-    index = {v: i for i, v in enumerate(active)}
-    edges = [tuple(index[v] for v in e) for e in G.edges]
-    others = [[tuple(index[u] for u in e if u != v) for e in at[v]]
-              for v in active]
-    a = len(active)
+    n, at = G.n, G.at
+    label, parts = [None] * n, []
+    for s in range(n):
+        if at[s] and label[s] is None:
+            label[s], comp = s, [s]
+            for v in comp:  # grows while it is walked
+                for e in at[v]:
+                    for u in e:
+                        if label[u] is None:
+                            label[u] = u
+                            comp.append(u)
+            parts.append(_label(comp, at))
+    parts.sort(key=itemgetter(0))
+    gens = [g for _, _, own in parts for g in own]
+    for (key, order, _), (other, image, _) in zip(parts, parts[1:]):
+        if key == other:
+            gens.append({**dict(zip(order, image)), **dict(zip(image, order))})
+    for c, v in enumerate(v for _, order, _ in parts for v in order):
+        label[v] = c
+    if automorphisms is not None:
+        isolated = [v for v in range(n) if not at[v]]
+        automorphisms += gens + [{u: v, v: u}
+                                 for u, v in zip(isolated, isolated[1:])]
+    edges = sorted(tuple(sorted(map(label.__getitem__, e))) for e in G.edges)
+    body = "/".join(",".join(map(str, e)) for e in edges)
+    return f"{n}:{G.k}|{body}".encode()
 
+
+def _label(comp, at):
+    """(key, order, gens) for a connected component comp: order[i] is the
+    vertex labelled i, and key = (len(comp), code), code being the least
+    over all leaves of the sorted bitmasks of the edges' labels.  By
+    individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014), on an explicit stack.  A vertex's colour is the
+    position of its cell; an edge holds h, the sum of mix[colour] over its
+    vertices, and a vertex's signature is the sum of h * h over its edges.
+    Refinement splits each cell that holds a vertex whose signature changed,
+    largest part first, then by signature, until none does.  The children
+    of a node split off each vertex of its first cell of two or more in
+    turn, as that cell's last.
+
+    gens holds the automorphisms found: the transpositions of twins, two
+    vertices next to each other in a cell of the first partition whose swap
+    maps every edge onto an edge, and the map between two leaves of one
+    code.  After a leaf gives one, the search resumes where the two paths
+    part; it skips each vertex in the orbit of one already tried under the
+    automorphisms that fix the current path.
+    """
+    a = len(comp)
+    index = {v: i for i, v in enumerate(comp)}
+    edges = [tuple(map(index.__getitem__, e))
+             for v in comp for e in at[v] if e[0] == v]
+    inc = [[] for _ in comp]
+    for j, e in enumerate(edges):
+        for v in e:
+            inc[v].append(j)
+    mix = [pow(16807, c, 2147483647) for c in range(1, a + 1)]  # Park-Miller
+
+    def refine(colour, cells, h, sig, moved):
+        # recolour the (vertex, colour) pairs moved, their cells already
+        # split, then split the cells whose signatures changed; repeat
+        while moved:
+            touched = set()
+            for v, c in moved:
+                d = mix[c] - mix[colour[v]]
+                colour[v] = c
+                for j in inc[v]:
+                    x, h[j] = h[j], h[j] + d
+                    y = h[j] * h[j] - x * x
+                    for u in edges[j]:
+                        sig[u] += y
+                    touched.update(edges[j])
+            moved = []
+            for s in {colour[u] for u in touched}:
+                if len(cells[s]) < 2:
+                    continue
+                parts, pos = {}, s
+                for v in cells[s]:
+                    parts.setdefault(sig[v], []).append(v)
+                if len(parts) < 2:
+                    continue
+                for x in sorted(parts, key=lambda x: (-len(parts[x]), x)):
+                    part = cells[pos] = parts[x]  # a new list: parents share
+                    if pos != s:
+                        moved += [(v, pos) for v in part]
+                    pos += len(part)
+
+    h = mix[0] * len(edges[0])
+    colour, cells = [0] * a, {0: list(range(a))}
+    h, sig = [h] * len(edges), [len(js) * h * h for js in inc]
+    refine(colour, cells, h, sig, [(0, 0)])  # a no-op move marks cell 0
+    emask = [sum(map((1).__lshift__, e)) for e in edges]
+    eset, gens = set(emask), []  # gens: dicts over their moved points
+    for members in cells.values():
+        for r, v in zip(members, members[1:]):
+            if all(m >> r & 1 or m ^ (1 << v) | (1 << r) in eset
+                   for m in map(emask.__getitem__, inc[v])):
+                gens.append({v: r, r: v})
     first = best = None  # leaves: (code, colour, path)
-    gens = []  # automorphisms found, as vertex maps on 0..a-1
-
-    def search(colour, cells, path):
-        """Explore the node reached by individualizing path; returns the
-        depth of the node to resume at (len(path) - 1: the parent)."""
-        nonlocal first, best
-        depth = len(path)
-        if len(cells) == a:
-            code = sorted(tuple(sorted(colour[v] for v in e)) for e in edges)
+    path, stack = [], []  # a frame per level on the path
+    while True:
+        if len(cells) < a:
+            start = min(s for s, m in cells.items() if len(m) > 1)
+            stack.append([colour, cells, h, sig, start, iter(cells[start]),
+                          [], list(range(a)), 0])
+        else:
+            bit = [1 << c for c in colour]
+            code = sorted([sum(map(bit.__getitem__, e)) for e in edges])
+            back = len(path) - 1  # the level to resume at: the parent's
             if first is None:
-                first = best = (code, colour, path)
-                return depth - 1
-            for ref_code, ref_colour, ref_path in (first, best):
-                if code == ref_code:
-                    vertex_at = [0] * a
-                    for v, c in enumerate(ref_colour):
-                        vertex_at[c] = v
-                    gens.append([vertex_at[c] for c in colour])
+                first = best = code, colour, path[:]
+            for ref, ref_colour, ref_path in (first, best):
+                if code == ref and path != ref_path:
+                    vertex_at = sorted(range(a), key=colour.__getitem__)
+                    gens.append({v: vertex_at[c] for v, c in enumerate(ref_colour)
+                                 if vertex_at[c] != v})
                     # the automorphism maps the reference path onto this
                     # one, so both have this depth and part at some level
-                    common = 0
-                    while path[common] == ref_path[common]:
-                        common += 1
-                    return common
-            if code < best[0]:
-                best = (code, colour, path)
-            return depth - 1
-
-        start = min(c for c, members in cells.items() if len(members) > 1)
-        tried = []
-        orbit = list(range(a))  # union-find under gens fixing path
-        merged = 0
-
-        def root(v):
-            while orbit[v] != v:
-                orbit[v] = orbit[orbit[v]]
-                v = orbit[v]
-            return v
-
-        for w in sorted(cells[start]):
-            if tried:
-                for g in gens[merged:]:
-                    if all(g[x] == x for x in path):
-                        for v in range(a):
-                            orbit[root(v)] = root(g[v])
-                merged = len(gens)
-                if root(w) in {root(t) for t in tried}:
-                    continue
-            tried.append(w)
-            child = colour[:]
-            for u in cells[start]:
-                child[u] = start + 1
-            child[w] = start
-            back = search(child, _equitable(child, others), path + [w])
-            if back < depth:
-                return back
-        return depth - 1
-
-    colour = [0] * a
-    search(colour, _equitable(colour, others), [])
-    if automorphisms is not None:
-        for g in gens:
-            automorphisms.append({active[v]: active[w]
-                                  for v, w in enumerate(g) if v != w})
-        isolated = [v for v in range(n) if not at[v]]
-        automorphisms.extend({u: v, v: u}
-                             for u, v in zip(isolated, isolated[1:]))
-    body = "/".join(",".join(str(v) for v in e) for e in best[0])
-    return f"{n}:{k}|{body}".encode()
-
-
-def _equitable(colour, others):
-    """Refine colour in place until equitable; returns colour -> members.
-
-    colour[v] is the position of the first vertex of v's cell, so a split
-    keeps the order of cells; others[v] lists, per edge at v, the other
-    vertices of that edge.
-    """
-    while True:
-        cells = {}
-        for v, c in enumerate(colour):
-            cells.setdefault(c, []).append(v)
-        moved = {}
-        for start, members in cells.items():
-            if len(members) == 1:
+                    back = next(i for i, (v, u) in enumerate(zip(path, ref_path))
+                                if v != u)
+                    break
+            else:
+                if code < best[0]:
+                    best = code, colour, path[:]
+            del stack[back + 1:]
+        while stack:
+            frame = stack[-1]
+            del path[len(stack) - 1:]
+            colour, cells, h, sig, start, todo, tried, orbit, merged = frame
+            for w in todo:
+                if tried:
+                    for g in gens[merged:]:
+                        if g.keys().isdisjoint(path):
+                            for v, u in g.items():
+                                x, y = orbit[v], orbit[u]
+                                if x != y:
+                                    orbit[:] = [y if o == x else o
+                                                for o in orbit]
+                    frame[8] = merged = len(gens)
+                    if orbit[w] in {orbit[t] for t in tried}:
+                        continue
+                tried.append(w)
+                break
+            else:
+                stack.pop()
                 continue
-            sig = {v: sorted(sorted([colour[u] for u in o]) for o in others[v])
-                   for v in members}
-            members.sort(key=sig.__getitem__)
-            pos, prev = start, sig[members[0]]
-            for i, v in enumerate(members):
-                if sig[v] != prev:
-                    pos, prev = start + i, sig[v]
-                if pos != start:
-                    moved[v] = pos
-        if not moved:
-            return cells
-        for v, c in moved.items():
-            colour[v] = c
+            path.append(w)
+            members = cells[start]
+            last = start + len(members) - 1
+            colour, h, sig = colour[:], h[:], sig[:]
+            cells = {**cells, start: [u for u in members if u != w], last: [w]}
+            refine(colour, cells, h, sig, [(w, last)])
+            break
+        else:
+            break
+    order = [comp[v] for v in sorted(range(a), key=best[1].__getitem__)]
+    return (a, best[0]), order, [{comp[v]: comp[u] for v, u in g.items()}
+                                 for g in gens]

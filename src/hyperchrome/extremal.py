@@ -4,10 +4,10 @@ edge-ordering embedding, and witness verification for m_H(r) bounds.
 turan_ex and ramsey are thin callers of one level search and one cache
 driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
 by edge count.  Level m + 1 holds the one-edge extensions of level m's
-representatives: a parent G is H-free, so a copy of H in G + e must use e,
-and containment.ForbiddenTriples finds all such triples e of G at once,
-from the embeddings of H minus one edge into G.  Each representative keeps
-the automorphism generators of its core.canonical_form call
+representatives: a parent G is H-free, so a copy of H in G + e must use e.
+Each representative keeps those triples e (containment.ForbiddenTriples,
+grown from its parent's by the embeddings that use its new edge) and the
+automorphism generators of its core.canonical_form call
 (individualization-refinement), and a candidate that one of them maps onto
 a smaller triple is skipped (orbit pruning; McKay, "Isomorph-free
 exhaustive generation", 1998).  Each other child gets one canonical form,
@@ -145,16 +145,17 @@ def _hfree_level_reps(n, forbidden, meter):
     isomorphism, for forbidden = containment.ForbiddenTriples(H): yields
     (edge_count, representatives), from the empty graph at level 0.  A
     parent's children are its one-edge extensions by the triples outside
-    forbidden.of(parent), in lexicographic order; the first child seen in
+    its forbidden triples, in lexicographic order; the first child seen in
     each canonical-form class represents it.
 
-    Each representative keeps the automorphism generators its canonical
-    form found.  A candidate triple e that one of them maps onto a smaller
-    triple g(e) is skipped, with no canonical form: the edges and the
-    forbidden triples of the parent are invariant under g, so g(e) is an
-    earlier candidate of the same parent with an isomorphic child.  The
-    first child of each class is never skipped, so the levels and their
-    representatives are those of trying every candidate.
+    Each representative keeps its forbidden triples (forbidden.of for the
+    empty graph, grown from its parent's for a child) and the automorphism
+    generators its canonical form found.  A candidate triple e that one of
+    them maps onto a smaller triple g(e) is skipped, with no canonical form:
+    the edges and the forbidden triples of the parent are invariant under
+    g, so g(e) is an earlier candidate of the same parent with an
+    isomorphic child.  The first child of each class is never skipped, so
+    the levels and their representatives are those of trying every one.
 
     The core.Meter meter is read before each parent and before each
     candidate triple not in the parent (its deadline), and charged one node
@@ -162,9 +163,9 @@ def _hfree_level_reps(n, forbidden, meter):
     EXHAUSTED) for the unfinished level and stops."""
     empty, gens = Hypergraph(n, 3, ()), []
     canonical_form(empty, gens)
-    count, level = 0, [(empty, gens)]
+    count, level = 0, [(empty, gens, forbidden.of(empty))]
     while level:
-        yield count, [G for G, _ in level]
+        yield count, [G for G, *_ in level]
         count += 1
         level = _children(n, forbidden, level, meter)
         if level is exact.EXHAUSTED:
@@ -173,13 +174,13 @@ def _hfree_level_reps(n, forbidden, meter):
 
 
 def _children(n, forbidden, level, meter):
-    # the next level's (representative, generators) pairs, or EXHAUSTED
-    # once the meter is spent
+    # the next level's (representative, generators, forbidden triples)
+    # triples, or EXHAUSTED once the meter is spent
     nxt = {}
-    for G, auts in level:
+    for G, auts, banned in level:
         if meter.late():
             return exact.EXHAUSTED
-        present, banned = G.edge_set(), forbidden.of(G)
+        present = G.edge_set()
         for e in combinations(range(n), 3):
             if e in present:
                 continue
@@ -192,7 +193,8 @@ def _children(n, forbidden, level, meter):
                 return exact.EXHAUSTED
             meter.nodes += 1
             cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
-            nxt.setdefault(canonical_form(cand, found), (cand, found))
+            if (key := canonical_form(cand, found)) not in nxt:
+                nxt[key] = cand, found, forbidden.grow(banned, cand, e)
     return list(nxt.values())
 
 

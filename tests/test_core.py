@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -346,6 +347,20 @@ class TestOrderedChain:
         assert not is_ordered_chain(G, [(0, 1, 2), (1, 2, 3)],
                                     VertexOrder.identity(4))
 
+    def test_reads_the_incidence_list_not_an_edge_set(self, monkeypatch):
+        # the chain command checks every chain: an edge set of G would cost
+        # O(m) time and memory for a chain of a few edges
+        def refuse(G):
+            raise AssertionError("edge_set built")
+
+        G = new_hypergraph(7, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+        monkeypatch.setattr(Hypergraph, "edge_set", refuse)
+        order = VertexOrder.identity(7)
+        assert is_ordered_chain(G, [(0, 1, 2), (2, 3, 4), (4, 5, 6)], order)
+        for chain in ([(0, 1, 2), (2, 3, 5)], [(4, 5, 6), (6, 7, 8)],
+                      [(7, 8, 9)], [()]):
+            assert not is_ordered_chain(G, chain, order), chain
+
 
 def relabeled(G, perm):
     return new_hypergraph(G.n, G.k, [[perm[v] for v in e] for e in G.edges])
@@ -495,6 +510,74 @@ class TestCanonicalForm:
         assert proc.returncode == 0, proc.stderr[-500:]
 
 
+def run_child(script):
+    """Run a script in a child Python that imports this checkout; its
+    stdout.  A failure reports the end of the child's stderr."""
+    src = str(Path(cons.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return proc.stdout
+
+
+class TestComponents:
+    """Each connected component is labelled on its own, so a disjoint union
+    costs the sum of its parts, not one descent per orbit of its parts."""
+
+    def test_80_edge_matching(self):
+        M = matching(80)
+        started = time.monotonic()
+        key = canonical_form(M)
+        assert time.monotonic() - started < 0.5
+        assert key == ("240:3|" + "/".join(
+            f"{3 * i},{3 * i + 1},{3 * i + 2}" for i in range(80))).encode()
+        perm = random.Random(80).sample(range(240), 240)
+        assert canonical_form(relabeled(M, perm)) == key
+
+    def test_5000_vertex_matching_in_child_process(self):
+        script = ("from hyperchrome.core import Hypergraph, canonical_form\n"
+                  "M = Hypergraph(5001, 3, tuple((3 * i, 3 * i + 1, 3 * i + 2)"
+                  " for i in range(1667)))\n"
+                  "found = []\n"
+                  "print(canonical_form(M, found) == b'5001:3|' + '/'.join("
+                  "f'{3 * i},{3 * i + 1},{3 * i + 2}' for i in range(1667))"
+                  ".encode(), len(found))\n")
+        # 2 generators per edge, 1666 swaps of consecutive edges
+        assert run_child(script).split() == ["True", str(2 * 1667 + 1666)]
+
+    def test_components_ordered_by_their_forms(self):
+        # a loose path, an edge and a K4 in any order and labelling give
+        # one encoding; the vertices in no edge still take the last labels
+        parts = [[(0, 1, 2), (2, 3, 4)], [(0, 1, 2)],
+                 [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
+        keys = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            rng.shuffle(parts)
+            edges, base = [], 0
+            for part in parts:
+                edges += [tuple(base + v for v in e) for e in part]
+                base += 1 + max(v for e in part for v in e)
+            G = new_hypergraph(base + 3, 3, edges)
+            keys.add(canonical_form(relabeled(G, rng.sample(range(G.n), G.n))))
+        assert keys == {b"15:3|0,1,2/3,4,5/3,4,6/3,5,6/4,5,6/7,8,11/9,10,11"}
+
+    def test_deep_search_on_an_explicit_stack(self):
+        # a sunflower of 120 petals: the search individualizes one petal
+        # vertex per level, so a recursive search needs 120 frames
+        script = ("import sys\n"
+                  "from hyperchrome.core import Hypergraph, canonical_form\n"
+                  "G = Hypergraph(241, 3, tuple((0, 2 * i + 1, 2 * i + 2)"
+                  " for i in range(120)))\n"
+                  "sys.setrecursionlimit(100)\n"
+                  "found = []\n"
+                  "key = canonical_form(G, found)\n"
+                  "print(key.split(b'|')[1].split(b'/')[-1], len(found))\n")
+        assert run_child(script).split() == ["b'238,239,240'", "239"]
+
+
 def group_order(n, gens):
     """The order of the permutation group on 0..n-1 that the moved-point
     maps gens generate, by closing the identity under them."""
@@ -530,6 +613,13 @@ class TestAutomorphisms:
             assert all(0 <= v < G.n and g[v] != v for v in g)
             assert {tuple(sorted(g.get(v, v) for v in e))
                     for e in edges} == edges
+
+    def test_swaps_of_isomorphic_components(self):
+        # two edges, a pair of isolated vertices: 2 * 3! * 3! * 2 maps
+        G = Hypergraph(8, 3, ((0, 1, 2), (5, 6, 7)))
+        found = []
+        canonical_form(G, found)
+        assert group_order(G.n, found) == brute_automorphism_count(G) == 144
 
     def test_generate_the_whole_group(self):
         # isolated vertices included: small_graph leaves many

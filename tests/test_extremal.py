@@ -469,6 +469,27 @@ class TestForbiddenTriples:
             grown = Hypergraph(n, 3, tuple(sorted(edges | {e})))
             assert (e in forbidden) == (contains(grown, H) is not None), e
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(cons.NAMED)), st.integers(3, 8),
+           st.randoms(use_true_random=False))
+    def test_grown_equal_to_of_per_triple(self, name, n, rng):
+        # a random H-free G, then a triple e with G + e H-free: the masks of
+        # G + e grown from those of G are of(G + e) on every triple
+        H = cons.named(name)
+        triples = list(combinations(range(n), 3))
+        rng.shuffle(triples)
+        edges, forbidden = set(), ForbiddenTriples(H)
+        for e in triples:
+            if contains(Hypergraph(n, 3, tuple(sorted(edges | {e}))), H) is None:
+                G = Hypergraph(n, 3, tuple(sorted(edges)))
+                G_e = Hypergraph(n, 3, tuple(sorted(edges | {e})))
+                grown, want = forbidden.grow(forbidden.of(G), G_e, e), \
+                    forbidden.of(G_e)
+                assert all((t in grown) == (t in want) for t in triples), e
+                edges.add(e)
+                if rng.random() < 0.3:
+                    break
+
     def test_wildcards_are_not_enumerated(self):
         # P2 - f is one edge and f's other two vertices are wildcards: any of
         # the C(2997, 2) unused pairs, which must not be walked one by one
@@ -587,6 +608,28 @@ def test_level_search_counts_every_class(n, classes):
     levels = ext._hfree_level_reps(
         n, ForbiddenTriples(cons.named("sunflower7")), Meter())
     assert sum(len(reps) for _, reps in levels) == classes
+
+
+@pytest.mark.parametrize("name, n_max", [("K4", 6), ("LP", 7)])
+def test_representatives_keep_their_own_forbidden_triples(name, n_max):
+    # each representative but the empty graph takes its masks from its
+    # parent's by grow; they equal of() of the representative itself
+    forbidden = ForbiddenTriples(FORBIDDING[name])
+    checked = []
+
+    def grow(masks, G, e):
+        got, want = ForbiddenTriples.grow(forbidden, masks, G, e), forbidden.of(G)
+        assert all((t in got) == (t in want)
+                   for t in combinations(range(G.n), 3)), G
+        checked.append(G)
+        return got
+
+    forbidden.grow = grow
+    for n in range(3, n_max + 1):
+        checked.clear()
+        reps = [R for _, level in ext._hfree_level_reps(n, forbidden, Meter())
+                for R in level]
+        assert checked == reps[1:]
 
 
 def test_level_search_stops_at_the_per_parent_check():

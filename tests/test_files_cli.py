@@ -367,6 +367,23 @@ class TestLargeInput:
             assert len(chosen) == 4999 and not {0, 1, 2} <= chosen
 
 
+    @pytest.mark.parametrize("m, budget", [(60, ["--budget-ms", "100"]),
+                                           (600, [])], ids=["M60", "M600"])
+    def test_ex_of_a_large_matching(self, m, budget, tmp_path):
+        # H's canonical form and edge orbits come before the search and
+        # inside its budget: each of the m components is labelled apart
+        H = new_hypergraph(3 * m, 3, [(3 * i, 3 * i + 1, 3 * i + 2)
+                                      for i in range(m)])
+        path = tmp_path / "matching.hg"
+        path.write_text(serialize_hypergraph(H))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperchrome.cli", "ex", "--h", str(path),
+             "--n", "4", *budget, "--quiet"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "ex(4, H) = 4 [exact]\n", "")
+
+
 class TestStartUp:
     """A subcommand loads only the modules it runs, and no module loads
     dataclasses: each question to the command line is a fresh process."""
