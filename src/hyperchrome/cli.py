@@ -31,10 +31,9 @@ import sys
 from collections import namedtuple
 from time import monotonic
 
-# The solvers import exact, coloring and extremal when they run, so that a
-# subcommand loads only the modules it uses; what stays here is what gen
-# and every report need.
-from . import constructions as cons
+# The solvers import exact, coloring and extremal when they run, and gen
+# imports constructions, so that a subcommand loads only the modules it
+# uses; what stays here is what every report needs.
 from .cache import ResultCache, encode_graph
 from .containment import Embedding, contains, embedding_ok
 from .core import (Coloring, SearchBudget, VertexOrder, balance, degree_order,
@@ -176,23 +175,26 @@ def _run(name, cmd, args):
     return out.code
 
 
-# gen families, in --help order: name -> (args, seed) -> Hypergraph
-FAMILIES = {
-    "complete": lambda a, seed: cons.complete(a.n),
-    "loose-cycle": lambda a, seed: cons.loose_cycle(a.l),
-    "loose-path": lambda a, seed: cons.loose_path(a.l),
-    "partition": lambda a, seed: cons.partition_example(a.r, a.t),
-    "gq": lambda a, seed: cons.gq(a.q),
-    "fq-blowup": lambda a, seed: cons.fq_blowup(cons.BlowupSpec(a.n, a.tau, seed)),
-    "random": lambda a, seed: cons.random_3graph(a.n, a.m, seed),
-    "hypertree": lambda a, seed: cons.random_hypertree(a.e, seed),
-    **{name.replace("_", "-"): lambda a, seed, name=name: cons.named(name)
-       for name in cons.NAMED},
-}
+def _families():
+    """gen's families, in --help order: name -> (args, seed) -> Hypergraph."""
+    from . import constructions as cons
+    return {
+        "complete": lambda a, seed: cons.complete(a.n),
+        "loose-cycle": lambda a, seed: cons.loose_cycle(a.l),
+        "loose-path": lambda a, seed: cons.loose_path(a.l),
+        "partition": lambda a, seed: cons.partition_example(a.r, a.t),
+        "gq": lambda a, seed: cons.gq(a.q),
+        "fq-blowup": lambda a, seed: cons.fq_blowup(
+            cons.BlowupSpec(a.n, a.tau, seed)),
+        "random": lambda a, seed: cons.random_3graph(a.n, a.m, seed),
+        "hypertree": lambda a, seed: cons.random_hypertree(a.e, seed),
+        **{name.replace("_", "-"): lambda a, seed, name=name: cons.named(name)
+           for name in cons.NAMED},
+    }
 
 
 def _gen(args):
-    G = FAMILIES[args.family](args, _seed(args))
+    G = _families()[args.family](args, _seed(args))
     sys.stdout.write(serialize_hypergraph(G))
     return 0
 
@@ -402,26 +404,32 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser.  Every subcommand is registered with its help; when
+    argv[0] names one, only that one gets its arguments."""
     top = argparse.ArgumentParser(
         prog="hyperchrome",
         description="3-uniform hypergraph coloring laboratory")
     sub = top.add_subparsers(dest="cmd", required=True)
+    only = argv[0] if argv and argv[0] in ("gen", *COMMANDS) else None
 
     g = sub.add_parser("gen", help="write a generated hypergraph to stdout")
-    g.add_argument("family", choices=list(FAMILIES))
-    g.add_argument("--n", type=int, default=0)
-    g.add_argument("--m", type=int, default=0)
-    g.add_argument("--l", type=int, default=3)
-    g.add_argument("--r", type=int, default=2)
-    g.add_argument("--t", type=int, default=3)
-    g.add_argument("--q", type=int, default=2)
-    g.add_argument("--tau", type=int, default=1)
-    g.add_argument("--e", type=int, default=1)
-    g.add_argument("--seed", type=int, default=None)
+    if only in (None, "gen"):
+        g.add_argument("family", choices=list(_families()))
+        g.add_argument("--n", type=int, default=0)
+        g.add_argument("--m", type=int, default=0)
+        g.add_argument("--l", type=int, default=3)
+        g.add_argument("--r", type=int, default=2)
+        g.add_argument("--t", type=int, default=3)
+        g.add_argument("--q", type=int, default=2)
+        g.add_argument("--tau", type=int, default=1)
+        g.add_argument("--e", type=int, default=1)
+        g.add_argument("--seed", type=int, default=None)
 
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        if only not in (None, name):
+            continue
         if cmd.infile:
             p.add_argument("--in", dest="infile", default=None,
                            help="input HypergraphFile (default: stdin)")
@@ -443,7 +451,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -228,7 +228,7 @@ def _edge_images(plans, G, masks=TripleMasks({}, frozenset()), root=-1):
     its first three vertices into the mask root.  fixed holds the positions
     of f's vertices in the plan's order; f's other vertices are wildcards
     over the unused vertices.  The descents spend an unlimited meter of
-    their own, not the level search's."""
+    their own, not the extension engine's."""
     pairs, wholes, seen = dict(masks.pairs), set(masks.wholes), set()
     full, link, at_least = (1 << G.n) - 1, Links(G), {}
     for steps, fixed in plans:

@@ -1,32 +1,28 @@
-"""Brute-force Turan and Ramsey computation at desk scale, the incremental
+"""Exact Turan and Ramsey numbers at desk scale, the incremental
 edge-ordering embedding, and witness verification for m_H(r) bounds.
 
-turan_ex and ramsey are thin callers of one level search and one cache
-driver.  _hfree_level_reps enumerates H-free graphs up to isomorphism, level
-by edge count.  Level m + 1 holds the one-edge extensions of level m's
-representatives: a parent G is H-free, so a copy of H in G + e must use e.
-Each representative keeps those triples e (containment.ForbiddenTriples,
-grown from its parent's by the embeddings that use its new edge) and the
-automorphism generators of its core.canonical_form call
-(individualization-refinement), and a candidate that one of them maps onto
-a smaller triple is skipped (orbit pruning; McKay, "Isomorph-free
-exhaustive generation", 1998).  Each other child gets one canonical form,
-and the first child seen in each class is its representative, the same one
-as with no candidate skipped.  All the searches of one call spend one
-core.Meter; the level search reads its deadline before each parent and
-before each candidate, and charges one node per candidate it labels.
-Budget-limited outcomes are labeled lower_bound and carry the best witness
-found.  _cached owns the cache policy: records are keyed by
-canonical_form(H), computed once per call by containment.ForbiddenTriples,
-only an exact record whose witness revalidates is served, one that fails
-revalidation is evicted, and one that cannot be revalidated within budget
-is kept but not served.  A key is the edge list of a copy of H, so a key
-written by any other canonical labelling can only match H's own class and
-needs no version.
+turan_ex and ramsey are thin callers of one vertex-extension engine and one
+cache driver.  Deleting a vertex keeps a graph H-free, so the H-free graphs
+on m vertices are one-vertex extensions of those on m - 1: _extensions
+yields those whose link meets given vertex sets and has a least size,
+putting a pair in the link only when its triple is outside the forbidden
+triples of the graph so far (containment.ForbiddenTriples), and _classes
+keeps the first of each core.canonical_form class.  turan_ex bounds each
+m by KNS (Katona, Nemetz and Simonovits, 1964) and an edge floor; ramsey's
+links hit the independent (t-1)-sets (McKay and Radziszowski, 1991).  All
+the searches of one call spend one core.Meter.  Budget-limited outcomes
+are labeled lower_bound and carry the best witness found.  _cached owns
+the cache policy: records are keyed by canonical_form(H), computed once
+per call by containment.ForbiddenTriples, only an exact record whose
+witness revalidates is served, one that fails revalidation is evicted, and
+one that cannot be revalidated within budget is kept but not served.  A
+key is the edge list of a copy of H, so a key written by any other
+canonical labelling can only match H's own class and needs no version.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 from . import exact
 from .cache import ResultRecord
@@ -140,62 +136,85 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _hfree_level_reps(n, forbidden, meter):
-    """Iterator over levels of H-free graphs on n labeled vertices up to
-    isomorphism, for forbidden = containment.ForbiddenTriples(H): yields
-    (edge_count, representatives), from the empty graph at level 0.  A
-    parent's children are its one-edge extensions by the triples outside
-    its forbidden triples, in lexicographic order; the first child seen in
-    each canonical-form class represents it.
+def _extensions(G, forbidden, hits, need, meter):
+    """Yield the one-vertex extensions G + v of an H-free 3-graph G, for
+    forbidden = containment.ForbiddenTriples(H) and v = G.n, whose link (the
+    pairs {a, b} with {a, b, v} an edge) holds a pair inside every vertex
+    set in hits and at least need pairs, each once.
 
-    Each representative keeps its forbidden triples (forbidden.of for the
-    empty graph, grown from its parent's for a child) and the automorphism
-    generators its canonical form found.  A candidate triple e that one of
-    them maps onto a smaller triple g(e) is skipped, with no canonical form:
-    the edges and the forbidden triples of the parent are invariant under
-    g, so g(e) is an earlier candidate of the same parent with an
-    isomorphic child.  The first child of each class is never skipped, so
-    the levels and their representatives are those of trying every one.
-
-    The core.Meter meter is read before each parent and before each
-    candidate triple not in the parent (its deadline), and charged one node
-    per candidate labelled.  Once it is spent, yields (edge_count,
-    EXHAUSTED) for the unfinished level and stops."""
-    empty, gens = Hypergraph(n, 3, ()), []
-    canonical_form(empty, gens)
-    count, level = 0, [(empty, gens, forbidden.of(empty))]
-    while level:
-        yield count, [G for G, *_ in level]
-        count += 1
-        level = _children(n, forbidden, level, meter)
-        if level is exact.EXHAUSTED:
-            yield count, exact.EXHAUSTED
+    A pair is included only when its triple is outside the forbidden
+    triples of the graph so far (of(G + v), then grown per pair included).
+    While some set in hits is not hit, the search branches on which of its
+    pairs, in order, is included, banning the earlier ones; then it
+    includes, then excludes, each undecided pair in index order.  If G + v
+    already contains H (H has a vertex in no edge and as many vertices as
+    G + v), nothing comes.  The core.Meter meter is read before G + v and
+    before each pair included (its deadline), and charged one node per
+    graph built, one per pair included.  Once spent, yields EXHAUSTED."""
+    if meter.late():
+        yield exact.EXHAUSTED
+        return
+    v, H = G.n, forbidden.H
+    grown = Hypergraph(v + 1, 3, G.edges)
+    if grown.n == H.n and not all(H.at):
+        free = is_free(grown, H, meter)
+        if free is not True:
+            if free is exact.EXHAUSTED:
+                yield free
             return
+    pairs = list(combinations(range(v), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    sets = [sum(bit[p] for p in combinations(S, 2)) for S in hits]
 
+    def allowed(masks, m):  # the pairs of m whose triple masks allows
+        keep = m
+        while m:
+            low = m & -m
+            m ^= low
+            if pairs[low.bit_length() - 1] + (v,) in masks:
+                keep ^= low
+        return keep
 
-def _children(n, forbidden, level, meter):
-    # the next level's (representative, generators, forbidden triples)
-    # triples, or EXHAUSTED once the meter is spent
-    nxt = {}
-    for G, auts, banned in level:
-        if meter.late():
-            return exact.EXHAUSTED
-        present = G.edge_set()
-        for e in combinations(range(n), 3):
-            if e in present:
-                continue
-            if meter.late():
-                return exact.EXHAUSTED
-            if e in banned or any(sorted(map(g.get, e, e)) < list(e)
-                                  for g in auts):
-                continue
-            if meter.full():
-                return exact.EXHAUSTED
+    masks = forbidden.of(grown)
+    stack = [(grown, masks, 0, allowed(masks, (1 << len(pairs)) - 1), -1)]
+    while stack:
+        graph, masks, link, open_, i = stack.pop()
+        if i >= 0:  # include pair i first
+            if meter.late() or meter.full():
+                yield exact.EXHAUSTED
+                return
             meter.nodes += 1
-            cand, found = Hypergraph(n, 3, tuple(sorted(present | {e}))), []
-            if (key := canonical_form(cand, found)) not in nxt:
-                nxt[key] = cand, found, forbidden.grow(banned, cand, e)
-    return list(nxt.values())
+            e = pairs[i] + (v,)
+            graph = Hypergraph(v + 1, 3, tuple(sorted(graph.edges + (e,))))
+            masks = forbidden.grow(masks, graph, e)
+            link |= 1 << i
+            open_ = allowed(masks, open_)
+        if link.bit_count() + open_.bit_count() < need:
+            continue
+        s = next((s for s in sets if not s & link), 0)
+        if s:  # the j-th pair of s to hit it bans the earlier ones
+            for j in reversed(range(len(pairs))):
+                if (s & open_) >> j & 1:
+                    stack.append((graph, masks, link,
+                                  open_ & ~(s & (2 << j) - 1), j))
+        elif open_:
+            low = open_ & -open_
+            stack.append((graph, masks, link, open_ ^ low, -1))
+            stack.append((graph, masks, link, open_ ^ low,
+                          low.bit_length() - 1))
+        else:
+            yield graph
+
+
+def _classes(extensions):
+    """The extensions yielded by any of the iterables in extensions, one
+    per canonical form, the first seen; EXHAUSTED if one yields it."""
+    classes = {}
+    for child in chain.from_iterable(extensions):
+        if child is exact.EXHAUSTED:
+            return child
+        classes.setdefault(canonical_form(child), child)
+    return list(classes.values())
 
 
 def _cached(kind, key, param, cache, valid, search):
@@ -220,11 +239,15 @@ def _cached(kind, key, param, cache, valid, search):
 def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     """ex(n, H): maximum edges of an H-free 3-graph on n vertices.
 
-    Enumerates H-free graphs level by level with canonical-form dedup; the
-    returned record carries an extremal witness.  On budget exhaustion the
-    status is lower_bound and the value is the best level reached.  An exact
-    cache record is served only when its witness revalidates within budget.
-    An H with no edges is in every graph, so it is refused, as in ramsey.
+    Walks m = 3..n.  From KNS's bound m * ex(m-1) / (m-3), capped at
+    C(m, 3), f falls until one extension with f edges is found of the
+    classes on m-1 vertices with at least f - 3f/m edges; the first f found
+    is ex(m).  Those classes come from the same rule one vertex down,
+    memoised per (m, floor) within the call.  On budget exhaustion the
+    status is lower_bound and the witness the one for ex(m-1) with vertices
+    in no edge added, or the empty graph if H has a vertex in no edge.  An
+    exact cache record is served only when its witness revalidates within
+    budget.  An H with no edges is in every graph, so it is refused.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -233,19 +256,50 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     if not H.edges:
         raise ValueError("ex(n, H) needs H with at least one edge")
     meter, forbidden = budget.start(), ForbiddenTriples(H)
+    memo = {}
 
     def valid(rec):
         w = rec.witness
         return w.n == n and w.k == 3 and len(w.edges) == rec.value \
             and is_free(w, H, meter)
 
+    def floored(m, floor):
+        # the classes on m vertices with at least floor edges, or EXHAUSTED
+        floor = max(floor, 0)
+        if (m, floor) not in memo:
+            if not m:
+                return [Hypergraph(0, 3, ())] if not floor else []
+            parents = floored(m - 1, floor - 3 * floor // m)
+            if parents is exact.EXHAUSTED:
+                return parents
+            found = _classes(_extensions(G, forbidden, (), floor - len(G.edges),
+                                         meter) for G in parents)
+            if found is exact.EXHAUSTED:
+                return found
+            memo[m, floor] = found
+        return memo[m, floor]
+
     def search():
-        # level 0, the empty graph, always comes first
-        for count, reps in _hfree_level_reps(n, forbidden, meter):
-            if reps is exact.EXHAUSTED:
-                return value, "lower_bound", witness
-            value, witness = count, reps[0]
-        return value, "exact", witness
+        best = Hypergraph(0, 3, ())
+        for m in range(3, n + 1):
+            top = comb(m, 3)
+            if m > 3:
+                top = min(top, m * len(best.edges) // (m - 3))
+            for f in range(top, -1, -1):
+                parents = floored(m - 1, f - 3 * f // m)
+                found = parents if parents is exact.EXHAUSTED else next(
+                    chain.from_iterable(_extensions(
+                        G, forbidden, (), f - len(G.edges), meter)
+                        for G in parents), None)
+                if found is exact.EXHAUSTED:
+                    if not all(H.at):
+                        best = Hypergraph(0, 3, ())
+                    return len(best.edges), "lower_bound", \
+                        Hypergraph(n, 3, best.edges)
+                if found is not None:
+                    best = found
+                    break
+        return len(best.edges), "exact", Hypergraph(n, 3, best.edges)
 
     return _cached("ex", forbidden.key.decode(), n, cache, valid, search)
 
@@ -253,13 +307,15 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
 def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
     """R(H, K_t): least n forcing a copy of H or an independent t-set.
 
-    For each n, searches the H-free isomorphism classes for one with
-    independence number below t; when none exists, n is the answer and the
-    critical witness for n-1 is returned.  Hitting n_max or the budget gives
-    a lower_bound record (value = first n not yet decided).  An exact cache
-    record is served only when its witness revalidates within budget.  The
-    level search, every independence-number call and the revalidating
-    freeness test spend one meter.
+    The catalogue of good classes (H-free, no independent t-set) grows one
+    vertex at a time from the empty graph, each link hitting every
+    independent (t-1)-set of its parent.  R is the first n, at most n_max,
+    whose catalogue is empty; the witness is the first class on n-1
+    vertices, or below t the edgeless graph on t-1.  Hitting n_max or the
+    budget gives a lower_bound record (value = first n not yet decided, at
+    least t).  An exact cache record is served only when its witness
+    revalidates within budget.  The catalogues and the revalidation spend
+    one meter.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")
@@ -280,28 +336,30 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
             alpha < t and is_free(W, H, meter))
 
     def search():
-        witness = Hypergraph(max(t - 1, 1), 3, ())  # H-free, alpha = t-1
-        while witness.n < n_max:
-            n = witness.n + 1
-            for _, reps in _hfree_level_reps(n, forbidden, meter):
-                if reps is exact.EXHAUSTED:
-                    return n, "lower_bound", witness
-                for R in reps:
-                    alpha = exact.independence_number(R, meter)
-                    if alpha is exact.EXHAUSTED:
-                        return n, "lower_bound", witness
-                    if alpha < t:
-                        break
-                else:
-                    continue  # no class of this level has alpha < t
-                witness = R
-                break
-            else:
-                return n, "exact", witness  # no class on n vertices does
+        witness = Hypergraph(t - 1, 3, ())  # H-free, alpha = t-1
+        if n_max < t:
+            return t, "lower_bound", witness
+        good = [Hypergraph(0, 3, ())]
+        for n in range(1, n_max + 1):
+            good = _classes(_extensions(G, forbidden, _independent_sets(
+                G, t - 1), 0, meter) for G in good)
+            if good is exact.EXHAUSTED:
+                return max(n, t), "lower_bound", witness
+            if not good:
+                return n, "exact", witness
+            if n >= t:
+                witness = good[0]
         return witness.n + 1, "lower_bound", witness
 
     return _cached("ramsey", forbidden.key.decode(), t, cache, valid,
                    search)
+
+
+def _independent_sets(G, s):
+    # the s-sets of G's vertices that hold no edge, in lexicographic order
+    edges = [sum(1 << u for u in e) for e in G.edges]
+    sets = ((S, sum(1 << u for u in S)) for S in combinations(range(G.n), s))
+    return [S for S, m in sets if all(e & m != e for e in edges)]
 
 
 class WitnessReport(namedtuple("WitnessReport", "h_free chi chi_exceeds_r "

@@ -327,37 +327,33 @@ def brute_turan_ex(n, H):
     return best
 
 
-def reference_hfree_level_reps(n, H, over):
-    """extremal._hfree_level_reps with one contains(G + e, H) call per
-    candidate triple e, in place of the parent's forbidden triples."""
+def reference_hfree_level_reps(n, H):
+    """The H-free 3-graphs on n vertices up to isomorphism, level by edge
+    count, from the empty graph (kept even when it contains H): yields
+    (edge_count, representatives).  Level m + 1 holds the one-edge
+    extensions G + e of level m's representatives, one contains(G + e, H)
+    call per candidate triple e, the first seen of each canonical form."""
     from hyperchrome.containment import contains
 
     count, level = 0, [Hypergraph(n, 3, ())]
     while level:
         yield count, level
         count += 1
-        if over(len(level)):
-            yield count, None
-            return
         nxt = {}
         for G in level:
             present = G.edge_set()
             for e in itertools.combinations(range(n), 3):
-                if e in present:
-                    continue
-                if over(0):
-                    yield count, None
-                    return
-                cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
-                if contains(cand, H) is None:
-                    nxt.setdefault(canonical_form(cand), cand)
+                if e not in present:
+                    cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
+                    if contains(cand, H) is None:
+                        nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
 
 
-def reference_forbidden_level_reps(n, H, over):
-    """extremal._hfree_level_reps with one canonical form per candidate
-    triple outside the parent's forbidden triples: no candidate is skipped
-    by the parent's automorphisms."""
+def reference_forbidden_level_reps(n, H):
+    """reference_hfree_level_reps with the candidates outside each parent's
+    forbidden triples (containment.ForbiddenTriples.of) in place of the
+    contains calls."""
     from hyperchrome.containment import ForbiddenTriples
 
     forbidden = ForbiddenTriples(H)
@@ -365,22 +361,11 @@ def reference_forbidden_level_reps(n, H, over):
     while level:
         yield count, level
         count += 1
-        if over(len(level)):
-            yield count, None
-            return
         nxt = {}
         for G in level:
-            if over(0):
-                yield count, None
-                return
             present, banned = G.edge_set(), forbidden.of(G)
             for e in itertools.combinations(range(n), 3):
-                if e in present:
-                    continue
-                if over(0):
-                    yield count, None
-                    return
-                if e not in banned:
+                if e not in present and e not in banned:
                     cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                     nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())

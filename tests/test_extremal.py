@@ -274,6 +274,18 @@ class TestTuranEx:
         assert (rec.value, rec.status) == (value, "exact")
         assert is_linear(rec.witness) and len(rec.witness.edges) == value
 
+    @pytest.mark.parametrize("n, name, value", [
+        (7, "k4", 23), (8, "k4", 36), (9, "k4", 54), (11, "linear_pair", 17),
+        # the bipartite 3 + 4 construction: every triple but those inside
+        # a part, C(7, 3) - C(3, 3) - C(4, 3)
+        (7, "fano", 30)])
+    def test_engine_pins(self, n, name, value):
+        H = cons.named(name)
+        rec = ext.turan_ex(n, H)
+        assert (rec.value, rec.status) == (value, "exact")
+        W = rec.witness
+        assert W.n == n and len(W.edges) == value and is_free(W, H)
+
     def test_negative_n_rejected(self, tmp_path):
         path = str(tmp_path / "cache.txt")
         with pytest.raises(ValueError, match="vertex count must be nonnegative"):
@@ -288,9 +300,10 @@ class TestTuranEx:
         assert not ResultCache(path).records
 
     def test_node_cap_stops_mid_level(self):
-        # the 1000th candidate is labelled at ~0.2 s, level 6 ends at ~1.7 s
+        # the 1000th graph is built at ~0.1 s, during the search on 8
+        # vertices (1408 nodes in all); n = 9 takes ~3 s uncapped
         started = time.monotonic()
-        rec = ext.turan_ex(7, K4, SearchBudget(max_nodes=1000))
+        rec = ext.turan_ex(9, K4, SearchBudget(max_nodes=1000))
         assert time.monotonic() - started < 0.5
         assert rec.status == "lower_bound"
 
@@ -311,6 +324,8 @@ class TestTuranEx:
             "from hyperchrome.extremal import turan_ex\n"
             "started = time.monotonic()\n"
             "rec = turan_ex(1000, loose_path(2), SearchBudget(max_millis=50))\n"
+            "W = rec.witness\n"
+            "assert W.n == 1000 and len(W.edges) == rec.value\n"
             "print(rec.value, rec.status, time.monotonic() - started)\n")
         src = str(Path(ext.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -319,7 +334,9 @@ class TestTuranEx:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr[-500:]
         value, status, seconds = proc.stdout.split()
-        assert (value, status) == ("0", "lower_bound")
+        # the witness for ex(m, P2) on the last m decided, padded: at least
+        # ex(4, P2) = 4 (K4), however fast the machine
+        assert int(value) >= 4 and status == "lower_bound"
         assert float(seconds) < 5.0
 
 
@@ -327,29 +344,26 @@ K4 = cons.named("k4")
 P2 = cons.loose_path(2)
 
 # (value, status, encoded witness) under SearchBudget(max_nodes=cap) for
-# cap = 1..8.  One meter covers the whole call: the level search charges
-# one node per candidate it labels, and ramsey's alpha calls their kernel
-# nodes; both ramsey rows reach order 5 only at cap 8.
+# cap = 1, 2, ...  One meter covers the whole call: the engine charges one
+# node per graph it builds, one per link pair included.
 BUDGET_TABLE = {
-    "turan_ex(6, LP)": (lambda b: ext.turan_ex(6, LP, b), [
-        (1, "lower_bound", "6:3:1,2,3"),
-        (1, "lower_bound", "6:3:1,2,3"),
-        (2, "lower_bound", "6:3:1,2,3/1,4,5"),
-        (3, "lower_bound", "6:3:1,2,3/1,4,5/2,4,6"),
-        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
-        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
-        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
-        (4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6"),
-    ]),
+    "turan_ex(6, LP)": (lambda b: ext.turan_ex(6, LP, b),
+                        [(1, "lower_bound", "6:3:1,2,3")] * 2
+                        + [(2, "lower_bound", "6:3:1,2,3/1,4,5")] * 5
+                        + [(4, "exact", "6:3:1,2,3/1,4,5/2,4,6/3,5,6")]),
     "turan_ex(5, K4)": (lambda b: ext.turan_ex(5, K4, b),
-                        [(1, "lower_bound", "5:3:1,2,3")] * 2
-                        + [(2, "lower_bound", "5:3:1,2,3/1,2,4")] * 6),
+                        [(1, "lower_bound", "5:3:1,2,3")] * 5
+                        + [(3, "lower_bound", "5:3:1,2,3/1,2,4/1,3,4")] * 10
+                        + [(7, "exact", "5:3:1,2,3/1,2,4/1,2,5/1,3,4/1,3,5/"
+                                        "2,4,5/3,4,5")]),
     "ramsey(LP, 4, 7)": (lambda b: ext.ramsey(LP, 4, 7, b),
-                         [(4, "lower_bound", "3:3:")] * 7
-                         + [(5, "lower_bound", "4:3:1,2,3")]),
+                         [(4, "lower_bound", "3:3:")] * 3
+                         + [(5, "lower_bound", "4:3:1,2,3")] * 2
+                         + [(5, "exact", "4:3:1,2,3")]),
     "ramsey(P2, 4, 8)": (lambda b: ext.ramsey(P2, 4, 8, b),
-                         [(4, "lower_bound", "3:3:")] * 7
-                         + [(5, "lower_bound", "4:3:1,2,3")]),
+                         [(4, "lower_bound", "3:3:")] * 14
+                         + [(5, "lower_bound", "4:3:1,2,3/1,2,4/1,3,4/2,3,4")] * 3
+                         + [(6, "exact", "5:3:1,2,3/1,2,4/1,3,4/2,3,4")]),
 }
 
 
@@ -391,20 +405,25 @@ def test_deadline_stops_mid_level(search, monkeypatch):
 
 def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
     # a cached record whose witness has the right order but alpha = 5 >= t:
-    # revalidation runs one independence-number call, fails, and the search
-    # runs more
+    # revalidation runs one independence-number call, fails, and the
+    # catalogues that follow spend the same meter
     path = str(tmp_path / "cache.txt")
     key = canonical_form(LP).decode()
     ResultCache(path).put(ResultRecord("ramsey", key, 4, 6, "exact",
                                        Hypergraph(5, 3, ())))
-    real = _kernels.mis_search
+    real, extend = _kernels.mis_search, ext._extensions
     meters = []
 
     def recording(n, edges, budget):
         meters.append(budget)
         return real(n, edges, budget)
 
+    def extending(G, forbidden, hits, need, meter):
+        meters.append(meter)
+        return extend(G, forbidden, hits, need, meter)
+
     monkeypatch.setattr(_kernels, "mis_search", recording)
+    monkeypatch.setattr(ext, "_extensions", extending)
     rec = ext.ramsey(LP, 4, 7, SearchBudget(max_millis=60_000),
                      cache=ResultCache(path))
     assert (rec.value, rec.status) == (5, "exact")
@@ -561,59 +580,100 @@ class CountingMeter(Meter):
         return self.reads == self.late_at
 
 
+def _catalogues(n, H, t=None, meter=None, forbidden=None):
+    """The engine's catalogues on 0..n vertices, grown one vertex at a
+    time from the empty graph: every H-free class, or with t every class
+    that is also free of independent t-sets."""
+    forbidden = forbidden or ForbiddenTriples(H)
+    meter = meter or Meter()
+    level, out = [Hypergraph(0, 3, ())], []
+    for _ in range(n):
+        out.append(level)
+        level = ext._classes(ext._extensions(
+            G, forbidden, ext._independent_sets(G, t - 1) if t else (), 0,
+            meter) for G in level)
+    return out + [level]
+
+
+def _forms(graphs):
+    return sorted(canonical_form(G) for G in graphs)
+
+
+# H with a vertex in no edge: one edge on 4 vertices, LP on 5
+EDGE4 = Hypergraph(4, 3, ((0, 1, 2),))
+
+
 @pytest.mark.parametrize("n, name", [
     (5, "K4"), (7, "LP"), (6, "P2"), (6, "C3"), (5, "C3"), (6, "LP+isolated"),
     (5, "edgeless"), (5, "edgeless9"),
 ])
-def test_level_search_matches_reference(n, name, monkeypatch):
-    # same levels and representatives; the deadline is read where the
-    # reference reads it and also once before each parent's forbidden
-    # triples, and one node is charged per candidate labelled
+def test_level_search_matches_reference(n, name):
+    # the engine's catalogue on n vertices holds the H-free classes of the
+    # edge-by-edge level search (tests/oracles.py), one graph per class;
+    # that search keeps the empty graph even when it contains H
     H = FORBIDDING[name]
-    real, labelled = ext.canonical_form, []
-    monkeypatch.setattr(ext, "canonical_form",
-                        lambda G, *a: labelled.append(G) or real(G, *a))
-    meter, checks = CountingMeter(), []
-    levels = [(count, [encode_graph(R) for R in reps]) for count, reps
-              in ext._hfree_level_reps(n, ForbiddenTriples(H), meter)]
-    want = [(count, [encode_graph(R) for R in reps]) for count, reps
-            in reference_hfree_level_reps(
-                n, H, lambda k: checks.append(k) or False)]
-    assert levels == want
-    assert meter.reads == checks.count(0) + sum(len(reps) for _, reps in levels)
-    assert meter.nodes == len(labelled) - 1  # less the empty graph
+    got = _catalogues(n, H)[n]
+    want = [R for _, reps in reference_hfree_level_reps(n, H)
+            for R in reps if is_free(R, H)]
+    assert _forms(got) == _forms(want)
+    assert all(G.n == n and is_free(G, H) for G in got)
 
 
-def _levels(search, n, H, budget):
-    return [(count, [R.edges for R in reps])
-            for count, reps in search(n, H, budget)]
+# every named H, P2 and C3, and the two H with a vertex in no edge
+EX_PATTERNS = {**{name: cons.named(name) for name in cons.NAMED}, "P2": P2,
+               "C3": FORBIDDING["C3"], "edge4": EDGE4,
+               "LP+isolated": FORBIDDING["LP+isolated"]}
+
+
+@pytest.mark.parametrize("name", EX_PATTERNS)
+def test_ex_matches_level_reference(name):
+    # ex(n, H) for n <= 6 is the top H-free level of the reference search
+    H = EX_PATTERNS[name]
+    for n in range(7):
+        levels = [count for count, reps in reference_hfree_level_reps(n, H)
+                  if any(is_free(R, H) for R in reps)]
+        rec = ext.turan_ex(n, H)
+        assert (rec.value, rec.status) == (max(levels), "exact"), n
+        assert rec.witness.n == n and len(rec.witness.edges) == rec.value
+        assert is_free(rec.witness, H)
+
+
+def test_vertex_in_no_edge_guards_the_parent():
+    # G + v holds one edge and a vertex in no edge: a copy of EDGE4, whose
+    # forbidden triples would wrongly let the empty link through
+    assert ext.turan_ex(3, EDGE4).value == 1
+    assert ext.turan_ex(4, EDGE4).value == 0
+    edge = Hypergraph(3, 3, ((0, 1, 2),))
+    assert list(ext._extensions(edge, ForbiddenTriples(EDGE4), (), 0,
+                                Meter())) == []
 
 
 @pytest.mark.parametrize("n, name", [
     (n, name) for name in ("K4", "LP", "P2", "K4-", "fano", "C3")
     for n in range(3, 7)] + [(7, "LP"), (7, "P2")])
 def test_orbit_pruning_keeps_representatives(n, name):
-    # skipping the candidates that a parent automorphism maps lower leaves
-    # every level and representative as one canonical form per candidate
-    # gives them
+    # one representative per class, and the classes of the level search
+    # that labels every candidate outside the forbidden triples
     H = cons.named("fano") if name == "fano" else FORBIDDING[name]
-    assert _levels(ext._hfree_level_reps, n, ForbiddenTriples(H), Meter()) \
-        == _levels(reference_forbidden_level_reps, n, H, lambda k: False)
+    got = _catalogues(n, H)[n]
+    assert len(set(_forms(got))) == len(got)
+    assert _forms(got) == _forms(
+        R for _, reps in reference_forbidden_level_reps(n, H)
+        for R in reps)
 
 
 @pytest.mark.parametrize("n, classes", [(5, 34), (6, 2136)])
 def test_level_search_counts_every_class(n, classes):
     # sunflower7 has 7 vertices, so every 3-graph on n <= 6 is free of it
-    # and the levels hold all isomorphism classes (OEIS A000665)
-    levels = ext._hfree_level_reps(
-        n, ForbiddenTriples(cons.named("sunflower7")), Meter())
-    assert sum(len(reps) for _, reps in levels) == classes
+    # and the catalogue holds all isomorphism classes (OEIS A000665)
+    assert len(_catalogues(n, cons.named("sunflower7"))[n]) == classes
 
 
 @pytest.mark.parametrize("name, n_max", [("K4", 6), ("LP", 7)])
 def test_representatives_keep_their_own_forbidden_triples(name, n_max):
-    # each representative but the empty graph takes its masks from its
-    # parent's by grow; they equal of() of the representative itself
+    # each graph built takes its masks from the one before it by grow; they
+    # equal of() of the graph itself.  One node is charged per graph built,
+    # and the deadline is read before each parent and each graph built
     forbidden = ForbiddenTriples(FORBIDDING[name])
     checked = []
 
@@ -625,27 +685,55 @@ def test_representatives_keep_their_own_forbidden_triples(name, n_max):
         return got
 
     forbidden.grow = grow
-    for n in range(3, n_max + 1):
-        checked.clear()
-        reps = [R for _, level in ext._hfree_level_reps(n, forbidden, Meter())
-                for R in level]
-        assert checked == reps[1:]
+    meter = CountingMeter()
+    levels = _catalogues(n_max, None, meter=meter, forbidden=forbidden)
+    parents = sum(len(level) for level in levels[:-1])
+    assert meter.nodes == len(checked) > 0
+    assert meter.reads == parents + len(checked)
 
 
 def test_level_search_stops_at_the_per_parent_check():
-    # the deadline is read first before level 0's one parent
+    # the deadline is read first, before G + v's forbidden triples
     meter = CountingMeter(late_at=1)
-    assert list(ext._hfree_level_reps(5, ForbiddenTriples(LP), meter)) == \
-        [(0, [Hypergraph(5, 3, ())]), (1, EXHAUSTED)]
+    assert list(ext._extensions(Hypergraph(4, 3, ()), ForbiddenTriples(LP),
+                                (), 0, meter)) == [EXHAUSTED]
     assert (meter.reads, meter.nodes) == (1, 0)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_empty_graph_generators_are_adjacent_swaps(n):
-    # the generators the level search starts from
+    # the generators canonical_form finds for an edgeless graph
     gens = []
     canonical_form(Hypergraph(n, 3, ()), gens)
     assert gens == [{u: u + 1, u + 1: u} for u in range(n - 1)]
+
+
+@pytest.mark.parametrize("name, t, counts", [
+    ("LP", 5, [1, 1, 2, 2, 2, 3, 3, 1, 1, 0]),
+    ("K4-", 4, [1, 1, 2, 2, 4, 7, 1, 0]),
+    ("LP", 6, [1, 1, 2, 2, 3, 5, 10, 13, 14, 5, 0]),
+])
+def test_ramsey_class_counts(name, t, counts):
+    # the good classes (H-free, alpha < t) on n = 1, 2, ... vertices
+    H = FORBIDDING[name]
+    levels = _catalogues(len(counts), H, t)[1:]
+    assert [len(level) for level in levels] == counts
+    for level in levels:
+        assert all(is_free(G, H) and independence_number(G) < t
+                   for G in level)
+
+
+def test_hitting_sets_give_every_good_extension():
+    # on K4-, t = 4: the extensions of each good parent are those of the
+    # unconstrained engine whose independence number stays below 4
+    H, forbidden = FORBIDDING["K4-"], ForbiddenTriples(FORBIDDING["K4-"])
+    for parents in _catalogues(5, H, 4):
+        for G in parents:
+            got = list(ext._extensions(G, forbidden,
+                                       ext._independent_sets(G, 3), 0, Meter()))
+            want = [W for W in ext._extensions(G, forbidden, (), 0, Meter())
+                    if independence_number(W) < 4]
+            assert sorted(W.edges for W in got) == sorted(W.edges for W in want)
 
 
 class TestRamsey:
@@ -673,6 +761,21 @@ class TestRamsey:
     def test_nmax_reached(self):
         rec = ext.ramsey(LP, 4, 3)
         assert rec.status == "lower_bound" and rec.value == 4
+
+    @pytest.mark.parametrize("name, t, n_max, value", [
+        ("linear_pair", 5, 8, 10), ("k4_minus", 4, 8, 8),
+        ("linear_pair", 6, 11, 11)])
+    def test_engine_pins(self, name, t, n_max, value):
+        # R(LP, K5) = 10 is past the default n_max: 8 gives a lower bound
+        H = cons.named(name)
+        rec = ext.ramsey(H, t, max(n_max, value))
+        assert (rec.value, rec.status) == (value, "exact")
+        W = rec.witness
+        assert W.n == value - 1 and is_free(W, H)
+        assert independence_number(W) < t
+        if n_max < value:
+            capped = ext.ramsey(H, t, n_max)
+            assert (capped.value, capped.status) == (n_max + 1, "lower_bound")
 
     def test_requires_edges(self):
         with pytest.raises(ValueError):

@@ -391,12 +391,13 @@ class TestStartUp:
     OPTIONAL = ["dataclasses", "hyperchrome._kernels", "hyperchrome.coloring",
                 "hyperchrome.exact", "hyperchrome.extremal"]
 
-    def loaded(self, argv):
-        """The OPTIONAL modules a child running argv has loaded, compiled
-        from source as when no bytecode is written."""
+    def loaded(self, argv, modules=OPTIONAL):
+        """The modules of a list, OPTIONAL by default, that a child running
+        argv has loaded, compiled from source as when no bytecode is
+        written."""
         script = ("import json, sys; from hyperchrome import cli; "
                   f"code = cli.main({argv!r}); "
-                  f"print(json.dumps([m for m in {self.OPTIONAL!r} "
+                  f"print(json.dumps([m for m in {modules!r} "
                   "if m in sys.modules]), file=sys.stderr); sys.exit(code)")
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(child_env(), PYTHONDONTWRITEBYTECODE="1"),
@@ -406,6 +407,18 @@ class TestStartUp:
 
     def test_gen_loads_no_solver(self):
         assert self.loaded(["gen", "fano"]) == []
+
+    def test_only_gen_loads_constructions(self, tmp_path):
+        # gen's families are built on its first use
+        path = tmp_path / "fano.hg"
+        path.write_text(serialize_hypergraph(cons.named("fano")))
+        constructions = ["hyperchrome.constructions"]
+        assert self.loaded(["gen", "fano"], constructions) == constructions
+        for argv in (["chi", "--in", str(path), "--quiet"],
+                     ["ex", "--h", str(path), "--n", "4", "--quiet"],
+                     ["contains", "--in", str(path), "--h", str(path),
+                      "--quiet"]):
+            assert self.loaded(argv, constructions) == [], argv
 
     def test_chi_loads_exact_only(self, tmp_path):
         path = tmp_path / "fano.hg"
