@@ -24,10 +24,13 @@ incidence list per key, induced subgraphs by a scan of every edge, layer
 peeling and independent-set removal by inducing a relabelled graph every
 round, dyadic degree bands by rational comparisons, balance by a second
 pass over the whole edge set, and the points of a generalized quadrangle by
-normalizing every vector and keeping each first sight.
+normalizing every vector and keeping each first sight.  Three closed forms
+for extremal numbers close the module: Schönheim's packing bound, the
+balanced complete bipartite 3-graph and Turán's three-part construction.
 """
 
 import itertools
+import math
 import random
 from time import monotonic
 
@@ -1099,3 +1102,31 @@ def reference_balance(H):
         whole_covered.update(e)
     whole = Fraction(m - 1, len(whole_covered) - 3)
     return Balance(best, best_sub, whole == best)
+
+
+def packing_number(n, lam):
+    """Schönheim's bound for the lambda-fold packing number D_lambda(n, 3, 2),
+    the most triples on n points with every pair in at most lambda of them:
+    floor((n/3) floor(lambda (n-1)/2)), one less when lambda = 1 and
+    n = 5 (mod 6).  It is exact for lambda = 1 (Spencer, "Maximal consistent
+    families of triples", JCT 1968) and at the lambda = 2, 3 rows pinned."""
+    return n * (lam * (n - 1) // 2) // 3 - (lam == 1 and n % 6 == 5)
+
+
+def bipartite_count(n):
+    """The edges of the balanced complete bipartite 3-graph on n vertices:
+    every triple but those inside one of two parts of sizes floor(n/2) and
+    ceil(n/2).  Fano-free, and extremal for n >= 8 (Bellmann and Reiher,
+    "Turan's theorem for the Fano plane", Combinatorica 2019)."""
+    return math.comb(n, 3) - math.comb(n // 2, 3) - math.comb((n + 1) // 2, 3)
+
+
+def turan_cyclic_count(n):
+    """The edges of Turan's K4-free construction on n vertices: three parts
+    as equal as possible, and the triples meeting all three or holding two
+    vertices of part i and one of part i + 1 (mod 3), the larger of the two
+    cyclic orientations."""
+    sizes = [n // 3 + (i < n % 3) for i in range(3)]
+    return max(sizes[0] * sizes[1] * sizes[2]
+               + sum(math.comb(s[i], 2) * s[(i + 1) % 3] for i in range(3))
+               for s in (sizes, sizes[::-1]))
