@@ -1,25 +1,27 @@
-"""Subgraph containment (not induced), H-freeness and the forbidden triples of
-an H-free 3-graph.
+"""Subgraph containment (not induced), H-freeness and the link rule of a
+3-graph H: which links of a new vertex keep an H-free 3-graph H-free.
 
 An embedding injects all of V(H) into V(G) so that every H-edge lands on a
 G-edge.  Isolated H-vertices still consume distinct G-vertices, so a graph
 with fewer vertices than H is vacuously H-free.
 
-Both searches place the vertices that lie in edges of the pattern one at a
-time, on an explicit stack, in a connectivity-maximizing order, trying G's
-vertices by increasing index.  The candidates for the next vertex are an AND
-of bitmasks over V(G) (Ullmann, "An algorithm for subgraph isomorphism",
-1976): the unused vertices of high enough degree and, for each pattern edge
-holding the vertex and some placed ones, the link of their images, that is
-the vertices of the G-edges holding all of those images (core.Links).
-Once an edge's other vertices are all placed, its link is exactly the
-vertices completing it.  Each constraint is necessary, so the search meets
-the valid maps in lexicographic order along the vertex order.  Vertices in
-no pattern edge are wildcards: any unused vertices will do.  H's edge
+The containment search and the link rule's embeddings place the vertices
+that lie in edges of the pattern one at a time, on an explicit stack, in a
+connectivity-maximizing order, trying G's vertices by increasing index.
+The candidates for the next vertex are an AND of bitmasks over V(G)
+(Ullmann, "An algorithm for subgraph isomorphism", 1976): the unused
+vertices of high enough degree and, for each pattern edge holding the
+vertex and some placed ones, the link of their images, that is the
+vertices of the G-edges holding all of those images (core.Links).  Once an
+edge's other vertices are all placed, its link is exactly the vertices
+completing it.  Each constraint is necessary, so the search meets the
+valid maps in lexicographic order along the vertex order.  Vertices in no
+pattern edge are wildcards: any unused vertices will do.  H's vertex
 orbits come from core.canonical_form; this module builds no index.
 """
 
 from collections import namedtuple
+from itertools import combinations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
@@ -69,18 +71,14 @@ def embedding_ok(G, H, emb):
     return True
 
 
-def _h_order(at, edges, root=()):
-    """The vertices of an edge list in search order, given its incidence
-    list at: the vertices of root, then the vertex with the most edges into
-    the placed set, ties by higher degree, then lower index.  Vertices in no
-    edge come last, by index."""
-    n = len(at)
-    touching = [0] * n
-    for i, u in enumerate(root):  # above any count of edges: placed first
-        touching[u] = len(edges) + 3 - i
+def _h_order(at, edges):
+    """The vertices in some edge of an edge list, in search order, given its
+    incidence list at: next the vertex with the most edges into the placed
+    set, ties by higher degree, then lower index."""
+    touching = [0] * len(at)
     hits = dict.fromkeys(edges, 0)  # placed vertices per edge
-    placed = [False] * n
-    heap = [(-touching[u], -len(at[u]), u) for u in range(n)]
+    placed = [False] * len(at)
+    heap = [(0, -len(e), u) for u, e in enumerate(at) if e]
     heapify(heap)
     order = []
     while heap:
@@ -99,37 +97,35 @@ def _h_order(at, edges, root=()):
     return order
 
 
-def _plan(n, edges, root=()):
-    """Search plan for embedding an edge list on 0..n-1: (order, steps).
-    order lists the vertices in edges in search order, root's first;
-    steps[i] is (degree, links) for order[i]: its degree and, for each set
-    of earlier vertices that some edge holds together with order[i], an
-    itemgetter of their positions.  Root's vertices have no links: mapped
-    onto one edge, as the caller does, they lie in every link they need."""
-    at = incidence(n, edges)
-    order = [u for u in _h_order(at, edges, root) if at[u]]
+def _plan(at, order):
+    """The steps for embedding the edges of the incidence list at, placing
+    the vertices of order in turn: steps[i] is (degree, links) for order[i],
+    its degree and, for each set of earlier vertices that some edge holds
+    together with order[i], an itemgetter of their positions."""
     pos = {u: i for i, u in enumerate(order)}
     steps = []
     for i, u in enumerate(order):
         placed = {tuple(pos[w] for w in e if w != u and pos[w] < i)
-                  for e in at[u] if i >= len(root)}
-        links = [itemgetter(*js) for js in sorted(placed) if js]
-        steps.append((len(at[u]), links))
-    return order, steps
+                  for e in at[u]}
+        steps.append((len(at[u]), [itemgetter(*js) for js in sorted(placed)
+                                   if js]))
+    return steps
 
 
-def _embeddings(steps, link, meter, root=-1, at_least=None):
+def _embeddings(steps, link, meter, at_least=None, keep=None):
     """Yield (phi, image) for every injective map phi of a plan's vertices
-    into the vertices of link's graph that keeps their edges and maps the
-    first three into the mask root, in lexicographic order: phi[i] is the
-    image of order[i], image the mask of all images, phi one list updated
-    in place between yields.  Calls on one graph may share at_least, the
-    masks of the vertices of each degree or more.  Each descent is a node
-    of the core.Meter meter, capped or not; it yields EXHAUSTED and stops
-    as the kernels do, asking for the time every 64 nodes, not 4096: a
-    descent may build link masks, O(degree) work each.  A meter full on
-    entry is the caller's to refuse, as contains does."""
+    into the vertices of link's graph that keeps their edges, in
+    lexicographic order: phi[i] is the image of order[i], image the mask of
+    all images, phi one list updated in place between yields.  With keep,
+    of the maps that agree on the first keep vertices only the first comes.
+    Calls on one graph may share at_least, the masks of the vertices of
+    each degree or more.  Each descent is a node of the core.Meter meter,
+    capped or not; it yields EXHAUSTED and stops as the kernels do, asking
+    for the time every 64 nodes, not 4096: a descent may build link masks,
+    O(degree) work each.  A meter full on entry is the caller's to refuse,
+    as contains does."""
     width = len(steps)
+    keep = width if keep is None else keep
     if not width:
         yield [], 0
         return
@@ -137,8 +133,7 @@ def _embeddings(steps, link, meter, root=-1, at_least=None):
     for d, _ in steps:
         if d not in at_least:
             at_least[d] = sum(1 << g for g in range(len(at)) if len(at[g]) >= d)
-    base = [at_least[d] & (root if i < 3 else -1)
-            for i, (d, _) in enumerate(steps)]
+    base = [at_least[d] for d, _ in steps]
     phi = [0] * width
     cands = [0] * width
     cands[0] = base[0]
@@ -156,6 +151,12 @@ def _embeddings(steps, link, meter, root=-1, at_least=None):
         phi[i] = low.bit_length() - 1
         if i + 1 == width:
             yield phi, used | low
+            if keep < width:  # back to the last kept vertex's next image
+                if not keep:
+                    return
+                for j in range(keep - 1, i):
+                    used ^= 1 << phi[j]
+                i = keep - 1
             continue
         used |= low
         i += 1
@@ -186,8 +187,9 @@ def contains(G, H, budget=UNLIMITED):
         return EXHAUSTED
     if H.n > G.n:
         return None
-    order, steps = _plan(H.n, H.edges)
-    first = next(_embeddings(steps, Links(G), meter), None)
+    at = incidence(H.n, H.edges)
+    order = _h_order(at, H.edges)
+    first = next(_embeddings(_plan(at, order), Links(G), meter), None)
     if first is None or first is EXHAUSTED:
         return first
     phi, image = first
@@ -206,114 +208,71 @@ def is_free(G, H, budget=UNLIMITED):
     return found if found is EXHAUSTED else found is None
 
 
-class TripleMasks(namedtuple("TripleMasks", "pairs wholes")):
-    """A set of vertex triples held as bitmasks: a triple {a, b, c} is in it
-    when c is in pairs[(a, b)], b in pairs[(a, c)] or a in pairs[(b, c)]
-    (pairs keyed with the lower vertex first), or when some mask in wholes
-    holds all three."""
+class LinkRule:
+    """The link rule of one 3-graph H.  Let G be H-free and v a new vertex:
+    G + v contains H iff, for some vertex u of H and some embedding phi of
+    H - u into G, v's link holds phi(L(u)), the image of u's link L(u) (the
+    pairs {a, b} with {a, b, u} in H).  sets(G) is the set of those images,
+    each a mask over the pairs of G taken in combinations(range(G.n), 2)
+    order; an empty one means every G + v contains H.
 
-    __slots__ = ()
-
-    def __contains__(self, e):
-        a, b, c = sorted(e)
-        get = self.pairs.get
-        if (get((a, b), 0) >> c | get((a, c), 0) >> b | get((b, c), 0) >> a) & 1:
-            return True
-        return any(m >> a & m >> b & m >> c & 1 for m in self.wholes)
-
-
-def _edge_images(plans, G, masks=TripleMasks({}, frozenset()), root=-1):
-    """The triples of masks and each f' such that for some plan (steps,
-    fixed) of an edge f of H, H - f embeds into G with f mapped onto f' and
-    its first three vertices into the mask root.  fixed holds the positions
-    of f's vertices in the plan's order; f's other vertices are wildcards
-    over the unused vertices.  The descents spend an unlimited meter of
-    their own, not the extension engine's."""
-    pairs, wholes, seen = dict(masks.pairs), set(masks.wholes), set()
-    full, link, at_least = (1 << G.n) - 1, Links(G), {}
-    for steps, fixed in plans:
-        for phi, image in _embeddings(steps, link, UNLIMITED.start(), root,
-                                      at_least):
-            ends = sorted(phi[j] for j in fixed)
-            spare = full & ~image
-            if len(ends) == 3:
-                a, b, c = ends
-                pairs[a, b] = pairs.get((a, b), 0) | 1 << c
-            elif len(ends) == 2:
-                key = tuple(ends)
-                pairs[key] = pairs.get(key, 0) | spare
-            elif len(ends) == 1:
-                # f = {a, x, y} for any two spare x, y: mark y at each (a, x)
-                a = ends[0]
-                if (a, image) in seen:
-                    continue
-                seen.add((a, image))
-                m = spare
-                while m:
-                    low = m & -m
-                    m ^= low
-                    x = low.bit_length() - 1
-                    key = (a, x) if a < x else (x, a)
-                    pairs[key] = pairs.get(key, 0) | spare
-            else:
-                wholes.add(spare)
-    return TripleMasks(pairs, frozenset(wholes))
-
-
-class ForbiddenTriples:
-    """The forbidden triples of one 3-graph H: for an H-free 3-graph G,
-    of(G) is the TripleMasks of the triples e with G + e containing H.
-
-    Any copy of H in G + e uses e, so of(G) is the set of images of f over
-    the embeddings of H - f into G, for one edge f of H per orbit of H's
-    automorphisms, the first in edge order.  The orbits join each edge with
-    its images under the generators of Aut(H) that core.canonical_form
-    returns, for H of any size; key keeps the encoding of that call.  An H
-    with no edges is contained in every G on at least H.n vertices, so then
-    every triple is forbidden; an H on more vertices than G forbids none.
-
-    grow(masks, G, e) is of(G) from masks = of(G - e): adding e adds only
-    the images of f over the embeddings of H - f that map an edge h of
-    H - f onto e, found on plans rooted at each such h, built on first use.
+    One u per orbit of Aut(H) will do.  The orbits join each vertex with its
+    images under the generators that core.canonical_form returns, for H of
+    any size; key keeps the encoding of that call.  The plan of H - u places
+    u's link vertices first, those in no edge of H - u as any unused vertex,
+    then the other vertices in edges, of which the first completion is
+    enough: they change no image.  The vertices in no edge of H - u outside
+    L(u) always fit once G has H.n - 1 vertices.  When H - u has no edge, its
+    images depend only on G.n and are kept per G.n.  The descents spend an
+    unlimited meter of their own, not the caller's.
     """
 
     def __init__(self, H):
-        if H.k != 3:
-            raise ValueError("forbidden triples are for 3-graphs")
-        self.H, self.rooted = H, []
-        gens, orbit = [], {e: e for e in H.edges}  # union-find, least root
+        self.H, self.memo = H, {}
+        gens, orbit = [], list(range(H.n))  # union-find, least vertex first
         self.key = canonical_form(H, gens)
 
-        def root(e):
-            while orbit[e] != e:
-                orbit[e] = e = orbit[orbit[e]]
-            return e
+        def find(u):
+            while orbit[u] != u:
+                orbit[u] = u = orbit[orbit[u]]
+            return u
 
-        for g in gens:  # join each edge that g moves with its image
-            for e in {e for v in g for e in H.at[v]}:
-                a, b = sorted((root(e), root(tuple(sorted(map(g.get, e, e))))))
+        for g in gens:  # join each vertex that g moves with its image
+            for u, w in g.items():
+                a, b = sorted((find(u), find(w)))
                 orbit[b] = a
-        self.reps = [e for e in H.edges if orbit[e] == e]
-        self.plans = [_fixed_plan(H, f) for f in self.reps]
+        self.plans = []
+        for u in range(H.n):
+            if orbit[u] == u:
+                link = [tuple(w for w in e if w != u) for e in H.at[u]]
+                rest = [e for e in H.edges if u not in e]
+                at, ends = incidence(H.n, rest), {w for p in link for w in p}
+                inner = _h_order(at, rest)
+                order = [w for w in inner if w in ends] + sorted(
+                    ends.difference(inner)) + [w for w in inner if w not in ends]
+                self.plans.append((u, _plan(at, order), len(ends), not rest, [
+                    (order.index(a), order.index(b)) for a, b in link]))
 
-    def of(self, G):
-        if G.k != 3:
-            raise ValueError("forbidden triples are for 3-graphs")
-        if self.H.n > G.n:
-            return TripleMasks({}, frozenset())
-        if not self.H.edges:
-            return TripleMasks({}, frozenset({(1 << G.n) - 1}))
-        return _edge_images(self.plans, G)
-
-    def grow(self, masks, G, e):
-        if self.H.n > G.n:
-            return masks
-        self.rooted = self.rooted or [_fixed_plan(self.H, f, h) for f in
-                                      self.reps for h in self.H.edges if h != f]
-        return _edge_images(self.rooted, G, masks, sum(1 << v for v in e))
-
-
-def _fixed_plan(H, f, root=()):
-    # the plan of H - f rooted at root, and the positions of f's vertices
-    order, steps = _plan(H.n, [e for e in H.edges if e != f], root)
-    return steps, tuple(i for i, u in enumerate(order) if u in f)
+    def sets(self, G):
+        n = G.n
+        if n + 1 < self.H.n:
+            return set()
+        if n not in self.memo:  # bit[a][b]: the mask of the pair {a, b}
+            self.memo[n] = [[0] * n for _ in range(n)]
+            for i, (a, b) in enumerate(combinations(range(n), 2)):
+                self.memo[n][a][b] = self.memo[n][b][a] = 1 << i
+        bit, found, link, at_least = self.memo[n], set(), Links(G), {}
+        for u, steps, keep, edgeless, pos in self.plans:
+            own = self.memo.get((u, n))
+            if own is None:
+                own = set()
+                for phi, _ in _embeddings(steps, link, UNLIMITED.start(),
+                                          at_least, keep):
+                    mask = 0
+                    for i, j in pos:
+                        mask |= bit[phi[i]][phi[j]]
+                    own.add(mask)
+                if edgeless:
+                    self.memo[u, n] = own
+            found |= own
+        return found

@@ -4,18 +4,19 @@ edge-ordering embedding, and witness verification for m_H(r) bounds.
 turan_ex and ramsey are thin callers of one vertex-extension engine and one
 cache driver.  Deleting a vertex keeps a graph H-free, so the H-free graphs
 on m vertices are one-vertex extensions of those on m - 1: _extensions
-yields those whose link meets given vertex sets and has a least size,
-putting a pair in the link only when its triple is outside the forbidden
-triples of the graph so far (containment.ForbiddenTriples), and _classes
-keeps the first of each core.canonical_form class.  turan_ex bounds each
-m by KNS (Katona, Nemetz and Simonovits, 1964) and an edge floor; ramsey's
-links hit the independent (t-1)-sets (McKay and Radziszowski, 1991).  All
-the searches of one call spend one core.Meter.  Budget-limited outcomes
-are labeled lower_bound and carry the best witness found.  _cached owns
-the cache policy: records are keyed by canonical_form(H), computed once
-per call by containment.ForbiddenTriples, only an exact record whose
-witness revalidates is served, one that fails revalidation is evicted, and
-one that cannot be revalidated within budget is kept but not served.  A
+yields those whose link meets given vertex sets, has a least size and
+holds no set of the parent's link rule (containment.LinkRule: the images
+of the link of a vertex u of H over the embeddings of H - u into the
+parent), and _classes keeps the first of each core.canonical_form class.
+turan_ex bounds each m by KNS (Katona, Nemetz and Simonovits, 1964) and an
+edge floor; ramsey's links hit the independent (t-1)-sets (McKay and
+Radziszowski, 1991).  All the searches of one call spend one core.Meter.
+Budget-limited outcomes are labeled lower_bound and carry the best witness
+found.  _cached owns the cache policy: records are keyed by
+canonical_form(H), computed once per call by containment.LinkRule, only an
+exact record whose witness revalidates is served, one that fails
+revalidation is evicted, and one that cannot be revalidated within budget
+is kept but not served.  A
 key is the edge list of a copy of H, so a key written by any other
 canonical labelling can only match H's own class and needs no version.
 """
@@ -27,8 +28,8 @@ from math import comb
 from . import exact
 from .cache import ResultRecord
 # contains: read only by perfbench/; goes at ROADMAP item 1's declared change
-from .containment import (Embedding, ForbiddenTriples, contains,
-                          embedding_ok, is_free)
+from .containment import (Embedding, LinkRule, contains, embedding_ok,
+                          is_free)
 from .core import Hypergraph, Links, canonical_form, pair_support
 
 
@@ -136,74 +137,75 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _extensions(G, forbidden, hits, need, meter):
+def _extensions(G, rule, hits, need, meter):
     """Yield the one-vertex extensions G + v of an H-free 3-graph G, for
-    forbidden = containment.ForbiddenTriples(H) and v = G.n, whose link (the
-    pairs {a, b} with {a, b, v} an edge) holds a pair inside every vertex
-    set in hits and at least need pairs, each once.
+    rule = containment.LinkRule(H) and v = G.n, whose link (the pairs
+    {a, b} with {a, b, v} an edge) holds a pair inside every vertex set in
+    hits and at least need pairs, each once.
 
-    A pair is included only when its triple is outside the forbidden
-    triples of the graph so far (of(G + v), then grown per pair included).
-    While some set in hits is not hit, the search branches on which of its
-    pairs, in order, is included, banning the earlier ones; then it
-    includes, then excludes, each undecided pair in index order.  If G + v
-    already contains H (H has a vertex in no edge and as many vertices as
-    G + v), nothing comes.  The core.Meter meter is read before G + v and
-    before each pair included (its deadline), and charged one node per
-    graph built, one per pair included.  Once spent, yields EXHAUSTED."""
+    G + v is H-free iff its link holds no set of rule.sets(G).  A pair that
+    is such a set on its own never enters the link, and including a pair
+    bans the last open pair of each set that it leaves one short; the
+    two-pair sets are kept as one conflict mask per pair.  While some set in
+    hits is not hit, the search branches on which of its pairs, in order,
+    is included, banning the earlier ones; then it includes, then excludes,
+    each undecided pair in index order.  If the rule holds the empty set
+    (H has a vertex in no edge and the rest of H embeds into G), nothing
+    comes.  The core.Meter meter is read before G + v and before each pair
+    included (its deadline), and charged one node per pair included.  Each
+    child is built once, at its leaf.  Once spent, yields EXHAUSTED."""
     if meter.late():
         yield exact.EXHAUSTED
         return
-    v, H = G.n, forbidden.H
-    grown = Hypergraph(v + 1, 3, G.edges)
-    if grown.n == H.n and not all(H.at):
-        free = is_free(grown, H, meter)
-        if free is not True:
-            if free is exact.EXHAUSTED:
-                yield free
-            return
+    v, found = G.n, rule.sets(G)
+    if 0 in found:
+        return
     pairs = list(combinations(range(v), 2))
     bit = {p: 1 << i for i, p in enumerate(pairs)}
     sets = [sum(bit[p] for p in combinations(S, 2)) for S in hits]
-
-    def allowed(masks, m):  # the pairs of m whose triple masks allows
-        keep = m
+    banned = sum(S for S in found if not S & (S - 1))
+    conflict, larger = [0] * len(pairs), [[] for _ in pairs]
+    for S in found:
+        if S & banned:
+            continue  # it holds a pair that never enters the link
+        members, m = [], S
         while m:
-            low = m & -m
-            m ^= low
-            if pairs[low.bit_length() - 1] + (v,) in masks:
-                keep ^= low
-        return keep
-
-    masks = forbidden.of(grown)
-    stack = [(grown, masks, 0, allowed(masks, (1 << len(pairs)) - 1), -1)]
+            members.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        if len(members) == 2:  # two pairs: each bans the other
+            a, b = members
+            conflict[a] |= 1 << b
+            conflict[b] |= 1 << a
+        else:
+            for i in members:
+                larger[i].append(S)
+    stack = [(0, (1 << len(pairs)) - 1 & ~banned, -1)]
     while stack:
-        graph, masks, link, open_, i = stack.pop()
+        link, open_, i = stack.pop()
         if i >= 0:  # include pair i first
             if meter.late() or meter.full():
                 yield exact.EXHAUSTED
                 return
             meter.nodes += 1
-            e = pairs[i] + (v,)
-            graph = Hypergraph(v + 1, 3, tuple(sorted(graph.edges + (e,))))
-            masks = forbidden.grow(masks, graph, e)
             link |= 1 << i
-            open_ = allowed(masks, open_)
+            open_ &= ~conflict[i]
+            for S in larger[i]:
+                if not (S & ~link) & (S & ~link) - 1:  # one pair short
+                    open_ &= ~S
         if link.bit_count() + open_.bit_count() < need:
             continue
         s = next((s for s in sets if not s & link), 0)
         if s:  # the j-th pair of s to hit it bans the earlier ones
             for j in reversed(range(len(pairs))):
                 if (s & open_) >> j & 1:
-                    stack.append((graph, masks, link,
-                                  open_ & ~(s & (2 << j) - 1), j))
+                    stack.append((link, open_ & ~(s & (2 << j) - 1), j))
         elif open_:
             low = open_ & -open_
-            stack.append((graph, masks, link, open_ ^ low, -1))
-            stack.append((graph, masks, link, open_ ^ low,
-                          low.bit_length() - 1))
+            stack.append((link, open_ ^ low, -1))
+            stack.append((link, open_ ^ low, low.bit_length() - 1))
         else:
-            yield graph
+            yield Hypergraph(v + 1, 3, tuple(sorted(G.edges + tuple(
+                p + (v,) for p in pairs if link & bit[p]))))
 
 
 def _classes(extensions):
@@ -255,7 +257,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
         raise ValueError("vertex count must be nonnegative")
     if not H.edges:
         raise ValueError("ex(n, H) needs H with at least one edge")
-    meter, forbidden = budget.start(), ForbiddenTriples(H)
+    meter, rule = budget.start(), LinkRule(H)
     memo = {}
 
     def valid(rec):
@@ -272,7 +274,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
             parents = floored(m - 1, floor - 3 * floor // m)
             if parents is exact.EXHAUSTED:
                 return parents
-            found = _classes(_extensions(G, forbidden, (), floor - len(G.edges),
+            found = _classes(_extensions(G, rule, (), floor - len(G.edges),
                                          meter) for G in parents)
             if found is exact.EXHAUSTED:
                 return found
@@ -289,7 +291,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
                 parents = floored(m - 1, f - 3 * f // m)
                 found = parents if parents is exact.EXHAUSTED else next(
                     chain.from_iterable(_extensions(
-                        G, forbidden, (), f - len(G.edges), meter)
+                        G, rule, (), f - len(G.edges), meter)
                         for G in parents), None)
                 if found is exact.EXHAUSTED:
                     if not all(H.at):
@@ -301,7 +303,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
                     break
         return len(best.edges), "exact", Hypergraph(n, 3, best.edges)
 
-    return _cached("ex", forbidden.key.decode(), n, cache, valid, search)
+    return _cached("ex", rule.key.decode(), n, cache, valid, search)
 
 
 def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
@@ -323,7 +325,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
         raise ValueError("t must be at least 3")
     if not H.edges:
         raise ValueError("R(H, K_t) needs H with at least one edge")
-    meter, forbidden = budget.start(), ForbiddenTriples(H)
+    meter, rule = budget.start(), LinkRule(H)
 
     def valid(rec):
         # order and uniformity first: alpha of a 4-graph raises, and alpha
@@ -341,7 +343,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
             return t, "lower_bound", witness
         good = [Hypergraph(0, 3, ())]
         for n in range(1, n_max + 1):
-            good = _classes(_extensions(G, forbidden, _independent_sets(
+            good = _classes(_extensions(G, rule, _independent_sets(
                 G, t - 1), 0, meter) for G in good)
             if good is exact.EXHAUSTED:
                 return max(n, t), "lower_bound", witness
@@ -351,8 +353,7 @@ def ramsey(H, t, n_max, budget=exact.UNLIMITED, cache=None):
                 witness = good[0]
         return witness.n + 1, "lower_bound", witness
 
-    return _cached("ramsey", forbidden.key.decode(), t, cache, valid,
-                   search)
+    return _cached("ramsey", rule.key.decode(), t, cache, valid, search)
 
 
 def _independent_sets(G, s):

@@ -11,22 +11,21 @@ bound, the first independent set of a given size by the same recursion, the
 forward-checking tree of the coloring kernel before it propagated forced
 colours by a scan of every edge at the tried vertex, the coloring kernel's
 tree by recomputing every vertex's allowed colours, forced colours
-propagated to a fixpoint, from scratch at each node, the H-free level
-search by one containment test per candidate or by one canonical form per
-candidate outside the forbidden triples,
-HypergraphFile text and edge lists by one Python step per line and per edge,
-edge orderings by a depth-first search over start and next edges, the
-edge orbits of a pattern by embedding it less one edge into itself, the
-edge-ordering embedding by scanning incidence lists for each anchored pair,
-greedy witnesses from per-vertex pair lists kept in a per-vertex table
-and chains by descending through that table, link masks by one walk of an
-incidence list per key, induced subgraphs by a scan of every edge, layer
-peeling and independent-set removal by inducing a relabelled graph every
-round, dyadic degree bands by rational comparisons, balance by a second
-pass over the whole edge set, and the points of a generalized quadrangle by
-normalizing every vector and keeping each first sight.  Three closed forms
-for extremal numbers close the module: Schönheim's packing bound, the
-balanced complete bipartite 3-graph and Turán's three-part construction.
+propagated to a fixpoint, from scratch at each node, the H-free level search
+by one containment test per candidate, HypergraphFile text and edge lists by
+one Python step per line and per edge, edge orderings by a depth-first
+search over start and next edges, the vertex orbits of a pattern by trying
+every permutation, the edge-ordering embedding by scanning incidence lists
+for each anchored pair, greedy witnesses from per-vertex pair lists kept in
+a per-vertex table and chains by descending through that table, link masks
+by one walk of an incidence list per key, induced subgraphs by a scan of
+every edge, layer peeling and independent-set removal by inducing a
+relabelled graph every round, dyadic degree bands by rational comparisons,
+balance by a second pass over the whole edge set, and the points of a
+generalized quadrangle by normalizing every vector and keeping each first
+sight.  Three closed forms for extremal numbers close the module:
+Schönheim's packing bound, the balanced complete bipartite 3-graph and
+Turán's three-part construction.
 """
 
 import itertools
@@ -228,25 +227,15 @@ def reference_find_edge_ordering(H):
     return None
 
 
-def reference_forbidden_plans(H):
-    """ForbiddenTriples(H).plans with the orbit of an edge f taken as the
-    edges of H that are images of f over the embeddings of H - f into H
-    itself.  Only an H on at most 8 vertices is searched so; a larger H
-    keeps a plan for every edge."""
-    from hyperchrome.containment import _edge_images, _plan
-
-    plans, covered = [], set()
-    for f in H.edges:
-        if f in covered:
-            continue
-        order, steps = _plan(H.n, [e for e in H.edges if e != f])
-        plan = (steps, tuple(i for i, u in enumerate(order) if u in f))
-        plans.append(plan)
-        covered.add(f)
-        if H.n <= 8:
-            orbit = _edge_images([plan], H)
-            covered.update(e for e in H.edges if e in orbit)
-    return plans
+def reference_vertex_orbits(H):
+    """The orbits of H's vertices under its automorphisms, each a sorted
+    tuple, found by trying every permutation of V(H)."""
+    edges, orbits = set(H.edges), {}
+    for perm in itertools.permutations(range(H.n)):
+        if all(tuple(sorted(perm[v] for v in e)) in edges for e in edges):
+            for u in range(H.n):
+                orbits.setdefault(u, set()).add(perm[u])
+    return sorted({tuple(sorted(o)) for o in orbits.values()})
 
 
 def reference_embed_by_edge_order(G, H, ord):
@@ -350,27 +339,6 @@ def reference_hfree_level_reps(n, H):
                     cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
                     if contains(cand, H) is None:
                         nxt.setdefault(canonical_form(cand), cand)
-        level = list(nxt.values())
-
-
-def reference_forbidden_level_reps(n, H):
-    """reference_hfree_level_reps with the candidates outside each parent's
-    forbidden triples (containment.ForbiddenTriples.of) in place of the
-    contains calls."""
-    from hyperchrome.containment import ForbiddenTriples
-
-    forbidden = ForbiddenTriples(H)
-    count, level = 0, [Hypergraph(n, 3, ())]
-    while level:
-        yield count, level
-        count += 1
-        nxt = {}
-        for G in level:
-            present, banned = G.edge_set(), forbidden.of(G)
-            for e in itertools.combinations(range(n), 3):
-                if e not in present and e not in banned:
-                    cand = Hypergraph(n, 3, tuple(sorted(present | {e})))
-                    nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
 
 

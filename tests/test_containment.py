@@ -199,7 +199,7 @@ class TestProperties:
         assert contains(cons.complete(8), cons.complete(4)) is not None
         assert calls == [4]
         calls.clear()
-        containment.ForbiddenTriples(cons.complete(4))
+        containment.LinkRule(cons.complete(4))  # one orbit, K4 - u planned once
         assert calls == [4]
 
     @pytest.mark.parametrize("search, G", [

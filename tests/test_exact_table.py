@@ -27,15 +27,15 @@ EX_TABLE = [
       for n, v in zip(range(7, 14), (7, 8, 12, 13, 17, 20, 26))],
     ("star_3", 8, 18, packing_number(8, 2)),
     ("star_4", 7, 21, packing_number(7, 3)),
-    ("fano", 8, 48, bipartite_count(8)),
-    ("fano", 9, 70, bipartite_count(9)),
+    *[("fano", n, v, bipartite_count(n))
+      for n, v in zip(range(8, 11), (48, 70, 100))],
     *[("k4", n, v, turan_cyclic_count(n))
-      for n, v in zip(range(7, 10), (23, 36, 54))],
+      for n, v in zip(range(7, 11), (23, 36, 54, 75))],
 ]
 
-# (H, t, value, source): R(H, K_t) = value; no closed form is known, and
-# source is the value that both the forbidden-triple engine and a separate
-# one-constraint-list-per-parent search found
+# (H, t, value, source): R(H, K_t) = value.  No closed form is known;
+# source is the value that the extension engine found on two constraint
+# builders, the per-parent forbidden triples and the link rule
 RAMSEY_TABLE = [
     ("neighborhood5", 4, 10, 10),
     ("sunflower7", 4, 10, 10),

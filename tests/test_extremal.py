@@ -15,17 +15,16 @@ from hyperchrome import _kernels, containment, core
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
 from hyperchrome.cache import ResultCache, ResultRecord, decode_graph, encode_graph
-from hyperchrome.containment import (ForbiddenTriples, contains,
-                                     embedding_ok, is_free)
+from hyperchrome.containment import (LinkRule, contains, embedding_ok,
+                                     is_free)
 from hyperchrome.core import (EXHAUSTED, Hypergraph, Meter, canonical_form,
                               is_linear, new_hypergraph)
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
                      reference_embed_by_edge_order,
-                     reference_find_edge_ordering,
-                     reference_forbidden_level_reps,
-                     reference_forbidden_plans, reference_hfree_level_reps)
+                     reference_find_edge_ordering, reference_hfree_level_reps,
+                     reference_vertex_orbits)
 
 LP = cons.named("linear_pair")
 
@@ -418,9 +417,9 @@ def test_ramsey_alpha_calls_share_its_deadline(tmp_path, monkeypatch):
         meters.append(budget)
         return real(n, edges, budget)
 
-    def extending(G, forbidden, hits, need, meter):
+    def extending(G, rule, hits, need, meter):
         meters.append(meter)
-        return extend(G, forbidden, hits, need, meter)
+        return extend(G, rule, hits, need, meter)
 
     monkeypatch.setattr(_kernels, "mis_search", recording)
     monkeypatch.setattr(ext, "_extensions", extending)
@@ -447,7 +446,7 @@ def test_capped_ramsey_overshoots_by_one_node(tmp_path):
     lambda H: ext.turan_ex(6, H), lambda H: ext.ramsey(H, 4, 8),
 ], ids=["turan_ex", "ramsey"])
 def test_pattern_labelled_once_per_call(search, monkeypatch):
-    # the cache key is the encoding of ForbiddenTriples' own labelling of H
+    # the cache key is the encoding of LinkRule's own labelling of H
     labels = []
     for module in (ext, containment):
         real = module.canonical_form
@@ -457,10 +456,9 @@ def test_pattern_labelled_once_per_call(search, monkeypatch):
     assert labels.count(True) == 1 and rec.key == canonical_form(LP).decode()
 
 
-# patterns for the forbidden triples: one orbit of edges (K4, C3), two
-# (K4 minus an edge), wildcards on one and two vertices of an edge (LP, P2),
-# an isolated vertex, a whole edge apart, no edges at all, no edges on more
-# vertices than the 3..8 vertex hosts
+# patterns for the link rule: one orbit of vertices (K4, C3), two (K4
+# minus an edge), H - u with no edge (LP, P2), an isolated vertex, a whole
+# edge apart, no edges at all, no edges on more vertices than the hosts
 FORBIDDING = {
     "K4": K4, "K4-": cons.named("k4_minus"), "LP": LP, "P2": P2,
     "C3": cons.loose_cycle(3), "LP+isolated": Hypergraph(5, 3, LP.edges),
@@ -468,64 +466,61 @@ FORBIDDING = {
     "edgeless": Hypergraph(3, 3, ()), "edgeless9": Hypergraph(9, 3, ()),
 }
 
-
-class TestForbiddenTriples:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(FORBIDDING)), st.integers(3, 8),
-           st.randoms(use_true_random=False))
-    def test_equal_to_containment_per_triple(self, name, n, rng):
-        # a random H-free G: the triples of a random prefix that keep it so
-        H = FORBIDDING[name]
-        triples = list(combinations(range(n), 3))
-        rng.shuffle(triples)
-        edges = set()
-        for e in triples[:rng.randrange(len(triples) + 1)]:
-            if contains(Hypergraph(n, 3, tuple(sorted(edges | {e}))), H) is None:
-                edges.add(e)
-        G = Hypergraph(n, 3, tuple(sorted(edges)))
-        forbidden = ForbiddenTriples(H).of(G)
-        for e in combinations(range(n), 3):
-            grown = Hypergraph(n, 3, tuple(sorted(edges | {e})))
-            assert (e in forbidden) == (contains(grown, H) is not None), e
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(sorted(cons.NAMED)), st.integers(3, 8),
-           st.randoms(use_true_random=False))
-    def test_grown_equal_to_of_per_triple(self, name, n, rng):
-        # a random H-free G, then a triple e with G + e H-free: the masks of
-        # G + e grown from those of G are of(G + e) on every triple
-        H = cons.named(name)
-        triples = list(combinations(range(n), 3))
-        rng.shuffle(triples)
-        edges, forbidden = set(), ForbiddenTriples(H)
-        for e in triples:
-            if contains(Hypergraph(n, 3, tuple(sorted(edges | {e}))), H) is None:
-                G = Hypergraph(n, 3, tuple(sorted(edges)))
-                G_e = Hypergraph(n, 3, tuple(sorted(edges | {e})))
-                grown, want = forbidden.grow(forbidden.of(G), G_e, e), \
-                    forbidden.of(G_e)
-                assert all((t in grown) == (t in want) for t in triples), e
-                edges.add(e)
-                if rng.random() < 0.3:
-                    break
-
-    def test_wildcards_are_not_enumerated(self):
-        # P2 - f is one edge and f's other two vertices are wildcards: any of
-        # the C(2997, 2) unused pairs, which must not be walked one by one
-        G = Hypergraph(3000, 3, ((0, 1, 2),))
-        started = time.monotonic()
-        forbidden = ForbiddenTriples(P2).of(G)
-        assert time.monotonic() - started < 0.5
-        assert (0, 5, 6) in forbidden and (2, 2998, 2999) in forbidden
-        assert (0, 1, 5) not in forbidden and (5, 6, 7) not in forbidden
-        assert (0, 1, 2) not in forbidden
+# the tight trees on 5 and 6 vertices besides the pair stars (LP is the one
+# on 4): each edge after the first is a pair of an earlier one and a fresh
+# vertex
+TIGHT_TREES = {
+    "star_3": ((0, 1, 2), (0, 1, 3), (0, 1, 4)),
+    "T5": ((0, 1, 2), (0, 1, 3), (0, 2, 4)),
+    "star_4": ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)),
+    "T6a": ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 5)),
+    "T6b": ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 5)),
+    "T6c": ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5)),
+    "T6d": ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 5)),
+}
+# every named H, P2, P3, C3, the patterns above and the tight trees
+LINK_PATTERNS = {**FORBIDDING, "P3": cons.loose_path(3),
+                 **{name: cons.named(name)
+                    for name in ("neighborhood5", "sunflower7", "fano")},
+                 **{name: Hypergraph(len(edges) + 2, 3, edges)
+                    for name, edges in TIGHT_TREES.items()}}
 
 
-def _probed(plans):
-    # itemgetters compare by identity: compare what they return from a probe
-    probe = [f"position {i}" for i in range(64)]
-    return [([(d, [get(probe) for get in links]) for d, links in steps], fixed)
-            for steps, fixed in plans]
+def _random_free(H, n, rng):
+    # a random H-free G: the triples of a random prefix that keep it so
+    triples = list(combinations(range(n), 3))
+    rng.shuffle(triples)
+    edges = set()
+    for e in triples[:rng.randrange(len(triples) + 1)]:
+        if contains(Hypergraph(n, 3, tuple(sorted(edges | {e}))), H) is None:
+            edges.add(e)
+    return Hypergraph(n, 3, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("name", LINK_PATTERNS)
+def test_link_rule_matches_containment(name):
+    # on random H-free G with at most 7 vertices: G + v with link L contains
+    # H iff L holds a set of the link rule, for every L of at most 4 pairs.
+    # Both sides grow with L, so a link over one that holds a copy of H is
+    # not searched again
+    H, rng = LINK_PATTERNS[name], random.Random(name)
+    rule = LinkRule(H)
+    for n in range(8):
+        G = _random_free(H, n, rng)
+        if contains(G, H) is not None:
+            continue  # every G on n vertices contains an edgeless H
+        sets, pairs, holds = rule.sets(G), list(combinations(range(n), 2)), {}
+        for size in range(5):
+            for L in combinations(range(len(pairs)), size):
+                mask = sum(1 << i for i in L)
+                holds[mask] = any(holds[mask ^ 1 << i] for i in L) or contains(
+                    Hypergraph(n + 1, 3, tuple(sorted(G.edges + tuple(
+                        pairs[i] + (n,) for i in L)))), H) is not None
+                assert holds[mask] == any(S & mask == S for S in sets), (G, L)
+
+
+def _reps(rule):
+    return [u for u, *_ in rule.plans]
 
 
 @pytest.mark.parametrize("H", list(FORBIDDING.values())
@@ -533,38 +528,44 @@ def _probed(plans):
                          + [cons.loose_cycle(3), cons.loose_cycle(4),
                             cons.loose_path(2), cons.loose_path(3)])
 def test_plans_match_self_embedding_orbits(H):
-    # on at most 8 vertices the orbits from canonical_form's generators are
-    # those of embedding H less an edge into H itself
+    # on at most 8 vertices the vertex orbits joined from canonical_form's
+    # generators are those of H's automorphisms: one plan per orbit, at its
+    # least vertex
     assert H.n <= 8 or not H.edges
-    assert _probed(ForbiddenTriples(H).plans) == \
-        _probed(reference_forbidden_plans(H))
+    orbits = reference_vertex_orbits(H) if H.edges else [tuple(range(H.n))]
+    assert _reps(LinkRule(H)) == [orbit[0] for orbit in orbits]
 
 
-@pytest.mark.parametrize("H, before, after", [
-    (cons.loose_cycle(5), 5, 1), (cons.loose_path(4), 4, 2),
-    (cons.gq(2), 15, 1)], ids=["C5", "P4", "gq2"])
-def test_one_plan_per_orbit_past_eight_vertices(H, before, after):
-    # the self-embedding orbits stopped at 8 vertices and kept a plan per
-    # edge beyond; one plan per orbit marks the same triples
-    from hyperchrome.containment import _edge_images
-
-    plans = reference_forbidden_plans(H)
-    forbidden = ForbiddenTriples(H)
-    assert (len(plans), len(forbidden.plans)) == (before, after)
-    n = H.n + 1
-    for seed in range(3):
+@pytest.mark.parametrize("H, planned, orbits, seeds", [
+    (cons.loose_cycle(5), 10, 2, 3), (cons.loose_path(4), 9, 4, 3),
+    (cons.gq(2), 15, 1, 1)], ids=["C5", "P4", "gq2"])
+def test_one_plan_per_orbit_past_eight_vertices(H, planned, orbits, seeds,
+                                                monkeypatch):
+    # with no generators every vertex is its own orbit and has a plan.  The
+    # plan of any vertex u adds no set to one plan per orbit, and one plan
+    # per orbit finds the image of u's link in a copy of H - u
+    rule = LinkRule(H)
+    real = containment.canonical_form
+    monkeypatch.setattr(containment, "canonical_form", lambda H, gens: real(H))
+    own, every = LinkRule(H), LinkRule(H).plans
+    assert (len(every), len(rule.plans)) == (planned, orbits)
+    n, pairs = H.n - 1, list(combinations(range(H.n - 1), 2))
+    for seed in range(seeds):
         rng = random.Random(seed)
-        perm = rng.sample(range(n), n)
-        f = rng.choice(H.edges)
-        near = {tuple(sorted(perm[v] for v in e)) for e in H.edges if e != f}
+        u = rng.randrange(H.n)
+        own.plans = [every[u]]
+        perm = dict(zip([w for w in range(H.n) if w != u],
+                        rng.sample(range(n), n)))
+        near = {tuple(sorted(perm[w] for w in e))
+                for e in H.edges if u not in e}
         near |= set(rng.sample(list(combinations(range(n), 3)), 3))
         near = Hypergraph(n, 3, tuple(sorted(near)))
-        # near holds a copy of H less f, so the image of f is forbidden
-        assert tuple(sorted(perm[v] for v in f)) in forbidden.of(near)
-        for G in (near, cons.random_3graph(n, n, seed)):
-            want, got = _edge_images(plans, G), forbidden.of(G)
-            assert all((e in got) == (e in want)
-                       for e in combinations(range(n), 3))
+        image = {tuple(sorted(perm[w] for w in e if w != u)) for e in H.at[u]}
+        found = rule.sets(near)
+        assert sum(1 << pairs.index(p) for p in image) in found
+        assert own.sets(near) <= found
+        G = cons.random_3graph(n, n, seed)
+        assert own.sets(G) <= rule.sets(G)
 
 
 class CountingMeter(Meter):
@@ -580,17 +581,17 @@ class CountingMeter(Meter):
         return self.reads == self.late_at
 
 
-def _catalogues(n, H, t=None, meter=None, forbidden=None):
+def _catalogues(n, H, t=None, meter=None, rule=None):
     """The engine's catalogues on 0..n vertices, grown one vertex at a
     time from the empty graph: every H-free class, or with t every class
     that is also free of independent t-sets."""
-    forbidden = forbidden or ForbiddenTriples(H)
+    rule = rule or LinkRule(H)
     meter = meter or Meter()
     level, out = [Hypergraph(0, 3, ())], []
     for _ in range(n):
         out.append(level)
         level = ext._classes(ext._extensions(
-            G, forbidden, ext._independent_sets(G, t - 1) if t else (), 0,
+            G, rule, ext._independent_sets(G, t - 1) if t else (), 0,
             meter) for G in level)
     return out + [level]
 
@@ -640,11 +641,11 @@ def test_ex_matches_level_reference(name):
 
 def test_vertex_in_no_edge_guards_the_parent():
     # G + v holds one edge and a vertex in no edge: a copy of EDGE4, whose
-    # forbidden triples would wrongly let the empty link through
+    # link rule holds the empty set for it
     assert ext.turan_ex(3, EDGE4).value == 1
     assert ext.turan_ex(4, EDGE4).value == 0
     edge = Hypergraph(3, 3, ((0, 1, 2),))
-    assert list(ext._extensions(edge, ForbiddenTriples(EDGE4), (), 0,
+    assert list(ext._extensions(edge, LinkRule(EDGE4), (), 0,
                                 Meter())) == []
 
 
@@ -653,13 +654,12 @@ def test_vertex_in_no_edge_guards_the_parent():
     for n in range(3, 7)] + [(7, "LP"), (7, "P2")])
 def test_orbit_pruning_keeps_representatives(n, name):
     # one representative per class, and the classes of the level search
-    # that labels every candidate outside the forbidden triples
+    # that tests each candidate for a copy of H
     H = cons.named("fano") if name == "fano" else FORBIDDING[name]
     got = _catalogues(n, H)[n]
     assert len(set(_forms(got))) == len(got)
     assert _forms(got) == _forms(
-        R for _, reps in reference_forbidden_level_reps(n, H)
-        for R in reps)
+        R for _, reps in reference_hfree_level_reps(n, H) for R in reps)
 
 
 @pytest.mark.parametrize("n, classes", [(5, 34), (6, 2136)])
@@ -671,31 +671,27 @@ def test_level_search_counts_every_class(n, classes):
 
 @pytest.mark.parametrize("name, n_max", [("K4", 6), ("LP", 7)])
 def test_representatives_keep_their_own_forbidden_triples(name, n_max):
-    # each graph built takes its masks from the one before it by grow; they
-    # equal of() of the graph itself.  One node is charged per graph built,
-    # and the deadline is read before each parent and each graph built
-    forbidden = ForbiddenTriples(FORBIDDING[name])
-    checked = []
-
-    def grow(masks, G, e):
-        got, want = ForbiddenTriples.grow(forbidden, masks, G, e), forbidden.of(G)
-        assert all((t in got) == (t in want)
-                   for t in combinations(range(G.n), 3)), G
-        checked.append(G)
-        return got
-
-    forbidden.grow = grow
+    # each representative is the parent of one link rule.  With no hitting
+    # sets and need 0, every link the engine includes a pair into is a
+    # child's link, so the pairs included are the children with a link;
+    # one node is charged per pair included, and the deadline is read
+    # before each parent and each pair included
+    rule, parents = LinkRule(FORBIDDING[name]), []
+    sets = rule.sets
+    rule.sets = lambda G: parents.append(G) or sets(G)
     meter = CountingMeter()
-    levels = _catalogues(n_max, None, meter=meter, forbidden=forbidden)
-    parents = sum(len(level) for level in levels[:-1])
-    assert meter.nodes == len(checked) > 0
-    assert meter.reads == parents + len(checked)
+    levels = _catalogues(n_max, None, meter=meter, rule=rule)
+    assert parents == [G for level in levels[:-1] for G in level]
+    included = sum(len(list(ext._extensions(G, LinkRule(rule.H), (), 0,
+                                            Meter()))) - 1 for G in parents)
+    assert meter.nodes == included > 0
+    assert meter.reads == len(parents) + included
 
 
 def test_level_search_stops_at_the_per_parent_check():
-    # the deadline is read first, before G + v's forbidden triples
+    # the deadline is read first, before the parent's link rule
     meter = CountingMeter(late_at=1)
-    assert list(ext._extensions(Hypergraph(4, 3, ()), ForbiddenTriples(LP),
+    assert list(ext._extensions(Hypergraph(4, 3, ()), LinkRule(LP),
                                 (), 0, meter)) == [EXHAUSTED]
     assert (meter.reads, meter.nodes) == (1, 0)
 
@@ -726,12 +722,12 @@ def test_ramsey_class_counts(name, t, counts):
 def test_hitting_sets_give_every_good_extension():
     # on K4-, t = 4: the extensions of each good parent are those of the
     # unconstrained engine whose independence number stays below 4
-    H, forbidden = FORBIDDING["K4-"], ForbiddenTriples(FORBIDDING["K4-"])
+    H, rule = FORBIDDING["K4-"], LinkRule(FORBIDDING["K4-"])
     for parents in _catalogues(5, H, 4):
         for G in parents:
-            got = list(ext._extensions(G, forbidden,
+            got = list(ext._extensions(G, rule,
                                        ext._independent_sets(G, 3), 0, Meter()))
-            want = [W for W in ext._extensions(G, forbidden, (), 0, Meter())
+            want = [W for W in ext._extensions(G, rule, (), 0, Meter())
                     if independence_number(W) < 4]
             assert sorted(W.edges for W in got) == sorted(W.edges for W in want)
 

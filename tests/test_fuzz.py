@@ -17,7 +17,6 @@ from hyperchrome import cli
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome import extremal as ext
-from hyperchrome.containment import ForbiddenTriples
 from hyperchrome.core import Hypergraph, VertexOrder, induced, new_hypergraph
 from hyperchrome.fileio import parse_hypergraph
 
@@ -85,10 +84,6 @@ INPUT_CHECKS = {
         lambda: ext.find_edge_ordering(K4_4), "3-graphs"),
     "turan_ex-uniformity": (lambda: ext.turan_ex(5, K4_4), "3-graphs"),
     "ramsey-uniformity": (lambda: ext.ramsey(K4_4, 3, 5), "3-graphs"),
-    "ForbiddenTriples-uniformity": (lambda: ForbiddenTriples(K4_4),
-                                    "3-graphs"),
-    "ForbiddenTriples.of-uniformity": (
-        lambda: ForbiddenTriples(LP).of(K4_4), "3-graphs"),
     "greedy_pluhar-order-longer": (lambda: col.greedy_pluhar(
         K5, VertexOrder.identity(7)), "order does not match graph"),
     "greedy_pluhar-order-shorter": (lambda: col.greedy_pluhar(
