@@ -482,6 +482,12 @@ def _label(comp, at):
     code.  After a leaf gives one, the search resumes where the two paths
     part; it skips each vertex in the orbit of one already tried under the
     automorphisms that fix the current path.
+
+    When the twin transpositions join every cell of the first partition,
+    the search is not run: its first leaf, which gives each cell's members
+    its positions in reverse order, is its only one.  A swap of twins fixes
+    every other vertex, so individualizing splits no other cell, and the
+    swaps fixing the path put the rest of each cell in one orbit.
     """
     a = len(comp)
     index = {v: i for i, v in enumerate(comp)}
@@ -533,16 +539,25 @@ def _label(comp, at):
             if all(m >> r & 1 or m ^ (1 << v) | (1 << r) in eset
                    for m in map(emask.__getitem__, inc[v])):
                 gens.append({v: r, r: v})
+    def leaf(colour):  # the code of a leaf
+        bit = [1 << c for c in colour]
+        return sorted([sum(map(bit.__getitem__, e)) for e in edges])
+
     first = best = None  # leaves: (code, colour, path)
+    if len(gens) == a - len(cells):  # every cell a run of twins: no search
+        colour = [0] * a
+        for s, members in cells.items():
+            for c, v in enumerate(reversed(members), s):
+                colour[v] = c
+        best = leaf(colour), colour
     path, stack = [], []  # a frame per level on the path
-    while True:
+    while best is None or stack:
         if len(cells) < a:
             start = min(s for s, m in cells.items() if len(m) > 1)
             stack.append([colour, cells, h, sig, start, iter(cells[start]),
                           [], list(range(a)), 0])
         else:
-            bit = [1 << c for c in colour]
-            code = sorted([sum(map(bit.__getitem__, e)) for e in edges])
+            code = leaf(colour)
             back = len(path) - 1  # the level to resume at: the parent's
             if first is None:
                 first = best = code, colour, path[:]
@@ -587,8 +602,6 @@ def _label(comp, at):
             colour, h, sig = colour[:], h[:], sig[:]
             cells = {**cells, start: [u for u in members if u != w], last: [w]}
             refine(colour, cells, h, sig, [(w, last)])
-            break
-        else:
             break
     order = [comp[v] for v in sorted(range(a), key=best[1].__getitem__)]
     return (a, best[0]), order, [{comp[v]: comp[u] for v, u in g.items()}

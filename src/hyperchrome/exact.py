@@ -8,7 +8,8 @@ searches of one call spend one core.Meter.
 
 from . import _kernels
 # SearchBudget is re-exported: hyperchrome.exact.SearchBudget is its old home
-from .core import EXHAUSTED, UNLIMITED, SearchBudget, degree_order
+from .core import (EXHAUSTED, UNLIMITED, Coloring, SearchBudget,
+                   degree_order)
 
 
 def k_colorable(G, k, budget=UNLIMITED):
@@ -25,6 +26,8 @@ def k_colorable(G, k, budget=UNLIMITED):
     if G.k != 3:
         raise ValueError("k_colorable handles 3-graphs")
     meter = budget.start()
+    if not G.edges:
+        return _edgeless(G, k, meter)
     s = -(-G.n // k)
     if not _greedy_reaches(G, s, meter) and _kernels.mis_search(
             G.n, G.edges, meter, at_least=s) is None:
@@ -45,6 +48,12 @@ def _greedy_reaches(G, s, meter):
     return s <= 0
 
 
+def _edgeless(G, k, meter):
+    # kcolor_search's answer on a graph with no edge, without building
+    # G.at or the degree order, which take ~0.4 s at 10**6 vertices
+    return EXHAUSTED if meter.full() else Coloring((0,) * G.n, k)
+
+
 def chromatic_coloring(G, budget=UNLIMITED):
     """A proper coloring with the least palette, or EXHAUSTED.
 
@@ -55,6 +64,8 @@ def chromatic_coloring(G, budget=UNLIMITED):
     """
     if G.k != 3:
         raise ValueError("chromatic_coloring handles 3-graphs")
+    if not G.edges:
+        return _edgeless(G, 1, budget.start())
     return _kernels.kcolor_search(G.n, G.edges, 1, degree_order(G), budget,
                                   least=True)
 

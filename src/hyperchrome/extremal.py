@@ -137,16 +137,16 @@ def embed_by_edge_order(G, H, ord):
     return emb if embedding_ok(G, H, emb) else None
 
 
-def _extensions(G, rule, hits, need, meter):
+def _extensions(G, rule, hits, need, meter, memo=None):
     """Yield the one-vertex extensions G + v of an H-free 3-graph G, for
     rule = containment.LinkRule(H) and v = G.n, whose link (the pairs
     {a, b} with {a, b, v} an edge) holds a pair inside every vertex set in
     hits and at least need pairs, each once.
 
-    G + v is H-free iff its link holds no set of rule.sets(G).  A pair that
-    is such a set on its own never enters the link, and including a pair
-    bans the last open pair of each set that it leaves one short; the
-    two-pair sets are kept as one conflict mask per pair.  While some set in
+    G + v is H-free iff its link holds no set of rule.sets(G), which
+    _compiled turns into what the search reads; memo, a dict kept across
+    calls with one rule, keeps that per (G.n, G.edges), and the pairs of
+    range(G.n) with their masks per G.n.  While some set in
     hits is not hit, the search branches on which of its pairs, in order,
     is included, banning the earlier ones; then it includes, then excludes,
     each undecided pair in index order.  If the rule holds the empty set
@@ -157,28 +157,17 @@ def _extensions(G, rule, hits, need, meter):
     if meter.late():
         yield exact.EXHAUSTED
         return
-    v, found = G.n, rule.sets(G)
-    if 0 in found:
+    v, key, memo = G.n, (G.n, G.edges), {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _compiled(rule, G)
+    if memo[key] is None:
         return
-    pairs = list(combinations(range(v), 2))
-    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    banned, conflict, larger = memo[key]
+    if v not in memo:
+        pairs = list(combinations(range(v), 2))
+        memo[v] = pairs, {p: 1 << i for i, p in enumerate(pairs)}
+    pairs, bit = memo[v]
     sets = [sum(bit[p] for p in combinations(S, 2)) for S in hits]
-    banned = sum(S for S in found if not S & (S - 1))
-    conflict, larger = [0] * len(pairs), [[] for _ in pairs]
-    for S in found:
-        if S & banned:
-            continue  # it holds a pair that never enters the link
-        members, m = [], S
-        while m:
-            members.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        if len(members) == 2:  # two pairs: each bans the other
-            a, b = members
-            conflict[a] |= 1 << b
-            conflict[b] |= 1 << a
-        else:
-            for i in members:
-                larger[i].append(S)
     stack = [(0, (1 << len(pairs)) - 1 & ~banned, -1)]
     while stack:
         link, open_, i = stack.pop()
@@ -206,6 +195,36 @@ def _extensions(G, rule, hits, need, meter):
         else:
             yield Hypergraph(v + 1, 3, tuple(sorted(G.edges + tuple(
                 p + (v,) for p in pairs if link & bit[p]))))
+
+
+def _compiled(rule, G):
+    """rule.sets(G) as _extensions reads it: None if it holds the empty
+    set, else (banned, conflict, larger).  banned is the mask of the pairs
+    that are a set on their own, which never enter the link.  Of the other
+    sets, each two-pair set is a bit of its pairs' conflict masks, and each
+    larger set is listed at each of its pairs, so that including a pair
+    bans the last open pair of each set it leaves one short."""
+    found = rule.sets(G)
+    if 0 in found:
+        return None
+    size = comb(G.n, 2)
+    banned = sum(S for S in found if not S & (S - 1))
+    conflict, larger = [0] * size, [[] for _ in range(size)]
+    for S in found:
+        if S & banned:
+            continue  # it holds a pair that never enters the link
+        members, m = [], S
+        while m:
+            members.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        if len(members) == 2:  # two pairs: each bans the other
+            a, b = members
+            conflict[a] |= 1 << b
+            conflict[b] |= 1 << a
+        else:
+            for i in members:
+                larger[i].append(S)
+    return banned, conflict, larger
 
 
 def _classes(extensions):
@@ -245,7 +264,9 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     C(m, 3), f falls until one extension with f edges is found of the
     classes on m-1 vertices with at least f - 3f/m edges; the first f found
     is ex(m).  Those classes come from the same rule one vertex down,
-    memoised per (m, floor) within the call.  On budget exhaustion the
+    memoised per (m, floor) within the call.  A parent's compiled link rule
+    (_compiled) is kept for the call too, per (n, edges), so that each f and
+    each floor it is met at reuse it.  On budget exhaustion the
     status is lower_bound and the witness the one for ex(m-1) with vertices
     in no edge added, or the empty graph if H has a vertex in no edge.  An
     exact cache record is served only when its witness revalidates within
@@ -258,7 +279,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     if not H.edges:
         raise ValueError("ex(n, H) needs H with at least one edge")
     meter, rule = budget.start(), LinkRule(H)
-    memo = {}
+    memo, rules = {}, {}
 
     def valid(rec):
         w = rec.witness
@@ -275,7 +296,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
             if parents is exact.EXHAUSTED:
                 return parents
             found = _classes(_extensions(G, rule, (), floor - len(G.edges),
-                                         meter) for G in parents)
+                                         meter, rules) for G in parents)
             if found is exact.EXHAUSTED:
                 return found
             memo[m, floor] = found
@@ -291,7 +312,7 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
                 parents = floored(m - 1, f - 3 * f // m)
                 found = parents if parents is exact.EXHAUSTED else next(
                     chain.from_iterable(_extensions(
-                        G, rule, (), f - len(G.edges), meter)
+                        G, rule, (), f - len(G.edges), meter, rules)
                         for G in parents), None)
                 if found is exact.EXHAUSTED:
                     if not all(H.at):

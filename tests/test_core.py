@@ -621,6 +621,47 @@ class TestAutomorphisms:
         canonical_form(G, found)
         assert group_order(G.n, found) == brute_automorphism_count(G) == 144
 
+    # (n, edges, encoding, vertex orbits by least member), pinned from
+    # the full search.  The first seven have a first partition of runs of
+    # twins, which _label returns without a search: their generators are the
+    # twin swaps alone.  The last four are searched and find larger maps.
+    PINNED = {
+        "edge": (3, [(0, 1, 2)], b"3:3|0,1,2", [0, 0, 0]),
+        "K4": (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+               b"4:3|0,1,2/0,1,3/0,2,3/1,2,3", [0, 0, 0, 0]),
+        "K4-": (4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)],
+                b"4:3|0,1,3/0,2,3/1,2,3", [0, 1, 1, 1]),
+        "LP": (4, [(0, 1, 2), (0, 1, 3)], b"4:3|0,2,3/1,2,3", [0, 0, 2, 2]),
+        "N5": (5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)],
+               b"5:3|0,1,2/0,3,4/1,3,4/2,3,4", [0, 0, 2, 2, 2]),
+        "star_3": (5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+                   b"5:3|0,3,4/1,3,4/2,3,4", [0, 0, 2, 2, 2]),
+        "K5": (5, list(combinations(range(5), 3)),
+               b"5:3|0,1,2/0,1,3/0,1,4/0,2,3/0,2,4/0,3,4/1,2,3/1,2,4/1,3,4"
+               b"/2,3,4", [0] * 5),
+        "P2": (5, [(0, 1, 2), (2, 3, 4)], b"5:3|0,1,4/2,3,4", [0, 0, 2, 0, 0]),
+        "fano": (7, cons.named("fano").edges,
+                 b"7:3|0,1,4/0,2,5/0,3,6/1,2,6/1,3,5/2,3,4/4,5,6", [0] * 7),
+        "S7": (7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)],
+               b"7:3|0,3,6/1,4,6/2,5,6/3,4,5", [0, 1, 2, 1, 2, 1, 2]),
+        "C": (6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)],
+              b"6:3|0,1,4/0,2,5/1,3,5/2,3,4", [0] * 6),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_encodings_and_orbits(self, name):
+        n, edges, encoding, orbits = self.PINNED[name]
+        found = []
+        assert canonical_form(new_hypergraph(n, 3, edges), found) == encoding
+        orbit = list(range(n))
+        for g in found:
+            for u, w in g.items():
+                a, b = sorted((orbit[u], orbit[w]))
+                orbit = [a if o == b else o for o in orbit]
+        assert orbit == orbits
+        searched = name in ("P2", "fano", "S7", "C")
+        assert any(len(g) > 2 for g in found) == searched
+
     def test_generate_the_whole_group(self):
         # isolated vertices included: small_graph leaves many
         for seed in range(400):

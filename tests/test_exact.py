@@ -239,6 +239,18 @@ class TestBudget:
                                    SearchBudget(max_millis=200)) == 10**6
         assert time.monotonic() - started < 0.4
 
+    @pytest.mark.parametrize("solve", [
+        lambda G, b: k_colorable(G, 1, b), chromatic_coloring,
+    ], ids=["k_colorable", "chromatic_coloring"])
+    def test_edgeless_colouring_builds_no_index(self, solve):
+        # G.at and the degree order of 10**6 vertices take ~0.4 s
+        G = Hypergraph(10**6, 3, ())
+        started = time.monotonic()
+        got = solve(G, SearchBudget(max_millis=200))
+        assert time.monotonic() - started < 0.2
+        assert (got.palette, set(got.colors), len(got.colors)) == (1, {0}, G.n)
+        assert "at" not in G.__dict__
+
     def test_packing_reads_the_clock(self):
         # each packing scans all 30000 edges, and the deadline is read at
         # every one, not only at every 4096th node

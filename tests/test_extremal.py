@@ -688,6 +688,44 @@ def test_representatives_keep_their_own_forbidden_triples(name, n_max):
     assert meter.reads == len(parents) + included
 
 
+def _counting_sets(monkeypatch):
+    # the (n, edges) of each parent whose link rule is listed
+    parents, sets = [], LinkRule.sets
+    monkeypatch.setattr(LinkRule, "sets", lambda self, G: parents.append(
+        (G.n, G.edges)) or sets(self, G))
+    return parents
+
+
+@pytest.mark.parametrize("n, H", [(7, LP), (8, cons.named("fano"))],
+                         ids=["LP", "fano"])
+def test_turan_ex_lists_each_parents_rule_once(n, H, monkeypatch):
+    # a parent is met at several f and floors; its compiled rule is kept
+    # for one call, and the next call lists it again
+    parents = _counting_sets(monkeypatch)
+    counts = []
+    for _ in range(2):
+        parents.clear()
+        ext.turan_ex(n, H)
+        assert len(parents) == len(set(parents)) >= n
+        counts.append(len(parents))
+    assert counts[0] == counts[1]
+
+
+def test_ramsey_lists_each_parents_rule_once(monkeypatch):
+    # each parent of each catalogue is met once, and nothing is kept: a
+    # second call lists every rule again
+    parents, levels = _counting_sets(monkeypatch), []
+    real = ext._classes
+    monkeypatch.setattr(ext, "_classes", lambda extensions: levels.append(
+        real(extensions)) or levels[-1])
+    for _ in range(2):
+        parents.clear()
+        levels[:] = [[Hypergraph(0, 3, ())]]
+        assert ext.ramsey(LP, 5, 10).value == 10
+        assert parents == [(G.n, G.edges) for level in levels[:-1]
+                           for G in level]
+
+
 def test_level_search_stops_at_the_per_parent_check():
     # the deadline is read first, before the parent's link rule
     meter = CountingMeter(late_at=1)
