@@ -485,7 +485,7 @@ def _label(comp, at):
 
     When the twin transpositions join every cell of the first partition,
     the search is not run: its first leaf, which gives each cell's members
-    its positions in reverse order, is its only one.  A swap of twins fixes
+    the cell's positions in reverse order, is its only one.  A swap of twins fixes
     every other vertex, so individualizing splits no other cell, and the
     swaps fixing the path put the rest of each cell in one orbit.
     """
@@ -539,6 +539,7 @@ def _label(comp, at):
             if all(m >> r & 1 or m ^ (1 << v) | (1 << r) in eset
                    for m in map(emask.__getitem__, inc[v])):
                 gens.append({v: r, r: v})
+
     def leaf(colour):  # the code of a leaf
         bit = [1 << c for c in colour]
         return sorted([sum(map(bit.__getitem__, e)) for e in edges])
