@@ -2,8 +2,8 @@
 
 Graphs travel as HypergraphFile text: `gen` writes one to stdout, every other
 subcommand reads one from stdin (or --in) and emits a JSON run report.  Exit
-codes: 0 success, 1 negative or failed result (computed, answer is "no"),
-2 usage or input errors.
+codes: 0 success, 1 negative or failed result (computed, answer is "no",
+or an input too large to hold, reported in-band), 2 usage or input errors.
 
 Each report subcommand is declared once in COMMANDS, as its arguments plus a
 solve function that returns only the command-specific part of the report.
@@ -464,9 +464,12 @@ def main(argv=None):
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # infeasible preconditions are negative results, reported in-band
-        print(json.dumps({"status": "failure", "error": str(exc)},
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # infeasible preconditions, and inputs too large to hold, are
+        # negative results, reported in-band
+        error = str(exc) if isinstance(exc, ValueError) else ": ".join(
+            filter(None, (type(exc).__name__, str(exc))))
+        print(json.dumps({"status": "failure", "error": error},
                          sort_keys=True))
         return 1
 

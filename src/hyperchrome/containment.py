@@ -213,8 +213,8 @@ class LinkRule:
     G + v contains H iff, for some vertex u of H and some embedding phi of
     H - u into G, v's link holds phi(L(u)), the image of u's link L(u) (the
     pairs {a, b} with {a, b, u} in H).  sets(G) is the set of those images,
-    each a mask over the pairs of G taken in combinations(range(G.n), 2)
-    order; an empty one means every G + v contains H.
+    each a mask over the pairs of G as pairs(G.n), the one pair table per
+    vertex count, lays them out; an empty one means every G + v contains H.
 
     One u per orbit of Aut(H) will do.  The orbits join each vertex with its
     images under the generators that core.canonical_form returns, for H of
@@ -223,12 +223,12 @@ class LinkRule:
     then the other vertices in edges, of which the first completion is
     enough: they change no image.  The vertices in no edge of H - u outside
     L(u) always fit once G has H.n - 1 vertices.  When H - u has no edge, its
-    images depend only on G.n and are kept per G.n.  The descents spend an
-    unlimited meter of their own, not the caller's.
+    images depend only on G.n and are kept in fixed per (u, G.n).  The
+    descents spend an unlimited meter of their own, not the caller's.
     """
 
     def __init__(self, H):
-        self.H, self.memo = H, {}
+        self.H, self.tables, self.fixed = H, {}, {}
         gens, orbit = [], list(range(H.n))  # union-find, least vertex first
         self.key = canonical_form(H, gens)
 
@@ -253,17 +253,24 @@ class LinkRule:
                 self.plans.append((u, _plan(at, order), len(ends), not rest, [
                     (order.index(a), order.index(b)) for a, b in link]))
 
+    def pairs(self, n):
+        """(pairs, bit), kept per n: the pairs of range(n) in combinations
+        order, and bit[a][b] = bit[b][a] = 1 << the index of {a, b}."""
+        if n not in self.tables:
+            pairs = list(combinations(range(n), 2))
+            bit = [[0] * n for _ in range(n)]
+            for i, (a, b) in enumerate(pairs):
+                bit[a][b] = bit[b][a] = 1 << i
+            self.tables[n] = pairs, bit
+        return self.tables[n]
+
     def sets(self, G):
         n = G.n
         if n + 1 < self.H.n:
             return set()
-        if n not in self.memo:  # bit[a][b]: the mask of the pair {a, b}
-            self.memo[n] = [[0] * n for _ in range(n)]
-            for i, (a, b) in enumerate(combinations(range(n), 2)):
-                self.memo[n][a][b] = self.memo[n][b][a] = 1 << i
-        bit, found, link, at_least = self.memo[n], set(), Links(G), {}
+        bit, found, link, at_least = self.pairs(n)[1], set(), Links(G), {}
         for u, steps, keep, edgeless, pos in self.plans:
-            own = self.memo.get((u, n))
+            own = self.fixed.get((u, n))
             if own is None:
                 own = set()
                 for phi, _ in _embeddings(steps, link, UNLIMITED.start(),
@@ -273,6 +280,6 @@ class LinkRule:
                         mask |= bit[phi[i]][phi[j]]
                     own.add(mask)
                 if edgeless:
-                    self.memo[u, n] = own
+                    self.fixed[u, n] = own
             found |= own
         return found

@@ -145,8 +145,10 @@ def _extensions(G, rule, hits, need, meter, memo=None):
 
     G + v is H-free iff its link holds no set of rule.sets(G), which
     _compiled turns into what the search reads; memo, a dict kept across
-    calls with one rule, keeps that per (G.n, G.edges), and the pairs of
-    range(G.n) with their masks per G.n.  While some set in
+    calls with one rule, keeps that per (G.n, G.edges).  Links are masks
+    over the pairs of range(G.n) as rule.pairs(G.n) lays them out.  A pair
+    that is a set on its own is never open; including a pair bans the last
+    open pair of each set that it leaves one short.  While some set in
     hits is not hit, the search branches on which of its pairs, in order,
     is included, banning the earlier ones; then it includes, then excludes,
     each undecided pair in index order.  If the rule holds the empty set
@@ -162,12 +164,9 @@ def _extensions(G, rule, hits, need, meter, memo=None):
         memo[key] = _compiled(rule, G)
     if memo[key] is None:
         return
-    banned, conflict, larger = memo[key]
-    if v not in memo:
-        pairs = list(combinations(range(v), 2))
-        memo[v] = pairs, {p: 1 << i for i, p in enumerate(pairs)}
-    pairs, bit = memo[v]
-    sets = [sum(bit[p] for p in combinations(S, 2)) for S in hits]
+    banned, within = memo[key]
+    pairs, bit = rule.pairs(v)
+    sets = [sum(bit[a][b] for a, b in combinations(S, 2)) for S in hits]
     stack = [(0, (1 << len(pairs)) - 1 & ~banned, -1)]
     while stack:
         link, open_, i = stack.pop()
@@ -177,8 +176,7 @@ def _extensions(G, rule, hits, need, meter, memo=None):
                 return
             meter.nodes += 1
             link |= 1 << i
-            open_ &= ~conflict[i]
-            for S in larger[i]:
+            for S in within[i]:
                 if not (S & ~link) & (S & ~link) - 1:  # one pair short
                     open_ &= ~S
         if link.bit_count() + open_.bit_count() < need:
@@ -194,37 +192,28 @@ def _extensions(G, rule, hits, need, meter, memo=None):
             stack.append((link, open_ ^ low, low.bit_length() - 1))
         else:
             yield Hypergraph(v + 1, 3, tuple(sorted(G.edges + tuple(
-                p + (v,) for p in pairs if link & bit[p]))))
+                p + (v,) for i, p in enumerate(pairs) if link >> i & 1))))
 
 
 def _compiled(rule, G):
     """rule.sets(G) as _extensions reads it: None if it holds the empty
-    set, else (banned, conflict, larger).  banned is the mask of the pairs
-    that are a set on their own, which never enter the link.  Of the other
-    sets, each two-pair set is a bit of its pairs' conflict masks, and each
-    larger set is listed at each of its pairs, so that including a pair
-    bans the last open pair of each set it leaves one short."""
+    set, else (banned, within).  banned is the mask of the pairs that are
+    a set on their own, which never enter the link.  Every other set of two
+    or more pairs, unless it holds a banned pair, is listed at each of its
+    pairs: within[i] holds the sets with pair i."""
     found = rule.sets(G)
     if 0 in found:
         return None
-    size = comb(G.n, 2)
     banned = sum(S for S in found if not S & (S - 1))
-    conflict, larger = [0] * size, [[] for _ in range(size)]
+    within = [[] for _ in range(comb(G.n, 2))]
     for S in found:
         if S & banned:
             continue  # it holds a pair that never enters the link
-        members, m = [], S
+        m = S
         while m:
-            members.append((m & -m).bit_length() - 1)
+            within[(m & -m).bit_length() - 1].append(S)
             m &= m - 1
-        if len(members) == 2:  # two pairs: each bans the other
-            a, b = members
-            conflict[a] |= 1 << b
-            conflict[b] |= 1 << a
-        else:
-            for i in members:
-                larger[i].append(S)
-    return banned, conflict, larger
+    return banned, within
 
 
 def _classes(extensions):
@@ -265,12 +254,14 @@ def turan_ex(n, H, budget=exact.UNLIMITED, cache=None):
     classes on m-1 vertices with at least f - 3f/m edges; the first f found
     is ex(m).  Those classes come from the same rule one vertex down,
     memoised per (m, floor) within the call.  A parent's compiled link rule
-    (_compiled) is kept for the call too, per (n, edges), so that each f and
-    each floor it is met at reuse it.  On budget exhaustion the
-    status is lower_bound and the witness the one for ex(m-1) with vertices
-    in no edge added, or the empty graph if H has a vertex in no edge.  An
-    exact cache record is served only when its witness revalidates within
-    budget.  An H with no edges is in every graph, so it is refused.
+    (_compiled) is kept for the call too, in a memo that holds only those,
+    per (n, edges), so that each f and each floor it is met at reuse it;
+    the pair layout per vertex count is the LinkRule's.  On budget
+    exhaustion the status is lower_bound and the witness the one for
+    ex(m-1) with vertices in no edge added, or the empty graph if H has a
+    vertex in no edge.  An exact cache record is served only when its
+    witness revalidates within budget.  An H with no edges is in every
+    graph, so it is refused.
     """
     if H.k != 3:
         raise ValueError("handles 3-graphs")

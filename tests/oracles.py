@@ -12,18 +12,19 @@ forward-checking tree of the coloring kernel before it propagated forced
 colours by a scan of every edge at the tried vertex, the coloring kernel's
 tree by recomputing every vertex's allowed colours, forced colours
 propagated to a fixpoint, from scratch at each node, the H-free level search
-by one containment test per candidate, HypergraphFile text and edge lists by
-one Python step per line and per edge, edge orderings by a depth-first
-search over start and next edges, the vertex orbits of a pattern by trying
-every permutation, the edge-ordering embedding by scanning incidence lists
-for each anchored pair, greedy witnesses from per-vertex pair lists kept in
-a per-vertex table and chains by descending through that table, link masks
-by one walk of an incidence list per key, induced subgraphs by a scan of
-every edge, layer peeling and independent-set removal by inducing a
-relabelled graph every round, dyadic degree bands by rational comparisons,
-balance by a second pass over the whole edge set, and the points of a
-generalized quadrangle by normalizing every vector and keeping each first
-sight.  Three closed forms for extremal numbers close the module:
+by one containment test per candidate, the one-vertex extensions by one
+containment test per link, in include-first order, HypergraphFile text and
+edge lists by one Python step per line and per edge, edge orderings by a
+depth-first search over start and next edges, the vertex orbits of a pattern
+by trying every permutation, the edge-ordering embedding by scanning
+incidence lists for each anchored pair, greedy witnesses from per-vertex
+pair lists kept in a per-vertex table and chains by descending through that
+table, link masks by one walk of an incidence list per key, induced
+subgraphs by a scan of every edge, layer peeling and independent-set removal
+by inducing a relabelled graph every round, dyadic degree bands by rational
+comparisons, balance by a second pass over the whole edge set, and the
+points of a generalized quadrangle by normalizing every vector and keeping
+each first sight.  Three closed forms for extremal numbers close the module:
 Schönheim's packing bound, the balanced complete bipartite 3-graph and
 Turán's three-part construction.
 """
@@ -340,6 +341,24 @@ def reference_hfree_level_reps(n, H):
                     if contains(cand, H) is None:
                         nxt.setdefault(canonical_form(cand), cand)
         level = list(nxt.values())
+
+
+def reference_extensions(G, H, need):
+    """The H-free one-vertex extensions G + v of G, v = G.n, whose link
+    (the pairs {a, b} with {a, b, v} an edge) holds at least need pairs:
+    every such set of pairs is a link, tested by one is_free call.  They
+    come in include-first order: a link holding the first pair before one
+    without it, then by the second pair, and so on, in combinations
+    order."""
+    from hyperchrome.containment import is_free
+
+    pairs = list(itertools.combinations(range(G.n), 2))
+    links = [L for size in range(need, len(pairs) + 1)
+             for L in itertools.combinations(pairs, size)]
+    links.sort(key=lambda L: tuple(p not in L for p in pairs))
+    children = (Hypergraph(G.n + 1, 3, tuple(sorted(
+        G.edges + tuple(p + (G.n,) for p in L)))) for L in links)
+    return [W for W in children if is_free(W, H)]
 
 
 def reference_gq(q):

@@ -22,7 +22,7 @@ from hyperchrome.core import (EXHAUSTED, Hypergraph, Meter, canonical_form,
 from hyperchrome.exact import SearchBudget, independence_number
 
 from oracles import (brute_canonical_form, brute_turan_ex, one_at_a_time_prune,
-                     reference_embed_by_edge_order,
+                     reference_embed_by_edge_order, reference_extensions,
                      reference_find_edge_ordering, reference_hfree_level_reps,
                      reference_vertex_orbits)
 
@@ -647,6 +647,25 @@ def test_vertex_in_no_edge_guards_the_parent():
     edge = Hypergraph(3, 3, ((0, 1, 2),))
     assert list(ext._extensions(edge, LinkRule(EDGE4), (), 0,
                                 Meter())) == []
+
+
+# the six named H, P2, C3 and EDGE4
+ORDER_PATTERNS = {**{name: cons.named(name) for name in cons.NAMED},
+                  "P2": P2, "C3": FORBIDDING["C3"], "edge4": EDGE4}
+
+
+@pytest.mark.parametrize("name", ORDER_PATTERNS)
+def test_extensions_come_in_include_first_order(name):
+    # first-seen representatives, and with them every ex and ramsey
+    # witness and cache line, rest on the order of the children: for every
+    # catalogue parent on at most 4 vertices it is the brute-force list's,
+    # graph for graph
+    H = ORDER_PATTERNS[name]
+    for parents in _catalogues(4, H):
+        for G in parents:
+            for need in (0, 2):
+                got = list(ext._extensions(G, LinkRule(H), (), need, Meter()))
+                assert got == reference_extensions(G, H, need), (G, need)
 
 
 @pytest.mark.parametrize("n, name", [

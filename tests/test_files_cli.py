@@ -258,6 +258,26 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert cli.main(["gen", "complete", "--n", "1"]) == 1
 
+    @pytest.mark.parametrize("cmd", ["chi", "hyperforest"])
+    def test_huge_vertex_count_fails_in_band(self, cmd, monkeypatch, capsys):
+        # 10^20 vertices overflow an index before anything is allocated
+        code, out = run_cli([cmd], stdin_text="p h 3 100000000000000000000 0\n",
+                            monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "failure"
+        assert report["error"].startswith("OverflowError: ")
+
+    def test_out_of_memory_fails_in_band(self, monkeypatch, capsys):
+        def exhausting(*args, **kw):
+            raise MemoryError
+
+        monkeypatch.setattr(_kernels, "kcolor_search", exhausting)
+        code, out = run_cli(["chi"], stdin_text=serialize_hypergraph(
+            cons.named("fano")), monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 1
+        assert json.loads(out) == {"error": "MemoryError", "status": "failure"}
+
     def test_chi_solves_each_k_once(self, monkeypatch, capsys):
         calls = []
         kcolor_search = _kernels.kcolor_search
